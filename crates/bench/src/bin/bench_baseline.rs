@@ -1,7 +1,7 @@
 //! Host-performance baseline: a fixed workload matrix timed with
 //! wall-clock medians, written to `BENCH_baseline.json`.
 //!
-//! Three workload families:
+//! Two workload families:
 //!
 //! 1. **Tiled min-plus distance product** at `n ∈ {64, 128, 256}`, once
 //!    with 1 worker thread and once with 4 — the speedup table quoted in
@@ -10,29 +10,20 @@
 //! 2. **`Clique::route` stress** — all-to-all fragmented payloads on the
 //!    zero-allocation simulator (n = 64, repeated phases on one warm
 //!    network instance).
-//! 3. **End-to-end E1** — the full quantum APSP pipeline (Theorem 1) at
-//!    `n = 81` with scaled params; a single run (it executes millions of
-//!    simulated rounds), recording wall-clock and charged rounds.
 //!
-//! `--smoke` shrinks every workload (n = 64 products, n = 16 pipeline) so
-//! CI can exercise the whole harness in seconds. Charged round counts are
-//! asserted identical across worker counts — optimisations must never
-//! change simulation semantics.
+//! The end-to-end quantum APSP pipeline (E1) is measured by `bench_e1`.
 //!
-//! Usage: `bench_baseline [--smoke] [--skip-e1] [--out PATH] [--trace FILE]`
+//! `--smoke` shrinks the products to n = 64 so CI can exercise the whole
+//! harness in seconds. Charged round counts are asserted identical across
+//! worker counts — optimisations must never change simulation semantics.
 //!
-//! `--skip-e1` omits the end-to-end quantum APSP workload (`bench_e1`
-//! owns that measurement), keeping smoke invocations fast.
+//! Usage: `bench_baseline [--smoke] [--out PATH] [--trace FILE]`
 //!
-//! `--trace FILE` writes an NDJSON congestion trace of the simulated
-//! workloads (route stress + end-to-end APSP); render it with
-//! `qcc trace-summary FILE`.
+//! `--trace FILE` writes an NDJSON congestion trace of the route stress;
+//! render it with `qcc trace-summary FILE`.
 
-use qcc_apsp::{apsp_traced, ApspAlgorithm, Params};
 use qcc_congest::{Clique, Envelope, NodeId, RawBits, TraceSink};
-use qcc_graph::{
-    distance_product_with_threads, random_reweighted_digraph, ExtWeight, WeightMatrix,
-};
+use qcc_graph::{distance_product_with_threads, ExtWeight, WeightMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -150,31 +141,6 @@ fn bench_route_stress(n: usize, reps: usize, sink: Option<&TraceSink>, out: &mut
     });
 }
 
-fn bench_apsp_e2e(n: usize, sink: Option<&TraceSink>, out: &mut Vec<Sample>) {
-    let mut rng = StdRng::seed_from_u64(0xE1);
-    let g = random_reweighted_digraph(n, 0.5, 8, &mut rng);
-    let mut rounds = 0;
-    let times_ms = time_reps(1, || {
-        let report = apsp_traced(
-            &g,
-            Params::scaled(),
-            ApspAlgorithm::QuantumTriangle,
-            &mut rng,
-            sink,
-        )
-        .expect("pipeline succeeds");
-        rounds = report.rounds;
-    });
-    out.push(Sample {
-        name: "apsp_e2e_quantum".into(),
-        n,
-        threads: 1,
-        reps: 1,
-        times_ms,
-        rounds: Some(rounds),
-    });
-}
-
 fn to_json(samples: &[Sample], mode: &str) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -220,14 +186,12 @@ fn to_json(samples: &[Sample], mode: &str) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
-    let mut skip_e1 = false;
     let mut out_path = String::from("BENCH_baseline.json");
     let mut trace_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--skip-e1" => skip_e1 = true,
             "--out" => match it.next() {
                 Some(path) => out_path = path.clone(),
                 None => {
@@ -244,9 +208,7 @@ fn main() {
             },
             other => {
                 eprintln!("bench_baseline: unknown argument `{other}`");
-                eprintln!(
-                    "usage: bench_baseline [--smoke] [--skip-e1] [--out PATH] [--trace FILE]"
-                );
+                eprintln!("usage: bench_baseline [--smoke] [--out PATH] [--trace FILE]");
                 std::process::exit(2);
             }
         }
@@ -258,10 +220,10 @@ fn main() {
         })
     });
 
-    let (sizes, reps, e2e_n): (&[usize], usize, usize) = if smoke {
-        (&[64], 2, 16)
+    let (sizes, reps): (&[usize], usize) = if smoke {
+        (&[64], 2)
     } else {
-        (&[64, 128, 256], 5, 81)
+        (&[64, 128, 256], 5)
     };
 
     let mut samples = Vec::new();
@@ -269,14 +231,6 @@ fn main() {
     bench_distance_products(sizes, reps, &mut samples);
     eprintln!("bench_baseline: Clique::route stress ...");
     bench_route_stress(64, reps, sink.as_ref(), &mut samples);
-    if skip_e1 {
-        // `bench_e1` owns the end-to-end E1 measurement; skipping it here
-        // keeps smoke invocations out of the ~34 s run.
-        eprintln!("bench_baseline: skipping end-to-end APSP (--skip-e1)");
-    } else {
-        eprintln!("bench_baseline: end-to-end quantum APSP at n = {e2e_n} (single run) ...");
-        bench_apsp_e2e(e2e_n, sink.as_ref(), &mut samples);
-    }
     if let Some(sink) = &sink {
         sink.flush().expect("trace flush");
     }

@@ -2,11 +2,11 @@
 //! fixed E1 instance (seed `0xE1`, density 0.5, weights ≤ 8, scaled
 //! params), timed at a configurable `n`.
 //!
-//! This is the workload `BENCH_baseline.json` pins at n = 81 (337.6 s /
-//! 9,767,313 charged rounds on the recording host). The binary exists so
-//! that the batched-simulator speedups are visible as a standalone
-//! artifact (`BENCH_e1_fast.json`) and so CI can smoke-test for wall-clock
-//! regressions at a reduced `n` against a checked-in reference.
+//! At n = 81 the run charges 9,767,313 rounds; `BENCH_e1_fast.json`
+//! records it with its wall-clock times, and the rounds are the pin. The
+//! binary owns the end-to-end E1 measurement, and CI smoke-tests it for
+//! wall-clock regressions at a reduced `n` against a checked-in reference
+//! (`BENCH_e1_smoke_ref.json`).
 //!
 //! Usage:
 //!
@@ -64,8 +64,8 @@ fn trimmed_mean(sorted: &[f64]) -> f64 {
 }
 
 fn run_e1(n: usize, reps: usize, sink: Option<&TraceSink>) -> E1Result {
-    // The E1 instance of bench_baseline, byte for byte: graph and
-    // algorithm randomness both come from the 0xE1 stream.
+    // The E1 instance: graph and algorithm randomness both come from the
+    // 0xE1 stream.
     let mut times_ms = Vec::with_capacity(reps);
     let mut rounds: Option<u64> = None;
     // Rep 0 is a discarded warmup: it faults in code pages and warms the

@@ -3,8 +3,12 @@
 //! The build environment of this repository has no access to crates.io, so
 //! the workspace vendors a minimal, std-only implementation of the small
 //! `rand` 0.8 API surface the codebase actually uses: [`rngs::StdRng`],
-//! [`SeedableRng::seed_from_u64`], and the [`Rng`] methods `gen`,
-//! `gen_range`, and `gen_bool`.
+//! [`SeedableRng::seed_from_u64`], the [`Rng`] methods `gen`,
+//! `gen_range`, and `gen_bool`, and [`distributions::Uniform`] with its
+//! [`distributions::Distribution::sample`] for integer ranges drawn many
+//! times. `Uniform::new(lo, hi).sample(rng)` returns what
+//! `rng.gen_range(lo..hi)` would and consumes the same draws; it only
+//! computes the rejection zone once instead of on every call.
 //!
 //! The generator behind [`rngs::StdRng`] is xoshiro256++ seeded through
 //! SplitMix64 — deterministic, high-quality, and fast, but **not** the
@@ -130,24 +134,6 @@ pub trait SampleUniform: Sized {
     ) -> Self;
 }
 
-/// Uniform `u128` draw below `span` (Lemire-style widening rejection on the
-/// low 64 bits; every span used in this workspace fits in a `u64`).
-fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, span: u128) -> u128 {
-    debug_assert!(span > 0);
-    let span64 = u64::try_from(span).expect("range span exceeds u64");
-    if span64 == 0 {
-        return 0;
-    }
-    // Widening-multiply rejection sampling: unbiased, at most a few retries.
-    let zone = u64::MAX - (u64::MAX - span64 + 1) % span64;
-    loop {
-        let draw = rng.next_u64();
-        if draw <= zone {
-            return u128::from(((u128::from(draw) * u128::from(span64)) >> 64) as u64);
-        }
-    }
-}
-
 macro_rules! impl_sample_uniform_int {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
@@ -157,11 +143,25 @@ macro_rules! impl_sample_uniform_int {
                 hi: Self,
                 inclusive: bool,
             ) -> Self {
-                let (lo_w, hi_w) = (lo as i128, hi as i128);
-                let span = (hi_w - lo_w) as u128 + u128::from(inclusive);
-                assert!(span > 0, "cannot sample from empty range");
-                let off = uniform_below(rng, span);
-                (lo_w + off as i128) as $t
+                use distributions::{Distribution, Uniform};
+                let uniform = if inclusive {
+                    Uniform::new_inclusive(lo, hi)
+                } else {
+                    Uniform::new(lo, hi)
+                };
+                uniform.sample(rng)
+            }
+        }
+
+        impl distributions::SampleInt for $t {
+            #[inline]
+            fn widen(self) -> i128 {
+                self as i128
+            }
+
+            #[inline]
+            fn narrow(wide: i128) -> Self {
+                wide as $t
             }
         }
     )*};
@@ -266,6 +266,117 @@ pub trait Rng: RngCore {
 
 impl<R: RngCore + ?Sized> Rng for R {}
 
+/// Distributions sampled many times from one precomputed description.
+pub mod distributions {
+    use super::RngCore;
+
+    /// Types that can be sampled by a distribution.
+    pub trait Distribution<T> {
+        /// Draws one value.
+        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T;
+    }
+
+    /// Primitive integers, which [`Uniform`] samples through `i128`.
+    pub trait SampleInt: Copy {
+        /// The value as an `i128`.
+        fn widen(self) -> i128;
+        /// The `i128` back as a value (truncating).
+        fn narrow(wide: i128) -> Self;
+    }
+
+    /// A uniform distribution over an integer range, with the rejection
+    /// zone of [`crate::Rng::gen_range`] computed once at construction.
+    ///
+    /// Sampling consumes exactly the draws `gen_range` consumes over the
+    /// same range and returns the same value.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rand::distributions::{Distribution, Uniform};
+    /// use rand::rngs::StdRng;
+    /// use rand::{Rng, SeedableRng};
+    ///
+    /// let die = Uniform::new(1u32, 7);
+    /// let (mut a, mut b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+    /// for _ in 0..100 {
+    ///     assert_eq!(die.sample(&mut a), b.gen_range(1u32..7));
+    /// }
+    /// ```
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Uniform<X> {
+        low: X,
+        span: u64,
+        zone: u64,
+    }
+
+    impl<X: SampleInt> Uniform<X> {
+        /// The uniform distribution over `low..high`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the range is empty.
+        pub fn new(low: X, high: X) -> Self {
+            Self::with_span(low, int_span(low.widen(), high.widen(), false))
+        }
+
+        /// The uniform distribution over `low..=high`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the range is empty.
+        pub fn new_inclusive(low: X, high: X) -> Self {
+            Self::with_span(low, int_span(low.widen(), high.widen(), true))
+        }
+
+        fn with_span(low: X, span: u64) -> Self {
+            Uniform {
+                low,
+                span,
+                zone: rejection_zone(span),
+            }
+        }
+    }
+
+    impl<X: SampleInt> Distribution<X> for Uniform<X> {
+        /// Widening-multiply rejection sampling: the high word of
+        /// `draw · span` for the first draw at or below the zone. Unbiased;
+        /// a draw is rejected with probability `(2^64 mod span) / 2^64`,
+        /// which only large spans make noticeable (almost half of all
+        /// draws just above 2^63).
+        #[inline]
+        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> X {
+            loop {
+                let draw = rng.next_u64();
+                if draw <= self.zone {
+                    let off = (u128::from(draw) * u128::from(self.span)) >> 64;
+                    return X::narrow(self.low.widen() + off as i128);
+                }
+            }
+        }
+    }
+
+    /// The number of values in `lo..hi` (`lo..=hi` when `inclusive`),
+    /// checked to be non-empty. Every span used in this workspace fits in a
+    /// `u64`.
+    #[inline]
+    fn int_span(lo: i128, hi: i128, inclusive: bool) -> u64 {
+        assert!(
+            lo < hi || (inclusive && lo == hi),
+            "cannot sample from empty range"
+        );
+        u64::try_from((hi - lo) as u128 + u128::from(inclusive)).expect("range span exceeds u64")
+    }
+
+    /// The largest accepted draw for a `span` of values:
+    /// `2^64 − (2^64 mod span) − 1`, so the accepted draws split evenly
+    /// over the span.
+    #[inline]
+    fn rejection_zone(span: u64) -> u64 {
+        u64::MAX - (u64::MAX - span + 1) % span
+    }
+}
+
 /// Concrete generator types.
 pub mod rngs {
     use super::{RngCore, SeedableRng};
@@ -280,10 +391,12 @@ pub mod rngs {
     }
 
     impl RngCore for StdRng {
+        #[inline]
         fn next_u32(&mut self) -> u32 {
             (self.next_u64() >> 32) as u32
         }
 
+        #[inline]
         fn next_u64(&mut self) -> u64 {
             // xoshiro256++ (Blackman & Vigna, 2019)
             let out = self.s[0]

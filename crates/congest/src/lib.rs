@@ -56,6 +56,7 @@ mod node;
 mod payload;
 mod reliable;
 pub mod rlnc;
+mod tally;
 pub mod topology;
 pub mod trace;
 mod transport;
@@ -68,6 +69,7 @@ pub use network::{Clique, DEFAULT_BANDWIDTH_FACTOR, EXPLICIT_SCHEDULE_LIMIT};
 pub use node::NodeId;
 pub use payload::{bits_for_count, bits_for_weight_range, Payload, RawBits};
 pub use reliable::ReliableConfig;
+pub use tally::{Leg, LinkTally};
 pub use topology::{Topology, TopologySpec};
 pub use transport::{
     ByteBlock, CliqueTransport, GossipStats, GossipTransport, Transport, WaveStats,

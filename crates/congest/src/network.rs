@@ -41,6 +41,7 @@ use crate::metrics::Metrics;
 use crate::node::NodeId;
 use crate::payload::{bits_for_count, Payload};
 use crate::reliable::{ReliableConfig, Wave};
+use crate::tally::{Leg, LinkTally};
 use crate::trace::TraceSink;
 
 /// Default multiplier: one message carries `DEFAULT_BANDWIDTH_FACTOR · ⌈log₂ n⌉` bits.
@@ -560,14 +561,16 @@ impl Clique {
         self.deliver(sends)
     }
 
-    /// Charges one `exchange` phase from a pre-tallied link table instead of
-    /// materialized envelopes: `link_msgs[src·n + dst]` is the number of
-    /// messages queued on each ordered link, every message exactly
-    /// `bits_per_msg` bits wide. Rounds, message and bit totals, per-link and
-    /// per-node maxima, and the emitted trace event are byte-identical to
-    /// [`Clique::exchange`] over the same traffic; diagonal cells are local
-    /// messages and free, as in the materialized path. Returns the rounds
-    /// charged.
+    /// Charges one `exchange` phase from a [`LinkTally`] instead of
+    /// materialized envelopes, every message exactly `bits_per_msg` bits
+    /// wide. [`Leg::Forward`] charges each message on the link it was
+    /// tallied on; [`Leg::Reverse`] charges one message on the reverse link
+    /// for each, as the replies to a tallied query leg travel. Rounds,
+    /// message and bit totals, per-link and per-node maxima, and the
+    /// emitted trace event are byte-identical to [`Clique::exchange`] over
+    /// the same traffic; local (`src == dst`) messages are free, as in the
+    /// materialized path. Costs `O(n)` plus the tally's link count. Returns
+    /// the rounds charged.
     ///
     /// Only available on a transparent network ([`Clique::is_transparent`]):
     /// faulty or enveloped networks need real payloads on the wire to drop,
@@ -576,44 +579,40 @@ impl Clique {
     ///
     /// # Panics
     ///
-    /// Panics if the network is not transparent or `link_msgs.len() ≠ n²`.
-    pub fn charge_exchange_tally(
-        &mut self,
-        link_msgs: &[u32],
-        bits_per_msg: u64,
-        kind: &'static str,
-    ) -> u64 {
+    /// Panics if the network is not transparent or the tally covers a
+    /// network of another size.
+    pub fn charge_exchange_tally(&mut self, tally: &LinkTally, bits_per_msg: u64, leg: Leg) -> u64 {
         assert!(
             self.is_transparent(),
             "charge-only exchange requires a transparent network"
         );
-        let n = self.n;
-        assert_eq!(link_msgs.len(), n * n, "link table must be n × n");
+        assert_eq!(tally.n(), self.n, "tally must cover this network");
         let s = &mut self.scratch;
         s.out_load.fill(0);
         s.in_load.fill(0);
         let mut total_bits = 0u64;
         let mut message_count = 0u64;
         let mut max_link = 0u64;
-        for src in 0..n {
-            let row = &link_msgs[src * n..(src + 1) * n];
-            for (dst, &count) in row.iter().enumerate() {
-                if count == 0 || src == dst {
-                    continue;
-                }
-                let bits = u64::from(count) * bits_per_msg;
-                message_count += u64::from(count);
-                total_bits += bits;
-                max_link = max_link.max(bits);
-                s.out_load[src] += bits;
-                s.in_load[dst] += bits;
+        for (a, b, count) in tally.links() {
+            if a == b {
+                continue;
             }
+            let (src, dst) = match leg {
+                Leg::Forward => (a, b),
+                Leg::Reverse => (b, a),
+            };
+            let bits = u64::from(count) * bits_per_msg;
+            message_count += u64::from(count);
+            total_bits += bits;
+            max_link = max_link.max(bits);
+            s.out_load[src] += bits;
+            s.in_load[dst] += bits;
         }
         let rounds = max_link.div_ceil(self.bandwidth_bits);
         let max_out = s.out_load.iter().copied().max().unwrap_or(0);
         let max_in = s.in_load.iter().copied().max().unwrap_or(0);
         self.metrics.record_comm(
-            kind,
+            "exchange",
             rounds,
             message_count,
             total_bits,

@@ -3,7 +3,8 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use qcc_congest::coloring::{color_bipartite, is_proper, max_degree};
-use qcc_congest::{Clique, Envelope, FaultPlan, NodeId, RawBits, ReliableConfig};
+use qcc_congest::trace::TraceSink;
+use qcc_congest::{Clique, Envelope, FaultPlan, Leg, LinkTally, NodeId, RawBits, ReliableConfig};
 
 proptest! {
     /// König coloring is always proper and uses exactly Δ colors.
@@ -169,42 +170,75 @@ proptest! {
         }
     }
 
-    /// Charging an exchange from a link tally ([`Clique::charge_exchange_tally`])
-    /// records exactly what materializing the same fixed-width traffic
-    /// through [`Clique::exchange`] records: rounds, message count, bit
-    /// total, and phase maxima.
+    /// Charging an exchange from a sparse link tally
+    /// ([`Clique::charge_exchange_tally`]) records exactly what
+    /// materializing the same fixed-width traffic through
+    /// [`Clique::exchange`] records — rounds, message count, bit total,
+    /// phase maxima, and the NDJSON comm events — on both legs: the tallied
+    /// queries ([`Leg::Forward`]) and one reply per query on the reverse
+    /// link ([`Leg::Reverse`]). Local (`src == dst`) messages are tallied
+    /// and free on both sides, repeated links accumulate, and a cleared
+    /// tally is reused for a second evaluation.
     #[test]
     fn charge_only_exchange_matches_materialized(
         n in 2usize..8,
-        raw in vec((0usize..8, 0usize..8), 0..60),
-        bits_per_msg in 1u64..200,
+        batches in vec(vec((0usize..8, 0usize..8, 1u32..4), 0..40), 2..3),
+        query_bits in 1u64..200,
+        reply_bits in 1u64..200,
     ) {
-        let sends: Vec<Envelope<RawBits>> = raw
-            .iter()
-            .map(|&(u, v)| {
-                Envelope::new(NodeId::new(u % n), NodeId::new(v % n), RawBits::new(0, bits_per_msg))
-            })
-            .collect();
-        let mut tally = vec![0u32; n * n];
-        for e in &sends {
-            tally[e.src.index() * n + e.dst.index()] += 1;
-        }
-
+        let (sink, materialized_trace) = TraceSink::in_memory();
         let mut materialized = Clique::new(n).unwrap();
-        materialized.begin_phase("leg");
-        materialized.exchange(sends).unwrap();
-
+        materialized.set_trace_sink(sink);
+        let (sink, charged_trace) = TraceSink::in_memory();
         let mut charged = Clique::new(n).unwrap();
-        charged.begin_phase("leg");
-        charged.charge_exchange_tally(&tally, bits_per_msg, "exchange");
+        charged.set_trace_sink(sink);
+        let mut tally = LinkTally::new(n);
+        for links in &batches {
+            let mut queries = Vec::new();
+            let mut replies = Vec::new();
+            tally.clear();
+            for &(u, v, count) in links {
+                let (src, dst) = (NodeId::new(u % n), NodeId::new(v % n));
+                tally.add(src.index(), dst.index(), count);
+                for _ in 0..count {
+                    queries.push(Envelope::new(src, dst, RawBits::new(0, query_bits)));
+                    replies.push(Envelope::new(dst, src, RawBits::new(0, reply_bits)));
+                }
+            }
+            materialized.begin_phase("queries");
+            materialized.exchange(queries).unwrap();
+            materialized.begin_phase("replies");
+            materialized.exchange(replies).unwrap();
+            charged.begin_phase("queries");
+            charged.charge_exchange_tally(&tally, query_bits, Leg::Forward);
+            charged.begin_phase("replies");
+            charged.charge_exchange_tally(&tally, reply_bits, Leg::Reverse);
+        }
+        materialized.close_all_spans();
+        charged.close_all_spans();
 
         prop_assert_eq!(charged.rounds(), materialized.rounds());
         prop_assert_eq!(charged.metrics().total_messages(), materialized.metrics().total_messages());
         prop_assert_eq!(charged.metrics().total_bits(), materialized.metrics().total_bits());
-        let (c, m) = (&charged.metrics().phases()[0], &materialized.metrics().phases()[0]);
-        prop_assert_eq!(c.max_link_bits, m.max_link_bits);
-        prop_assert_eq!(c.max_node_out_bits, m.max_node_out_bits);
-        prop_assert_eq!(c.max_node_in_bits, m.max_node_in_bits);
+        let (c, m) = (charged.metrics().phases(), materialized.metrics().phases());
+        prop_assert_eq!(c.len(), m.len());
+        for (c, m) in c.iter().zip(m) {
+            prop_assert_eq!(c.rounds, m.rounds);
+            prop_assert_eq!(c.messages, m.messages);
+            prop_assert_eq!(c.bits, m.bits);
+            prop_assert_eq!(c.max_link_bits, m.max_link_bits);
+            prop_assert_eq!(c.max_node_out_bits, m.max_node_out_bits);
+            prop_assert_eq!(c.max_node_in_bits, m.max_node_in_bits);
+        }
+        let comm_events = |text: String| -> Vec<String> {
+            text.lines()
+                .filter(|line| line.contains("\"comm\""))
+                .map(str::to_owned)
+                .collect()
+        };
+        let (c, m) = (comm_events(charged_trace.contents()), comm_events(materialized_trace.contents()));
+        prop_assert_eq!(c.len(), 2 * batches.len());
+        prop_assert_eq!(c, m);
     }
 
     /// Under pure drop faults the envelope either delivers everything

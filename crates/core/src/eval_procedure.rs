@@ -24,7 +24,7 @@ use crate::gather::GatheredWeights;
 use crate::instance::Instance;
 use crate::lambda::KeptPair;
 use crate::wire::{pair_bits, weight_bits, Wire};
-use qcc_congest::{Clique, CongestError, Envelope, NodeId};
+use qcc_congest::{Clique, CongestError, Envelope, Leg, LinkTally, NodeId};
 use qcc_quantum::AtypicalInputError;
 
 /// One query of a joint evaluation: "does pair `{u, v}` form a negative
@@ -57,16 +57,6 @@ pub struct AlphaContext {
     /// Per search label: `(hosting node, coarse block u, coarse block v)`,
     /// precomputed once so the eval hot loop is pure table lookups.
     search_route: Vec<(u32, u32, u32)>,
-    /// Reusable link-tally buffers of the bulk eval path, so the hot loop
-    /// does not re-allocate scratch on each of the millions of calls.
-    scratch: std::cell::RefCell<EvalScratch>,
-}
-
-/// Scratch buffers reused across [`evaluate_joint`] calls of one context.
-#[derive(Clone, Debug, Default)]
-struct EvalScratch {
-    query_links: Vec<u32>,
-    reply_links: Vec<u32>,
 }
 
 impl AlphaContext {
@@ -141,7 +131,6 @@ impl AlphaContext {
             dup,
             copy_node,
             search_route,
-            scratch: std::cell::RefCell::new(EvalScratch::default()),
         };
 
         if dup > 1 {
@@ -335,8 +324,8 @@ fn evaluate_with_cap(
 /// networks ([`Clique::is_transparent`]).
 ///
 /// One pass over the (cap-checked) queries resolves each to its copy node,
-/// tallies both exchange legs per ordered link — every query wire is
-/// `pb + wb` bits, every reply `pb + 1` — and answers it locally through a
+/// tallies it on its link — every query wire is `pb + wb` bits, every reply
+/// `pb + 1` on the reverse link — and answers it locally through a
 /// streaming census probe; the legs are then charged via
 /// [`Clique::charge_exchange_tally`], which records rounds, totals, maxima,
 /// and trace events byte-identical to the materialized exchanges over the
@@ -357,19 +346,10 @@ fn evaluate_bulk(
     pb: u64,
     wb: u64,
 ) -> Result<Vec<bool>, EvalJointError> {
-    let n = inst.n();
     net.begin_phase(&format!("step3/alpha{}/eval-queries", actx.alpha));
     counts.iter_mut().for_each(|c| *c = 0);
     let route_of = &actx.search_route;
-    let mut scratch = actx.scratch.borrow_mut();
-    let EvalScratch {
-        query_links,
-        reply_links,
-    } = &mut *scratch;
-    query_links.clear();
-    query_links.resize(n * n, 0);
-    reply_links.clear();
-    reply_links.resize(n * n, 0);
+    let mut links = LinkTally::new(inst.n());
     let mut answers = Vec::with_capacity(queries.len());
     let mut probe = gathered.census_probe(inst);
     for q in queries {
@@ -385,9 +365,7 @@ fn evaluate_bulk(
                 actx.alpha
             ))
         })?;
-        let (src, dst) = (src_node as usize, dst.index());
-        query_links[src * n + dst] += 1;
-        reply_links[dst * n + src] += 1;
+        links.add(src_node as usize, dst.index(), 1);
         answers.push(
             probe
                 .check(triple_label, q.pair.u, q.pair.v, q.pair.weight)
@@ -395,9 +373,9 @@ fn evaluate_bulk(
         );
     }
     drop(probe);
-    net.charge_exchange_tally(query_links, pb + wb, "exchange");
+    net.charge_exchange_tally(&links, pb + wb, Leg::Forward);
     net.begin_phase(&format!("step3/alpha{}/eval-answers", actx.alpha));
-    net.charge_exchange_tally(reply_links, pb + 1, "exchange");
+    net.charge_exchange_tally(&links, pb + 1, Leg::Reverse);
     Ok(answers)
 }
 
@@ -408,35 +386,30 @@ fn evaluate_bulk(
 /// the searches' solution censuses, `Instance::has_apex_in_block` on the
 /// sampled target (the materialized path debug-asserts exactly this), and
 /// the Grover evolution between iterations consumes only the charges. This
-/// session therefore skips answer materialization entirely and reduces each
-/// query to two link-tally increments through a per-`(search, target)`
-/// destination memo, then charges both exchange legs analytically — rounds,
-/// metrics, and trace events byte-identical to [`evaluate_joint`] over the
-/// same query multiset.
+/// session therefore skips answer materialization entirely: each query is
+/// one increment on a small `(search label × fine block)` grid, and
+/// [`ChargeOnlyEval::finish`] folds the grid into per-link message counts
+/// and charges both exchange legs from that one fold — the reply leg is the
+/// query leg transposed. Rounds, metrics, and trace events are
+/// byte-identical to [`evaluate_joint`] over the same query multiset:
+///
+/// * a `(search, target)` list of `c` queries sends its `r`-th query to
+///   copy `r mod dup` of its triple (Figure 5's round-robin split), so
+///   copy `y` receives `⌊c/dup⌋ + [y < c mod dup]` of them whatever the
+///   order of the queries;
+/// * lists grow one query at a time, so the Υ_β typicality gate of
+///   [`evaluate_joint`] fires iff some list ends above the cap, and it
+///   reports the first count above the cap whichever list crossed first.
 ///
 /// [`ChargeOnlyEval::try_new`] requires a transparent network
 /// ([`Clique::is_transparent`]), where analytic exchange charging is exact;
-/// otherwise callers fall back to [`evaluate_joint`]. Within a session two
-/// regimes exist:
-///
-/// * **counter-free** — when `dup == 1` (every query of a triple resolves
-///   to copy 0 regardless of its rank within its list) *and*
-///   `max_queries_per_label ≤ cap` (a `(search, target)` list can be at
-///   most as long as the search label's whole query load, so the Υ_β
-///   typicality gate of [`evaluate_joint`] can never fire), each push is
-///   two tally increments through a per-`(search, target)` destination
-///   memo;
-/// * **counted** — otherwise the session tracks per-`(search, target)`
-///   list ranks like the materialized path: the same first-crossing Υ_β
-///   refusal and the same round-robin copy split.
+/// otherwise callers fall back to [`evaluate_joint`].
 pub struct ChargeOnlyEval<'a, 'd> {
     inst: &'a Instance<'d>,
     actx: &'a AlphaContext,
-    n: usize,
     fine: usize,
+    /// The `list_cap` bound [`evaluate_joint`] applies.
     cap: f64,
-    /// The counter-free regime (see the type docs).
-    skip_counts: bool,
     query_bits: u64,
     reply_bits: u64,
     /// `dst_of[label * fine + target]` = copy-0 host of triple
@@ -445,37 +418,23 @@ pub struct ChargeOnlyEval<'a, 'd> {
     dst_of: Vec<u32>,
     /// Host node of each search label (`search_route` without the blocks).
     src_of: Vec<u32>,
-    /// Counted regime only: per-`(search, target)` list ranks, reset via
-    /// `touched` between evaluations.
+    /// Queries pushed since the last [`ChargeOnlyEval::finish`], per
+    /// `(search, target)` list, indexed like `dst_of`.
     counts: Vec<u32>,
-    touched: Vec<u32>,
-    query_links: Vec<u32>,
-    reply_links: Vec<u32>,
+    /// Per-link fold of `counts`, charged by `finish`.
+    links: LinkTally,
     phase_queries: String,
     phase_answers: String,
-    atypical: Option<AtypicalInputError>,
-    internal: Option<String>,
 }
 
 impl<'a, 'd> ChargeOnlyEval<'a, 'd> {
     /// Builds the session, or `None` off the transparent regime where the
     /// charge-only reduction is not provably identical to
     /// [`evaluate_joint`] (see the type docs).
-    ///
-    /// `cap` must be the same `list_cap` bound [`evaluate_joint`] applies;
-    /// `max_queries_per_label` bounds the number of queries any single
-    /// search label contributes to one evaluation.
-    pub fn try_new(
-        inst: &'a Instance<'d>,
-        net: &Clique,
-        actx: &'a AlphaContext,
-        cap: f64,
-        max_queries_per_label: u32,
-    ) -> Option<Self> {
+    pub fn try_new(inst: &'a Instance<'d>, net: &Clique, actx: &'a AlphaContext) -> Option<Self> {
         if !net.is_transparent() {
             return None;
         }
-        let skip_counts = actx.dup == 1 && f64::from(max_queries_per_label) <= cap;
         let n = inst.n();
         let fine = inst.parts.fine.num_blocks();
         let labels = inst.searches.labeling().label_count();
@@ -493,95 +452,27 @@ impl<'a, 'd> ChargeOnlyEval<'a, 'd> {
         Some(ChargeOnlyEval {
             inst,
             actx,
-            n,
             fine,
-            cap,
-            skip_counts,
+            cap: inst.params.list_cap(n, actx.alpha),
             query_bits: pair_bits(n) + weight_bits(inst.weight_magnitude()),
             reply_bits: pair_bits(n) + 1,
             dst_of,
             src_of,
-            counts: if skip_counts {
-                Vec::new()
-            } else {
-                vec![0u32; labels * fine]
-            },
-            touched: Vec::new(),
-            query_links: vec![0u32; n * n],
-            reply_links: vec![0u32; n * n],
+            counts: vec![0u32; labels * fine],
+            links: LinkTally::new(n),
             phase_queries: format!("step3/alpha{}/eval-queries", actx.alpha),
             phase_answers: format!("step3/alpha{}/eval-answers", actx.alpha),
-            atypical: None,
-            internal: None,
         })
-    }
-
-    /// Clears the link tallies and list ranks for the next evaluation.
-    pub fn reset(&mut self) {
-        self.query_links.fill(0);
-        self.reply_links.fill(0);
-        for &key in &self.touched {
-            self.counts[key as usize] = 0;
-        }
-        self.touched.clear();
-        self.atypical = None;
-        self.internal = None;
     }
 
     /// Records one query of `search_label` probing fine block `target`.
     #[inline]
     pub fn push(&mut self, search_label: usize, target: usize) {
-        let key = search_label * self.fine + target;
-        let dst = if self.skip_counts {
-            self.dst_of[key]
-        } else {
-            let pos = self.counts[key];
-            if pos == 0 {
-                self.touched.push(key as u32);
-            }
-            self.counts[key] = pos + 1;
-            if f64::from(pos + 1) > self.cap && self.atypical.is_none() {
-                self.atypical = Some(AtypicalInputError {
-                    max_frequency: u64::from(pos) + 1,
-                    beta: self.cap,
-                });
-            }
-            let y = pos as usize % self.actx.dup;
-            if y == 0 {
-                self.dst_of[key]
-            } else {
-                let (_, bu, bv) = self.actx.search_route[search_label];
-                let triple = self.inst.triples.encode(bu as usize, bv as usize, target);
-                match self.actx.try_copy_node(triple, y) {
-                    Some(node) => node.index() as u32,
-                    None => u32::MAX,
-                }
-            }
-        };
-        if dst == u32::MAX {
-            // Same broken-invariant surface as the materialized path, kept
-            // out of line: report at finish(), before anything is charged.
-            if self.internal.is_none() {
-                let (_, bu, bv) = self.actx.search_route[search_label];
-                let triple = self.inst.triples.encode(bu as usize, bv as usize, target);
-                let y = if self.skip_counts {
-                    0
-                } else {
-                    (self.counts[key] as usize - 1) % self.actx.dup
-                };
-                self.internal = Some(format!(
-                    "triple {triple} copy {y} not in the α = {} context",
-                    self.actx.alpha
-                ));
-            }
-            return;
-        }
-        let (src, dst) = (self.src_of[search_label] as usize, dst as usize);
-        self.query_links[src * self.n + dst] += 1;
-        self.reply_links[dst * self.n + src] += 1;
+        self.counts[search_label * self.fine + target] += 1;
     }
 
-    /// Charges the two exchange legs of the recorded queries.
+    /// Charges the two exchange legs of the queries pushed since the last
+    /// call, and empties the session for the next evaluation.
     ///
     /// # Errors
     ///
@@ -591,17 +482,83 @@ impl<'a, 'd> ChargeOnlyEval<'a, 'd> {
     /// [`evaluate_joint`]'s abort-before-exchange (and its precedence:
     /// the cap pass runs before query resolution).
     pub fn finish(&mut self, net: &mut Clique) -> Result<(), EvalJointError> {
-        if let Some(e) = self.atypical.take() {
-            return Err(EvalJointError::Atypical(e));
+        let folded = self.fold();
+        if matches!(folded, Err(EvalJointError::Atypical(_))) {
+            return folded;
         }
         net.begin_phase(&self.phase_queries);
-        if let Some(context) = self.internal.take() {
-            return Err(EvalJointError::Internal(context));
-        }
-        net.charge_exchange_tally(&self.query_links, self.query_bits, "exchange");
+        folded?;
+        net.charge_exchange_tally(&self.links, self.query_bits, Leg::Forward);
         net.begin_phase(&self.phase_answers);
-        net.charge_exchange_tally(&self.reply_links, self.reply_bits, "exchange");
+        net.charge_exchange_tally(&self.links, self.reply_bits, Leg::Reverse);
         Ok(())
+    }
+
+    /// Folds `counts` into `links`, zeroing it. Errs with the cap violation
+    /// if some list ended above the cap, else with the first missing triple
+    /// copy in `(search, target)` order.
+    fn fold(&mut self) -> Result<(), EvalJointError> {
+        let ChargeOnlyEval {
+            inst,
+            actx,
+            fine,
+            cap,
+            dst_of,
+            src_of,
+            counts,
+            links,
+            ..
+        } = self;
+        links.clear();
+        let dup = actx.dup as u32;
+        let mut over_cap = false;
+        let mut missing: Option<(usize, u32)> = None;
+        for (label, row) in counts.chunks_exact_mut(*fine).enumerate() {
+            let src = src_of[label] as usize;
+            for (target, slot) in row.iter_mut().enumerate() {
+                let count = std::mem::take(slot);
+                if count == 0 {
+                    continue;
+                }
+                over_cap |= f64::from(count) > *cap;
+                let (per_copy, extra) = if dup == 1 {
+                    (count, 0)
+                } else {
+                    (count / dup, count % dup)
+                };
+                let triple = || {
+                    let (_, bu, bv) = actx.search_route[label];
+                    inst.triples.encode(bu as usize, bv as usize, target)
+                };
+                for y in 0..dup.min(count) {
+                    let dst = if y == 0 {
+                        dst_of[label * *fine + target]
+                    } else {
+                        actx.try_copy_node(triple(), y as usize)
+                            .map_or(u32::MAX, |node| node.index() as u32)
+                    };
+                    if dst == u32::MAX {
+                        missing.get_or_insert_with(|| (triple(), y));
+                    } else {
+                        links.add(src, dst as usize, per_copy + u32::from(y < extra));
+                    }
+                }
+            }
+        }
+        if over_cap {
+            return Err(EvalJointError::Atypical(AtypicalInputError {
+                // The count at which the first list crossed the cap.
+                max_frequency: cap.floor() as u64 + 1,
+                beta: *cap,
+            }));
+        }
+        match missing {
+            None => Ok(()),
+            Some((triple, y)) => Err(EvalJointError::Internal(format!(
+                "triple {triple} copy {y} not in the α = {} context",
+                actx.alpha
+            ))),
+        }
     }
 }
 
@@ -743,6 +700,72 @@ mod tests {
         let answers = evaluate_joint(&inst, &mut net, &gathered, &actx, &queries).unwrap();
         for (q, a) in queries.iter().zip(&answers) {
             assert_eq!(*a, inst.has_apex_in_block(q.pair.u, q.pair.v, q.target));
+        }
+    }
+
+    /// The charge-only session charges exactly what the materialized
+    /// evaluation charges for the same queries — per phase, for one copy
+    /// per triple and for ten — or refuses with the same error.
+    #[test]
+    fn session_matches_materialized_evaluation() {
+        let g = book_graph(16, 3);
+        let s = PairSet::all_pairs(16);
+        // α = 2 at n = 16: dup = ⌊4 / (dup_denominator · 4)⌋, and the cap
+        // 0.05 · 4 · 4 · 4 = 3.2 is below every 21-query list.
+        for (dup_denominator, list_bound) in [(1.0, 8.0), (0.1, 8.0), (0.1, 0.05)] {
+            let mut params = Params::scaled();
+            params.dup_denominator = dup_denominator;
+            params.list_bound = list_bound;
+            let inst = Instance::new(&g, &s, params);
+            let labels = all_class0(&inst);
+            // Every edge asks every fine block from every x label, three times.
+            let mut queries = Vec::new();
+            for _ in 0..3 {
+                for (u, v, weight) in g.edges() {
+                    let (bu, bv) = (inst.parts.coarse.block_of(u), inst.parts.coarse.block_of(v));
+                    for x in 0..inst.parts.fine.num_blocks() {
+                        for target in 0..inst.parts.fine.num_blocks() {
+                            queries.push(EvalQuery {
+                                search_label: inst.searches.encode(bu, bv, x),
+                                pair: KeptPair { u, v, weight },
+                                target,
+                            });
+                        }
+                    }
+                }
+            }
+
+            // A reliable-delivery config without a fault plan delivers
+            // everything but is not transparent: every envelope ships.
+            let mut materialized = Clique::new(16).unwrap();
+            materialized.set_reliable_delivery(qcc_congest::ReliableConfig::default());
+            let gathered = gather_weights(&inst, &mut materialized).unwrap();
+            let actx = AlphaContext::build(&inst, &mut materialized, 2, &labels).unwrap();
+            let before = materialized.metrics().phases().len();
+            let expected = evaluate_joint(&inst, &mut materialized, &gathered, &actx, &queries);
+
+            let mut charged = Clique::new(16).unwrap();
+            let actx = AlphaContext::build(&inst, &mut charged, 2, &labels).unwrap();
+            assert_eq!(actx.dup, if dup_denominator == 1.0 { 1 } else { 10 });
+            let mut session = ChargeOnlyEval::try_new(&inst, &charged, &actx).unwrap();
+            let start = charged.metrics().phases().len();
+            for q in &queries {
+                session.push(q.search_label, q.target);
+            }
+            let got = session.finish(&mut charged);
+
+            match (expected, got) {
+                (Ok(_), Ok(())) => {}
+                (Err(EvalJointError::Atypical(e)), Err(EvalJointError::Atypical(g))) => {
+                    assert_eq!((e.max_frequency, e.beta), (g.max_frequency, g.beta));
+                    assert_eq!(e.max_frequency, 4);
+                }
+                (e, g) => panic!("materialized {e:?}, session {g:?}"),
+            }
+            assert_eq!(
+                materialized.metrics().phases()[before..],
+                charged.metrics().phases()[start..]
+            );
         }
     }
 

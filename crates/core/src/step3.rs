@@ -19,9 +19,8 @@ use crate::lambda::{KeptPair, LambdaCover};
 use crate::problem::PairSet;
 use crate::ApspError;
 use qcc_quantum::{repetitions_for_target, GroverAmplitudes};
+use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
-use std::collections::HashMap;
-use std::rc::Rc;
 
 /// Which Step-3 implementation to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,54 +73,222 @@ pub struct Step3Stats {
     pub repetitions: u64,
 }
 
-/// A domain's census for one pair: the split into solution / non-solution
-/// indices. Shared (`Rc`) between all parallel-search labels `x` querying
-/// the same pair over the same `(bu, bv)` domain — the split depends only
-/// on the pair and the blocks, not on `x`.
-struct SearchPartition {
-    solutions: Vec<usize>,
-    non_solutions: Vec<usize>,
-}
-
-struct Search {
-    search_label: usize,
-    pair: KeptPair,
-    domain: Rc<Vec<usize>>,
-    part: Rc<SearchPartition>,
-    amp: GroverAmplitudes,
-    /// `query_solution_probability(k)` memoized for `k ∈ 0..=k_max`, so the
-    /// per-query sampling avoids recomputing the trigonometry.
+/// One row of query-solution probabilities per distinct `(domain size,
+/// solution count)`, shared by every search of a Step-3 run.
+///
+/// A search's state after `k` Grover iterations is a rotation fixed by its
+/// domain size and solution count alone, so searches with the same split
+/// share their row; rows are filled on first use.
+struct RotationRows {
+    /// Iteration counts per row: `0 ..= max_useful_iterations(fine)`
+    /// covers every `k` a domain of at most `fine` blocks draws.
+    stride: usize,
+    /// Row of `(domain, solutions)` at `domain * (fine + 1) + solutions`,
+    /// `u32::MAX` until built.
+    index: Vec<u32>,
+    fine: usize,
+    /// `sin²((2k+1)θ)`, clamped to `[0, 1]`, row-major.
     probs: Vec<f64>,
-    found: bool,
 }
 
-impl Search {
-    fn sample_target<R: Rng>(&self, k: u64, rng: &mut R) -> usize {
-        self.sample_target_with_answer(k, rng).0
+impl RotationRows {
+    fn new(fine: usize) -> Self {
+        RotationRows {
+            stride: GroverAmplitudes::max_useful_iterations(fine) as usize + 1,
+            index: vec![u32::MAX; (fine + 1) * (fine + 1)],
+            fine,
+            probs: Vec::new(),
+        }
     }
 
-    /// Samples a target block after `k` Grover iterations, together with
-    /// the evaluation's (predetermined) answer: a target drawn from the
-    /// solution side is exactly one with an apex in its block — the same
-    /// boolean the joint evaluation ships back.
-    fn sample_target_with_answer<R: Rng>(&self, k: u64, rng: &mut R) -> (usize, bool) {
-        let p = self.probs[k as usize];
-        let take_solution = if self.part.solutions.is_empty() {
-            false
-        } else if self.part.non_solutions.is_empty() {
-            true
-        } else {
-            rng.gen_bool(p.clamp(0.0, 1.0))
+    /// The row of a domain of `domain` blocks with `solutions` solutions.
+    fn row(&mut self, domain: usize, solutions: usize) -> u32 {
+        let slot = &mut self.index[domain * (self.fine + 1) + solutions];
+        if *slot == u32::MAX {
+            *slot = (self.probs.len() / self.stride) as u32;
+            let amp = GroverAmplitudes::new(domain, solutions);
+            self.probs.extend(
+                (0..self.stride as u64).map(|k| amp.query_solution_probability(k).clamp(0.0, 1.0)),
+            );
+        }
+        *slot
+    }
+
+    #[inline]
+    fn probability(&self, row: u32, k: u64) -> f64 {
+        self.probs[row as usize * self.stride + k as usize]
+    }
+}
+
+/// How a search draws its query target: one census per `(pair, block
+/// pair)`, shared by every label `x` of the block pair that keeps the pair.
+#[derive(Clone, Copy)]
+struct Census {
+    /// Index draws into [`SearchTables::blocks`], indexed by the answer:
+    /// `[non-solution blocks, solution blocks]`. A domain with one kind of
+    /// block only holds its side in both.
+    sides: [Uniform<u32>; 2],
+    pick: Pick,
+}
+
+/// Which side of a [`Census`] a draw takes.
+#[derive(Clone, Copy)]
+enum Pick {
+    /// Always this side: the domain holds one kind of block only.
+    Always(bool),
+    /// The solution side with the probability in this row of
+    /// [`RotationRows`], drawn by `gen_bool`.
+    Rotation(u32),
+}
+
+/// The searches of one α-context, as flat tables filled in one pass per
+/// coarse block pair.
+#[derive(Default)]
+struct SearchTables {
+    /// Target blocks of every census: its solution blocks, then its
+    /// non-solution blocks, each in domain order.
+    blocks: Vec<u32>,
+    censuses: Vec<Census>,
+    /// Search label of each search, in lockstep order.
+    labels: Vec<u32>,
+    /// Census of each search.
+    census_of: Vec<u32>,
+    /// Pair of each search; read when a measurement confirms it.
+    pairs: Vec<KeptPair>,
+    /// Searches with at least one solution block.
+    with_solutions: usize,
+    /// Largest domain any search has.
+    max_domain: usize,
+}
+
+impl SearchTables {
+    fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// Samples search `i`'s target block after `k` Grover iterations,
+    /// together with the evaluation's (predetermined) answer: a target
+    /// drawn from the solution side is exactly one with an apex in its
+    /// block — the same boolean the joint evaluation ships back.
+    ///
+    /// The draws are those of the textbook sampler: a `gen_bool` only when
+    /// both sides are non-empty, then a uniform index into the side.
+    #[inline(always)]
+    fn draw<R: Rng>(&self, rows: &RotationRows, i: usize, k: u64, rng: &mut R) -> (usize, bool) {
+        let census = &self.censuses[self.census_of[i] as usize];
+        let solution = match census.pick {
+            Pick::Always(solution) => solution,
+            Pick::Rotation(row) => rng.gen_bool(rows.probability(row, k)),
         };
-        let side = if take_solution {
-            &self.part.solutions
-        } else {
-            &self.part.non_solutions
-        };
-        (
-            self.domain[side[rng.gen_range(0..side.len())]],
-            take_solution,
-        )
+        let index = census.sides[usize::from(solution)].sample(rng);
+        (self.blocks[index as usize] as usize, solution)
+    }
+}
+
+/// The Step-3 state that outlives one α-context, from which each context's
+/// [`SearchTables`] are built.
+struct TableBuilder {
+    rows: RotationRows,
+    /// Per pair `u·n + v`: `(stamp, census)`, the pair's census under the
+    /// block pair that was given `stamp`; each α-context's block pairs get
+    /// fresh stamps, so the table is never cleared.
+    census_at: Vec<(u32, u32)>,
+    stamp: u32,
+    /// Apex memo per `(pair, fine block)` at `(u·n + v)·fine + block`:
+    /// 0 unknown, 1 no apex, 2 apex.
+    apex: Vec<u8>,
+}
+
+impl TableBuilder {
+    fn new(inst: &Instance<'_>) -> Self {
+        let n = inst.n();
+        let fine = inst.parts.fine.num_blocks();
+        TableBuilder {
+            rows: RotationRows::new(fine),
+            census_at: vec![(0, 0); n * n],
+            stamp: 0,
+            apex: vec![0; n * n * fine],
+        }
+    }
+
+    /// Builds the searches of class `alpha`: one per (search label, kept
+    /// pair) whose block pair has class-α targets, in label order.
+    fn tables(
+        &mut self,
+        inst: &Instance<'_>,
+        cover: &LambdaCover,
+        classes: &ClassAssignment,
+        alpha: u32,
+    ) -> SearchTables {
+        let n = inst.n();
+        let fine = inst.parts.fine.num_blocks();
+        let q = inst.parts.coarse.num_blocks();
+        let mut t = SearchTables::default();
+        let mut non_solutions: Vec<u32> = Vec::new();
+        for bu in 0..q {
+            for bv in 0..q {
+                let domain = classes.t_alpha(inst, bu, bv, alpha);
+                if domain.is_empty() {
+                    continue;
+                }
+                self.stamp += 1;
+                let searches_before = t.len();
+                for x in 0..fine {
+                    let label = inst.searches.encode(bu, bv, x);
+                    for pair in &cover.kept[label] {
+                        let pair_cell = pair.u * n + pair.v;
+                        if self.census_at[pair_cell].0 != self.stamp {
+                            self.census_at[pair_cell] = (self.stamp, t.censuses.len() as u32);
+                            let start = t.blocks.len() as u32;
+                            non_solutions.clear();
+                            for &bw in &domain {
+                                let apex = &mut self.apex[pair_cell * fine + bw];
+                                if *apex == 0 {
+                                    *apex =
+                                        1 + u8::from(inst.has_apex_in_block(pair.u, pair.v, bw));
+                                }
+                                if *apex == 2 {
+                                    t.blocks.push(bw as u32);
+                                } else {
+                                    non_solutions.push(bw as u32);
+                                }
+                            }
+                            let mid = t.blocks.len() as u32;
+                            t.blocks.extend_from_slice(&non_solutions);
+                            let end = t.blocks.len() as u32;
+                            t.censuses.push(if mid == end {
+                                Census {
+                                    sides: [Uniform::new(start, mid); 2],
+                                    pick: Pick::Always(true),
+                                }
+                            } else if mid == start {
+                                Census {
+                                    sides: [Uniform::new(mid, end); 2],
+                                    pick: Pick::Always(false),
+                                }
+                            } else {
+                                let row = self.rows.row(domain.len(), (mid - start) as usize);
+                                Census {
+                                    sides: [Uniform::new(mid, end), Uniform::new(start, mid)],
+                                    pick: Pick::Rotation(row),
+                                }
+                            });
+                        }
+                        let census = self.census_at[pair_cell].1;
+                        if !matches!(t.censuses[census as usize].pick, Pick::Always(false)) {
+                            t.with_solutions += 1;
+                        }
+                        t.labels.push(label as u32);
+                        t.census_of.push(census);
+                        t.pairs.push(*pair);
+                    }
+                }
+                if t.len() > searches_before {
+                    t.max_domain = t.max_domain.max(domain.len());
+                }
+            }
+        }
+        t
     }
 }
 
@@ -145,6 +312,7 @@ pub fn run_step3_quantum<R: Rng>(
     let mut witnesses: Vec<FoundWitness> = Vec::new();
     let mut stats = Step3Stats::default();
 
+    let mut builder = TableBuilder::new(inst);
     for alpha in 0..=classes.max_class() {
         let class_labels: Vec<usize> = (0..inst.triples.labeling().label_count())
             .filter(|&t| classes.class_of[t] == alpha)
@@ -153,204 +321,96 @@ pub fn run_step3_quantum<R: Rng>(
             continue;
         }
         let actx = AlphaContext::build(inst, net, alpha, &class_labels).map_err(ApspError::from)?;
-
-        // Assemble the searches: one per (search node, kept pair) whose
-        // block pair has class-α targets.
-        let mut domains: HashMap<(usize, usize), Rc<Vec<usize>>> = HashMap::new();
-        // The same kept pair is censused once per parallel-search label x;
-        // the split only depends on (pair, domain), so the whole partition
-        // is shared across labels, with a flat (pair, block)-indexed memo
-        // (0 unknown / 1 no / 2 yes) deduplicating the apex scans across
-        // overlapping domains.
-        let fine = inst.parts.fine.num_blocks();
-        let mut apex_memo = vec![0u8; inst.n() * inst.n() * fine];
-        let mut partitions: HashMap<(usize, usize, usize, usize), Rc<SearchPartition>> =
-            HashMap::new();
-        let mut searches: Vec<Search> = Vec::new();
-        for (label, (bu, bv, _x)) in inst.searches.triples() {
-            let domain = domains
-                .entry((bu, bv))
-                .or_insert_with(|| Rc::new(classes.t_alpha(inst, bu, bv, alpha)))
-                .clone();
-            if domain.is_empty() {
-                continue;
-            }
-            for pair in &cover.kept[label] {
-                let part = partitions
-                    .entry((pair.u, pair.v, bu, bv))
-                    .or_insert_with(|| {
-                        let mut solutions = Vec::new();
-                        let mut non_solutions = Vec::new();
-                        for (i, &bw) in domain.iter().enumerate() {
-                            let cell = (pair.u * inst.n() + pair.v) * fine + bw;
-                            let has = match apex_memo[cell] {
-                                0 => {
-                                    let h = inst.has_apex_in_block(pair.u, pair.v, bw);
-                                    apex_memo[cell] = 1 + u8::from(h);
-                                    h
-                                }
-                                known => known == 2,
-                            };
-                            if has {
-                                solutions.push(i);
-                            } else {
-                                non_solutions.push(i);
-                            }
-                        }
-                        Rc::new(SearchPartition {
-                            solutions,
-                            non_solutions,
-                        })
-                    })
-                    .clone();
-                let amp = GroverAmplitudes::new(domain.len(), part.solutions.len());
-                searches.push(Search {
-                    search_label: label,
-                    pair: *pair,
-                    domain: domain.clone(),
-                    part,
-                    amp,
-                    probs: Vec::new(),
-                    found: false,
-                });
-            }
-        }
-        if searches.is_empty() {
+        let tables = builder.tables(inst, cover, classes, alpha);
+        if tables.len() == 0 {
             continue;
         }
-        stats.searches += searches.len();
+        stats.searches += tables.len();
 
-        let max_domain = searches.iter().map(|s| s.domain.len()).max().unwrap_or(1);
-        let k_max = GroverAmplitudes::max_useful_iterations(max_domain);
-        for s in &mut searches {
-            s.probs = (0..=k_max)
-                .map(|k| s.amp.query_solution_probability(k))
-                .collect();
-        }
+        let k_max = GroverAmplitudes::max_useful_iterations(tables.max_domain);
         let reps = inst
             .params
             .search_repetitions
-            .unwrap_or_else(|| repetitions_for_target(searches.len()));
+            .unwrap_or_else(|| repetitions_for_target(tables.len()));
 
         // The lockstep iterations consume only the evaluation *charges* (the
-        // answers are fixed by the census, as the debug_assert below
-        // documents), so on transparent networks a charge-only session
-        // replaces the full query materialization. Each search contributes
-        // one query per call, so its per-(search, target) lists are bounded
-        // by its kept-pair multiplicity — when even the largest is under the
-        // typicality cap, the session's skipped Υ_β gate is a no-op too.
-        let cap = inst.params.list_cap(inst.n(), actx.alpha);
-        let max_per_label = {
-            let mut per_label = vec![0u32; inst.searches.labeling().label_count()];
-            for s in &searches {
-                per_label[s.search_label] += 1;
+        // answers are fixed by the census side a target is drawn from, as
+        // the debug_asserts below check), so on transparent networks a
+        // charge-only session replaces the full query materialization.
+        let mut charge_sess = ChargeOnlyEval::try_new(inst, net, &actx);
+        // One query buffer reused across every materialized evaluation.
+        let mut queries: Vec<EvalQuery> = Vec::new();
+        // Draws every search's target after `k` iterations and evaluates the
+        // tuple jointly; a measurement also collects the searches whose
+        // target holds an apex, as (search, target), into `positives`.
+        let mut evaluate = |k: u64,
+                            measure: bool,
+                            rng: &mut R,
+                            positives: &mut Vec<(usize, usize)>|
+         -> Result<(), EvalJointError> {
+            positives.clear();
+            if let Some(sess) = charge_sess.as_mut() {
+                for i in 0..tables.len() {
+                    let (target, answer) = tables.draw(&builder.rows, i, k, rng);
+                    sess.push(tables.labels[i] as usize, target);
+                    debug_assert!(
+                        answer
+                            == inst.has_apex_in_block(tables.pairs[i].u, tables.pairs[i].v, target)
+                    );
+                    if measure && answer {
+                        positives.push((i, target));
+                    }
+                }
+                return sess.finish(net);
             }
-            per_label.iter().copied().max().unwrap_or(0)
+            queries.clear();
+            for i in 0..tables.len() {
+                queries.push(EvalQuery {
+                    search_label: tables.labels[i] as usize,
+                    pair: tables.pairs[i],
+                    target: tables.draw(&builder.rows, i, k, rng).0,
+                });
+            }
+            let answers = evaluate_joint(inst, net, gathered, &actx, &queries)?;
+            for (i, (q, answer)) in queries.iter().zip(answers).enumerate() {
+                debug_assert!(answer == inst.has_apex_in_block(q.pair.u, q.pair.v, q.target));
+                if measure && answer {
+                    positives.push((i, q.target));
+                }
+            }
+            Ok(())
         };
-        let mut charge_sess = ChargeOnlyEval::try_new(inst, net, &actx, cap, max_per_label);
 
-        // One query buffer reused across every evaluation call: the per-call
-        // query lists are all `searches.len()` long. `measured` stages the
-        // session path's positive measurement outcomes, applied only if the
-        // evaluation is accepted (a refused tuple confirms nothing).
-        let mut queries: Vec<EvalQuery> = Vec::with_capacity(searches.len());
-        let mut measured: Vec<(usize, usize)> = Vec::new();
+        let mut positives: Vec<(usize, usize)> = Vec::new();
+        let mut confirmed = vec![false; tables.len()];
+        let mut unresolved = tables.with_solutions;
         for _ in 0..reps {
             stats.repetitions += 1;
             let k = rng.gen_range(0..=k_max);
-            for i in 0..k {
+            for iter in 0..k {
                 stats.eval_calls += 1;
                 stats.iterations += 1;
-                let outcome = if let Some(sess) = charge_sess.as_mut() {
-                    sess.reset();
-                    for s in &searches {
-                        sess.push(s.search_label, s.sample_target(i, rng));
-                    }
-                    sess.finish(net)
-                } else {
-                    queries.clear();
-                    queries.extend(searches.iter().map(|s| EvalQuery {
-                        search_label: s.search_label,
-                        pair: s.pair,
-                        target: s.sample_target(i, rng),
-                    }));
-                    evaluate_joint(inst, net, gathered, &actx, &queries).map(|answers| {
-                        debug_assert!(queries.iter().zip(&answers).all(|(q, &a)| {
-                            a == inst.has_apex_in_block(q.pair.u, q.pair.v, q.target)
-                        }));
-                    })
-                };
-                match outcome {
-                    Ok(()) => {}
-                    Err(EvalJointError::Atypical(_)) => stats.typicality_violations += 1,
-                    Err(EvalJointError::Congest(e)) => return Err(e.into()),
-                    Err(EvalJointError::Internal(context)) => {
-                        return Err(ApspError::Internal { context })
-                    }
-                }
+                accepted(evaluate(iter, false, rng, &mut positives), &mut stats)?;
             }
-            // Measure every search and verify the measured tuple jointly.
-            // On the charge-only session the verification answers are the
-            // census booleans the sampler already knows (a session error
-            // fails the whole run, so the eager found/witness updates are
-            // never observed on the error path).
+            // Measure every search and verify the measured tuple jointly; a
+            // refused tuple confirms nothing.
             stats.eval_calls += 1;
-            let outcome = if let Some(sess) = charge_sess.as_mut() {
-                sess.reset();
-                measured.clear();
-                for (idx, s) in searches.iter().enumerate() {
-                    let (target, answer) = s.sample_target_with_answer(k, rng);
-                    sess.push(s.search_label, target);
-                    debug_assert!(answer == inst.has_apex_in_block(s.pair.u, s.pair.v, target));
-                    if answer {
-                        measured.push((idx, target));
+            if accepted(evaluate(k, true, rng, &mut positives), &mut stats)? {
+                for &(i, block) in &positives {
+                    if !confirmed[i] {
+                        confirmed[i] = true;
+                        unresolved -= 1;
                     }
-                }
-                sess.finish(net).map(|()| {
-                    for &(idx, target) in &measured {
-                        let s = &mut searches[idx];
-                        s.found = true;
-                        found.insert(s.pair.u, s.pair.v);
-                        witnesses.push(FoundWitness {
-                            u: s.pair.u.min(s.pair.v),
-                            v: s.pair.u.max(s.pair.v),
-                            block: target,
-                        });
-                    }
-                })
-            } else {
-                queries.clear();
-                queries.extend(searches.iter().map(|s| EvalQuery {
-                    search_label: s.search_label,
-                    pair: s.pair,
-                    target: s.sample_target(k, rng),
-                }));
-                evaluate_joint(inst, net, gathered, &actx, &queries).map(|answers| {
-                    for (s, (q, &a)) in searches.iter_mut().zip(queries.iter().zip(&answers)) {
-                        if a {
-                            s.found = true;
-                            found.insert(q.pair.u, q.pair.v);
-                            witnesses.push(FoundWitness {
-                                u: q.pair.u.min(q.pair.v),
-                                v: q.pair.u.max(q.pair.v),
-                                block: q.target,
-                            });
-                        }
-                    }
-                })
-            };
-            match outcome {
-                Ok(()) => {}
-                Err(EvalJointError::Atypical(_)) => stats.typicality_violations += 1,
-                Err(EvalJointError::Congest(e)) => return Err(e.into()),
-                Err(EvalJointError::Internal(context)) => {
-                    return Err(ApspError::Internal { context })
+                    let pair = tables.pairs[i];
+                    found.insert(pair.u, pair.v);
+                    witnesses.push(FoundWitness {
+                        u: pair.u.min(pair.v),
+                        v: pair.u.max(pair.v),
+                        block,
+                    });
                 }
             }
-            if searches
-                .iter()
-                .all(|s| s.found || s.part.solutions.is_empty())
-            {
+            if unresolved == 0 {
                 break;
             }
         }
@@ -362,6 +422,23 @@ pub fn run_step3_quantum<R: Rng>(
         witnesses,
         stats,
     })
+}
+
+/// Whether a joint evaluation was accepted: a typicality refusal is counted
+/// and is not an error (Theorem 3's analysis prescribes exactly this).
+fn accepted(
+    outcome: Result<(), EvalJointError>,
+    stats: &mut Step3Stats,
+) -> Result<bool, ApspError> {
+    match outcome {
+        Ok(()) => Ok(true),
+        Err(EvalJointError::Atypical(_)) => {
+            stats.typicality_violations += 1;
+            Ok(false)
+        }
+        Err(EvalJointError::Congest(e)) => Err(e.into()),
+        Err(EvalJointError::Internal(context)) => Err(ApspError::Internal { context }),
+    }
 }
 
 /// Runs the classical Step 3: every search node checks every fine block of
