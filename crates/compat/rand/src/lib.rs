@@ -137,6 +137,7 @@ pub trait SampleUniform: Sized {
 macro_rules! impl_sample_uniform_int {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
+            #[inline]
             fn sample_between<R: RngCore + ?Sized>(
                 rng: &mut R,
                 lo: Self,

@@ -128,6 +128,53 @@ impl<T> Inboxes<T> {
     }
 }
 
+/// What every node holds after [`Clique::gossip`](crate::Clique::gossip):
+/// all nodes' lists as `(origin, item)` pairs, in origin order.
+///
+/// When every copy arrives, all nodes hold the same view and it is stored
+/// once; a faulty network keeps one view per node, since raw faults can
+/// leave different gaps in each.
+#[derive(Clone, Debug)]
+pub struct GossipViews<T> {
+    n: usize,
+    /// One view per node, or a single view every node shares.
+    views: Vec<Vec<(NodeId, T)>>,
+}
+
+impl<T> GossipViews<T> {
+    /// The view every node of an `n`-node network shares.
+    pub(crate) fn shared(n: usize, view: Vec<(NodeId, T)>) -> Self {
+        GossipViews {
+            n,
+            views: vec![view],
+        }
+    }
+
+    /// One view per node.
+    pub(crate) fn per_node(views: Vec<Vec<(NodeId, T)>>) -> Self {
+        GossipViews {
+            n: views.len(),
+            views,
+        }
+    }
+
+    /// The `(origin, item)` pairs `node` holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the network.
+    #[must_use]
+    pub fn of(&self, node: NodeId) -> &[(NodeId, T)] {
+        assert!(node.index() < self.n, "node outside the network");
+        let i = if self.views.len() == 1 {
+            0
+        } else {
+            node.index()
+        };
+        &self.views[i]
+    }
+}
+
 /// Builds the sends of every node by applying `f` to each node id.
 ///
 /// This is the idiomatic way to express "each node, based on its local

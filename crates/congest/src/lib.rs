@@ -61,7 +61,7 @@ pub mod topology;
 pub mod trace;
 mod transport;
 
-pub use envelope::{collect_sends, total_bits, Envelope, Inboxes};
+pub use envelope::{collect_sends, total_bits, Envelope, GossipViews, Inboxes};
 pub use error::CongestError;
 pub use fault::{FaultCounts, FaultKind, FaultPlan, NetConfig};
 pub use metrics::{Metrics, PhaseStats, RoundHistogram, Span};

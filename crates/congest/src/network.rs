@@ -27,14 +27,16 @@
 //! tallies live in dense `n²` scratch vectors indexed by `src · n + dst`
 //! (cleared sparsely through touched-index lists), payload bit-sizes are
 //! computed once per envelope into a reusable buffer, inboxes are pre-sized
-//! from a counting pass, and the König coloring reuses its slot tables
-//! across calls ([`ColoringScratch`]). None of this affects the *model*:
-//! charged rounds and all other metrics are byte-identical to the
-//! straightforward implementation, which `tests/determinism.rs` pins
-//! against recorded counts.
+//! from a counting pass, the König coloring reuses its slot tables across
+//! calls ([`ColoringScratch`]), a route repeating the last explicitly
+//! scheduled unit list reuses that schedule's relay maximum, and gossip on
+//! a transparent network is charged from its list sizes. None of this
+//! affects the *model*: charged rounds and all other metrics are
+//! byte-identical to the straightforward implementation, which
+//! `tests/determinism.rs` pins against recorded counts.
 
 use crate::coloring::{color_bipartite_into, is_proper_colors, ColoringScratch};
-use crate::envelope::{Envelope, Inboxes};
+use crate::envelope::{Envelope, GossipViews, Inboxes};
 use crate::error::CongestError;
 use crate::fault::{FaultCounts, FaultKind, FaultPlan, FaultState, MsgFate};
 use crate::metrics::Metrics;
@@ -93,6 +95,12 @@ struct Scratch {
     colors: Vec<usize>,
     /// Slot tables of the König coloring.
     coloring: ColoringScratch,
+    /// Unit list of the last explicit König schedule; a route submitting
+    /// the identical list reuses `scheduled_max` instead of recoloring.
+    scheduled_units: Vec<(usize, usize)>,
+    /// Relay-link maximum of `scheduled_units`' coloring, `None` before the
+    /// first explicit schedule.
+    scheduled_max: Option<u64>,
 }
 
 impl Scratch {
@@ -749,7 +757,7 @@ impl Clique {
         // beyond it only the degree bound is computed — the coloring's
         // existence is König's theorem, and its cost (`O(m·Δ)`) is a
         // simulator-host concern, not a model concern. The unit multiset is
-        // only materialized when the schedule actually gets built.
+        // only materialized below the limit.
         let max_link_units = if unit_count as usize <= EXPLICIT_SCHEDULE_LIMIT {
             s.units.reserve(unit_count as usize);
             for (e, &bits) in sends.iter().zip(&s.bit_sizes) {
@@ -762,28 +770,17 @@ impl Clique {
                     s.units.push((src, dst));
                 }
             }
-            let num_colors = color_bipartite_into(&s.units, n, n, &mut s.coloring, &mut s.colors);
-            debug_assert!(is_proper_colors(&s.units, &s.colors, num_colors, n, n));
-            for (i, &(src, dst)) in s.units.iter().enumerate() {
-                let relay = s.colors[i] % n;
-                for link in [src * n + relay, relay * n + dst] {
-                    if s.relay_units[link] == 0 {
-                        s.touched_relays.push(link);
-                    }
-                    s.relay_units[link] += 1;
+            // The maximum is a function of the submission-ordered unit list
+            // alone, so an unchanged list keeps its last schedule's value.
+            match s.scheduled_max {
+                Some(max) if s.units == s.scheduled_units => max,
+                _ => {
+                    let max = relay_link_max(s, n);
+                    std::mem::swap(&mut s.units, &mut s.scheduled_units);
+                    s.scheduled_max = Some(max);
+                    max
                 }
             }
-            let max = s
-                .touched_relays
-                .iter()
-                .map(|&l| s.relay_units[l])
-                .max()
-                .unwrap_or(0);
-            for &l in &s.touched_relays {
-                s.relay_units[l] = 0;
-            }
-            s.touched_relays.clear();
-            max
         } else {
             batches
         };
@@ -835,9 +832,15 @@ impl Clique {
 
     /// Every node broadcasts its own list of items to every other node.
     ///
-    /// Returns, for each node, the concatenation of all nodes' lists as
-    /// `(origin, item)` pairs (including its own items). Costs
-    /// `⌈max node list bits / B⌉` rounds.
+    /// Returns what each node then holds: the concatenation of all nodes'
+    /// lists as `(origin, item)` pairs in origin order (including its own
+    /// items). Costs `⌈max node list bits / B⌉` rounds.
+    ///
+    /// On a transparent network ([`Clique::is_transparent`]) every node
+    /// receives every list, so the `n − 1` copies of each list are charged
+    /// from the list sizes alone and the single view all nodes share is
+    /// built once; rounds, metrics and the trace event are byte-identical
+    /// to sending the copies. Faulty or enveloped networks send them.
     ///
     /// # Errors
     ///
@@ -846,12 +849,20 @@ impl Clique {
     pub fn gossip<T: Payload>(
         &mut self,
         items: Vec<Vec<T>>,
-    ) -> Result<Vec<Vec<(NodeId, T)>>, CongestError> {
+    ) -> Result<GossipViews<T>, CongestError> {
         if items.len() != self.n {
             return Err(CongestError::UnknownNode {
                 node: NodeId::new(items.len()),
                 n: self.n,
             });
+        }
+        if self.is_transparent() {
+            self.charge_gossip(&items);
+            let mut view = Vec::with_capacity(items.iter().map(Vec::len).sum());
+            for (i, list) in items.into_iter().enumerate() {
+                view.extend(list.into_iter().map(|item| (NodeId::new(i), item)));
+            }
+            return Ok(GossipViews::shared(self.n, view));
         }
         // Each list is replicated to n − 1 destinations: size it once per
         // source and pre-fill the bit-size cache in send order.
@@ -889,7 +900,33 @@ impl Clique {
             all.sort_by_key(|(src, _)| *src);
             out.push(all);
         }
-        Ok(out)
+        Ok(GossipViews::per_node(out))
+    }
+
+    /// Charges one `gossip` phase in which every list travels to the
+    /// `n − 1` other nodes, from the list sizes `b_i` alone: `n(n − 1)`
+    /// messages of `(n − 1)·Σb` bits, busiest link `max b`, busiest sender
+    /// `(n − 1)·max b` and busiest receiver `Σb − min b` bits — what the
+    /// materialized exchange records for the same copies.
+    fn charge_gossip<T: Payload>(&mut self, items: &[Vec<T>]) {
+        let copies = self.n as u64 - 1;
+        let (mut sum, mut max, mut min) = (0u64, 0u64, u64::MAX);
+        for list in items {
+            let bits = list.bit_size();
+            sum += bits;
+            max = max.max(bits);
+            min = min.min(bits);
+        }
+        let max_link = if copies == 0 { 0 } else { max };
+        self.metrics.record_comm(
+            "gossip",
+            max_link.div_ceil(self.bandwidth_bits),
+            copies * self.n as u64,
+            copies * sum,
+            max_link,
+            copies * max,
+            sum - min,
+        );
     }
 
     /// Charges `rounds` synchronous rounds without moving data.
@@ -900,6 +937,34 @@ impl Clique {
     pub fn charge_rounds(&mut self, rounds: u64) {
         self.metrics.record_comm("charge", rounds, 0, 0, 0, 0, 0);
     }
+}
+
+/// Colors `s.units` with the König schedule and returns its busiest relay
+/// link's unit count: color `c` relays through node `c mod n`, so unit
+/// `(src, dst)` occupies links `src → relay` and `relay → dst`.
+fn relay_link_max(s: &mut Scratch, n: usize) -> u64 {
+    let num_colors = color_bipartite_into(&s.units, n, n, &mut s.coloring, &mut s.colors);
+    debug_assert!(is_proper_colors(&s.units, &s.colors, num_colors, n, n));
+    for (i, &(src, dst)) in s.units.iter().enumerate() {
+        let relay = s.colors[i] % n;
+        for link in [src * n + relay, relay * n + dst] {
+            if s.relay_units[link] == 0 {
+                s.touched_relays.push(link);
+            }
+            s.relay_units[link] += 1;
+        }
+    }
+    let max = s
+        .touched_relays
+        .iter()
+        .map(|&l| s.relay_units[l])
+        .max()
+        .unwrap_or(0);
+    for &l in &s.touched_relays {
+        s.relay_units[l] = 0;
+    }
+    s.touched_relays.clear();
+    max
 }
 
 #[cfg(test)]
@@ -1091,8 +1156,8 @@ mod tests {
         let mut c = net(3);
         let items = vec![vec![10u64], vec![20u64, 21u64], vec![]];
         let all = c.gossip(items).unwrap();
-        for node_view in &all {
-            let values: Vec<u64> = node_view.iter().map(|(_, x)| *x).collect();
+        for node in NodeId::all(3) {
+            let values: Vec<u64> = all.of(node).iter().map(|(_, x)| *x).collect();
             assert_eq!(values, vec![10, 20, 21]);
         }
     }
@@ -1335,8 +1400,8 @@ mod tests {
         c.set_reliable_delivery(ReliableConfig::default());
         let items: Vec<Vec<u64>> = (0..n).map(|i| vec![i as u64 * 10]).collect();
         let all = c.gossip(items).unwrap();
-        for view in &all {
-            let values: Vec<u64> = view.iter().map(|(_, x)| *x).collect();
+        for node in NodeId::all(n) {
+            let values: Vec<u64> = all.of(node).iter().map(|(_, x)| *x).collect();
             assert_eq!(values, vec![0, 10, 20, 30, 40]);
         }
         let inboxes = c.broadcast(NodeId::new(0), 7u64).unwrap();

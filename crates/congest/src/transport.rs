@@ -259,10 +259,10 @@ impl Transport for Clique {
         let views = self.gossip(items)?;
         let mut out: Vec<Vec<Vec<u8>>> = Vec::with_capacity(n);
         let mut undelivered = 0u64;
-        for view in views {
+        for node in NodeId::all(n) {
             let mut per_src: Vec<Option<Vec<u8>>> = vec![None; n];
-            for (src, block) in view {
-                per_src[src.index()] = Some(block.0);
+            for (src, block) in views.of(node) {
+                per_src[src.index()] = Some(block.0.clone());
             }
             undelivered += per_src.iter().filter(|s| s.is_none()).count() as u64;
             out.push(per_src.into_iter().map(Option::unwrap_or_default).collect());

@@ -76,8 +76,8 @@ proptest! {
         items.truncate(n);
         let mut net = Clique::new(n).unwrap();
         let views = net.gossip(items).unwrap();
-        for w in views.windows(2) {
-            prop_assert_eq!(&w[0], &w[1]);
+        for node in NodeId::all(n).skip(1) {
+            prop_assert_eq!(views.of(node), views.of(NodeId::new(0)));
         }
     }
 
@@ -230,15 +230,117 @@ proptest! {
             prop_assert_eq!(c.max_node_out_bits, m.max_node_out_bits);
             prop_assert_eq!(c.max_node_in_bits, m.max_node_in_bits);
         }
-        let comm_events = |text: String| -> Vec<String> {
-            text.lines()
-                .filter(|line| line.contains("\"comm\""))
-                .map(str::to_owned)
-                .collect()
-        };
-        let (c, m) = (comm_events(charged_trace.contents()), comm_events(materialized_trace.contents()));
+        let (c, m) = (comm_events(&charged_trace.contents()), comm_events(&materialized_trace.contents()));
         prop_assert_eq!(c.len(), 2 * batches.len());
         prop_assert_eq!(c, m);
+    }
+
+    /// Gossip on a transparent network is charged from the list sizes and
+    /// returns one shared view; a network with an inactive envelope (no
+    /// fault plan) sends every copy. Both give the same views, rounds,
+    /// per-phase stats and trace `comm` events.
+    #[test]
+    fn analytic_gossip_matches_materialized(
+        n in 1usize..=12,
+        lists in vec(vec((0u64..1000, 0u64..300), 0..6), 12..13),
+        empty in vec(0u8..3, 12..13),
+    ) {
+        let items: Vec<Vec<RawBits>> = lists
+            .iter()
+            .zip(&empty)
+            .take(n)
+            .map(|(list, &e)| {
+                // About a third of the nodes gossip nothing.
+                if e == 0 {
+                    Vec::new()
+                } else {
+                    list.iter().map(|&(tag, bits)| RawBits::new(tag, bits)).collect()
+                }
+            })
+            .collect();
+        let (sink, analytic_trace) = TraceSink::in_memory();
+        let mut analytic = Clique::new(n).unwrap();
+        analytic.set_trace_sink(sink);
+        let (sink, materialized_trace) = TraceSink::in_memory();
+        let mut materialized = Clique::new(n).unwrap();
+        materialized.set_trace_sink(sink);
+        materialized.set_reliable_delivery(ReliableConfig::default());
+        prop_assert!(analytic.is_transparent());
+        prop_assert!(!materialized.is_transparent() && !materialized.envelope_active());
+
+        analytic.begin_phase("gossip");
+        let a = analytic.gossip(items.clone()).unwrap();
+        materialized.begin_phase("gossip");
+        let m = materialized.gossip(items).unwrap();
+        analytic.close_all_spans();
+        materialized.close_all_spans();
+
+        for node in NodeId::all(n) {
+            prop_assert_eq!(a.of(node), m.of(node));
+        }
+        prop_assert_eq!(analytic.rounds(), materialized.rounds());
+        prop_assert_eq!(analytic.metrics().phases(), materialized.metrics().phases());
+        let (a, m) = (
+            comm_events(&analytic_trace.contents()),
+            comm_events(&materialized_trace.contents()),
+        );
+        prop_assert_eq!(a.len(), 1);
+        prop_assert_eq!(a, m);
+    }
+
+    /// A route that submits the unit list of the last explicit schedule
+    /// reuses its relay maximum. Routing A, A, B, A on one network (B has
+    /// A's unit count and degrees but different pairs), and the same
+    /// traffic before and after a crash silences one of its senders, must
+    /// each charge what the route charges on a fresh network.
+    #[test]
+    fn reused_relay_schedules_match_fresh_routes(
+        n in 4usize..9,
+        raw in vec((0usize..9, 0usize..9, 1u64..64), 0..40),
+        crashed in 0usize..2,
+    ) {
+        // Two messages of equal width whose destinations B swaps: every
+        // node keeps its degrees, but two pairs change.
+        let mut a: Vec<(usize, usize, u64)> = vec![(0, 1, 20), (2, 3, 20)];
+        a.extend(raw.into_iter().map(|(u, v, bits)| (u % n, v % n, bits)));
+        let mut b = a.clone();
+        b[0].1 = 3;
+        b[1].1 = 1;
+        let sends = |traffic: &[(usize, usize, u64)]| -> Vec<Envelope<RawBits>> {
+            traffic
+                .iter()
+                .map(|&(u, v, bits)| Envelope::new(NodeId::new(u), NodeId::new(v), RawBits::new(0, bits)))
+                .collect()
+        };
+        let last_phase = |net: &Clique| net.metrics().phases().last().cloned().unwrap();
+        let fresh = |traffic: &[(usize, usize, u64)], plan: FaultPlan| {
+            let mut net = Clique::with_bandwidth(n, 16).unwrap();
+            net.set_fault_plan(plan);
+            net.begin_phase("route");
+            net.route(sends(traffic)).unwrap();
+            last_phase(&net)
+        };
+
+        let mut reused = Clique::with_bandwidth(n, 16).unwrap();
+        for traffic in [&a, &a, &b, &a] {
+            reused.begin_phase("route");
+            reused.route(sends(traffic)).unwrap();
+            prop_assert_eq!(last_phase(&reused), fresh(traffic, FaultPlan::default()));
+        }
+
+        // The first route charges at least two rounds, so a crash at round
+        // 1 silences the sender between the two identical submissions.
+        let crash_at = |round: u64| FaultPlan {
+            crashes: vec![(NodeId::new(2 * crashed), round)],
+            ..FaultPlan::default()
+        };
+        let mut crashing = Clique::with_bandwidth(n, 16).unwrap();
+        crashing.set_fault_plan(crash_at(1));
+        for round in [1, 0] {
+            crashing.begin_phase("route");
+            crashing.route(sends(&a)).unwrap();
+            prop_assert_eq!(last_phase(&crashing), fresh(&a, crash_at(round)));
+        }
     }
 
     /// Under pure drop faults the envelope either delivers everything
@@ -267,4 +369,12 @@ proptest! {
             Err(e) => prop_assert!(e.to_string().contains("undelivered")),
         }
     }
+}
+
+/// The `comm` events of an NDJSON trace, one line each.
+fn comm_events(text: &str) -> Vec<String> {
+    text.lines()
+        .filter(|line| line.contains("\"comm\""))
+        .map(str::to_owned)
+        .collect()
 }

@@ -3,7 +3,7 @@
 use crate::apsp::{ApspAlgorithm, ApspReport};
 use crate::wire::{weight_bits, Wire};
 use crate::ApspError;
-use qcc_congest::{Clique, NetConfig, TraceSink};
+use qcc_congest::{Clique, NetConfig, NodeId, TraceSink};
 use qcc_graph::{floyd_warshall_with_threads, DiGraph};
 
 /// Solves APSP by having every node broadcast its full adjacency row and
@@ -105,7 +105,7 @@ pub fn naive_broadcast_apsp_configured(
 
     // Every node now reconstructs the full graph; verify on node 0's view.
     let mut reconstructed = DiGraph::new(n);
-    for (origin, msg) in &views[0] {
+    for (origin, msg) in views.of(NodeId::new(0)) {
         let (v, w) = msg.value;
         if let Some(w) = w {
             reconstructed.add_arc(origin.index(), v, w);

@@ -19,7 +19,7 @@
 use crate::instance::Instance;
 use crate::sampling::sample_indices;
 use crate::wire::{pair_bits, weight_bits, Wire};
-use qcc_congest::{Clique, CongestError};
+use qcc_congest::{Clique, CongestError, NodeId};
 use rand::Rng;
 
 /// The class partition produced by `IdentifyClass`.
@@ -86,7 +86,7 @@ pub fn identify_class<R: Rng>(
     let mut violation: Option<(usize, usize)> = None; // (vertex, observed)
     for u in 0..n {
         let partners: Vec<usize> = (0..n)
-            .filter(|&v| v != u && inst.s.contains(u, v) && inst.graph.has_edge(u, v))
+            .filter(|&v| inst.in_s(u, v) && inst.graph.has_edge(u, v))
             .collect();
         let picked = sample_indices(partners.len(), p, rng);
         if picked.len() as f64 > abort_bound {
@@ -135,7 +135,7 @@ pub fn identify_class<R: Rng>(
 
     // Every node now holds the same R; reconstruct it once (all views agree).
     let mut r: Vec<(usize, usize, i64)> = Vec::new();
-    for (origin, msg) in &views[0] {
+    for (origin, msg) in views.of(NodeId::new(0)) {
         let (v, w) = msg.value;
         let u = origin.index();
         r.push((u.min(v), u.max(v), w));

@@ -26,6 +26,10 @@ pub struct Instance<'a> {
     pub triples: TripleLabeling,
     /// The `V × V × [√n]` labeling (search nodes).
     pub searches: SearchLabeling,
+    /// Largest edge-weight magnitude (see [`Instance::weight_magnitude`]).
+    weight_magnitude: u64,
+    /// Dense `S`-membership mask at `u · n + v` (both orientations).
+    s_mask: Vec<bool>,
 }
 
 impl<'a> Instance<'a> {
@@ -40,6 +44,17 @@ impl<'a> Instance<'a> {
         let parts = PaperPartitions::new(n);
         let triples = TripleLabeling::new(&parts, n);
         let searches = SearchLabeling::new(&parts, n);
+        let weight_magnitude = graph
+            .edges()
+            .map(|(_, _, w)| w.unsigned_abs())
+            .max()
+            .unwrap_or(1);
+        // Pairs with an endpoint outside the graph can never be queried.
+        let mut s_mask = vec![false; n * n];
+        for (u, v) in s.iter().filter(|&(_, v)| v < n) {
+            s_mask[u * n + v] = true;
+            s_mask[v * n + u] = true;
+        }
         Instance {
             graph,
             s,
@@ -47,6 +62,8 @@ impl<'a> Instance<'a> {
             parts,
             triples,
             searches,
+            weight_magnitude,
+            s_mask,
         }
     }
 
@@ -57,11 +74,14 @@ impl<'a> Instance<'a> {
 
     /// Largest edge-weight magnitude, for wire-format sizing.
     pub fn weight_magnitude(&self) -> u64 {
-        self.graph
-            .edges()
-            .map(|(_, _, w)| w.unsigned_abs())
-            .max()
-            .unwrap_or(1)
+        self.weight_magnitude
+    }
+
+    /// Whether the pair `{u, v}` of vertices of the graph is in `S`: one
+    /// dense lookup in place of [`PairSet::contains`].
+    #[inline]
+    pub(crate) fn in_s(&self, u: usize, v: usize) -> bool {
+        self.s_mask[u * self.n() + v]
     }
 
     /// `Δ(u, v; w)` of Definition 3: the pairs of `P(u, v) ∩ S` that form a
@@ -138,6 +158,21 @@ mod tests {
             let bv = inst.parts.coarse.block_of(1);
             let in_delta = inst.delta(bu, bv, bw).contains(&(0, 1));
             assert_eq!(expected, in_delta, "block {bw}");
+        }
+    }
+
+    #[test]
+    fn s_mask_agrees_with_the_pair_set() {
+        let g = book_graph(16, 2);
+        let mut s = PairSet::new();
+        s.insert(3, 1);
+        s.insert(7, 15);
+        s.insert(2, 40); // endpoint outside the graph: ignored
+        let inst = Instance::new(&g, &s, Params::scaled());
+        for u in 0..16 {
+            for v in 0..16 {
+                assert_eq!(inst.in_s(u, v), s.contains(u, v), "({u}, {v})");
+            }
         }
     }
 

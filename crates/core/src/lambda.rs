@@ -183,11 +183,11 @@ pub fn build_lambda_cover<R: Rng>(
         }
         if net.charge_route_tally(&query_links, pb).is_some() {
             net.begin_phase("compute-pairs/step2-responses");
+            // Each reply travels the reverse link of its query.
             let mut reply_links = vec![0u32; n * n];
-            for (label, picked) in sampled.iter().enumerate() {
-                let src = inst.searches.labeling().node_of(label);
-                for &(u, _v) in picked {
-                    reply_links[u * n + src] += 1;
+            for owner in 0..n {
+                for asker in 0..n {
+                    reply_links[owner * n + asker] = query_links[asker * n + owner];
                 }
             }
             // Replies are wider than queries over the same links, so they
@@ -200,16 +200,10 @@ pub fn build_lambda_cover<R: Rng>(
 
     let mut kept: Vec<Vec<KeptPair>> = vec![Vec::new(); label_count];
     if charged {
-        // Owner answers computed in place of the routed replies. A dense
-        // S-membership mask replaces the per-pair ordered-set lookup.
-        let mut in_s = vec![false; n * n];
-        for (u, v) in inst.s.iter() {
-            in_s[u * n + v] = true;
-            in_s[v * n + u] = true;
-        }
+        // Owner answers computed in place of the routed replies.
         for (label, picked) in sampled.iter().enumerate() {
             for &(u, v) in picked {
-                if !in_s[u * n + v] {
+                if !inst.in_s(u, v) {
                     continue;
                 }
                 if let Some(w) = inst.graph.weight(u, v).finite() {
@@ -239,7 +233,7 @@ pub fn build_lambda_cover<R: Rng>(
                 let (label, u, v) = msg.value;
                 debug_assert_eq!(u, owner.index(), "pair owner mismatch");
                 let weight = inst.graph.weight(u, v).finite();
-                let in_s = inst.s.contains(u, v);
+                let in_s = inst.in_s(u, v);
                 responses.push(Envelope::new(
                     owner,
                     *asker,
@@ -320,7 +314,7 @@ pub fn build_deterministic_cover(
         for (asker, msg) in request_boxes.of(owner) {
             let (label, u, v) = msg.value;
             let weight = inst.graph.weight(u, v).finite();
-            let in_s = inst.s.contains(u, v);
+            let in_s = inst.in_s(u, v);
             responses.push(Envelope::new(
                 owner,
                 *asker,

@@ -51,8 +51,9 @@ pub struct FoundWitness {
 pub struct Step3Output {
     /// The pairs confirmed to sit in a negative triangle.
     pub found: PairSet,
-    /// One witnessing fine block per confirmation event (a pair may appear
-    /// with several blocks; every listed block holds a real apex).
+    /// One entry per distinct confirmed `(pair, block)`, in sorted order (a
+    /// pair may appear with several blocks; every listed block holds a
+    /// real apex).
     pub witnesses: Vec<FoundWitness>,
     /// Run diagnostics.
     pub stats: Step3Stats,
@@ -194,10 +195,21 @@ struct TableBuilder {
     /// fresh stamps, so the table is never cleared.
     census_at: Vec<(u32, u32)>,
     stamp: u32,
-    /// Apex memo per `(pair, fine block)` at `(u·n + v)·fine + block`:
-    /// 0 unknown, 1 no apex, 2 apex.
+    /// Apex memo per `(pair, fine block)` at `(u·n + v)·fine + block`: one
+    /// of [`UNKNOWN`], [`NO_APEX`], [`APEX`], [`WITNESSED`].
     apex: Vec<u8>,
 }
+
+// States of the `TableBuilder::apex` memo.
+/// Not looked up yet.
+const UNKNOWN: u8 = 0;
+/// The block holds no apex of the pair.
+const NO_APEX: u8 = 1;
+/// The block holds an apex of the pair.
+const APEX: u8 = 2;
+/// An apex an accepted measurement has already recorded as a witness; only
+/// a block the table build found an apex in can reach this state.
+const WITNESSED: u8 = 3;
 
 impl TableBuilder {
     fn new(inst: &Instance<'_>) -> Self {
@@ -207,7 +219,7 @@ impl TableBuilder {
             rows: RotationRows::new(fine),
             census_at: vec![(0, 0); n * n],
             stamp: 0,
-            apex: vec![0; n * n * fine],
+            apex: vec![UNKNOWN; n * n * fine],
         }
     }
 
@@ -243,11 +255,14 @@ impl TableBuilder {
                             non_solutions.clear();
                             for &bw in &domain {
                                 let apex = &mut self.apex[pair_cell * fine + bw];
-                                if *apex == 0 {
-                                    *apex =
-                                        1 + u8::from(inst.has_apex_in_block(pair.u, pair.v, bw));
+                                if *apex == UNKNOWN {
+                                    *apex = if inst.has_apex_in_block(pair.u, pair.v, bw) {
+                                        APEX
+                                    } else {
+                                        NO_APEX
+                                    };
                                 }
-                                if *apex == 2 {
+                                if *apex != NO_APEX {
                                     t.blocks.push(bw as u32);
                                 } else {
                                     non_solutions.push(bw as u32);
@@ -308,7 +323,8 @@ pub fn run_step3_quantum<R: Rng>(
     classes: &ClassAssignment,
     rng: &mut R,
 ) -> Result<Step3Output, ApspError> {
-    let mut found = PairSet::new();
+    let n = inst.n();
+    let fine = inst.parts.fine.num_blocks();
     let mut witnesses: Vec<FoundWitness> = Vec::new();
     let mut stats = Step3Stats::default();
 
@@ -401,13 +417,18 @@ pub fn run_step3_quantum<R: Rng>(
                         confirmed[i] = true;
                         unresolved -= 1;
                     }
+                    // Record each (pair, block) the first time it is seen.
                     let pair = tables.pairs[i];
-                    found.insert(pair.u, pair.v);
-                    witnesses.push(FoundWitness {
-                        u: pair.u.min(pair.v),
-                        v: pair.u.max(pair.v),
-                        block,
-                    });
+                    let apex = &mut builder.apex[(pair.u * n + pair.v) * fine + block];
+                    debug_assert!(*apex == APEX || *apex == WITNESSED);
+                    if *apex == APEX {
+                        *apex = WITNESSED;
+                        witnesses.push(FoundWitness {
+                            u: pair.u.min(pair.v),
+                            v: pair.u.max(pair.v),
+                            block,
+                        });
+                    }
                 }
             }
             if unresolved == 0 {
@@ -416,7 +437,7 @@ pub fn run_step3_quantum<R: Rng>(
         }
     }
     witnesses.sort_unstable();
-    witnesses.dedup();
+    let found = witnesses.iter().map(|w| (w.u, w.v)).collect();
     Ok(Step3Output {
         found,
         witnesses,
@@ -540,6 +561,10 @@ mod tests {
         let classes = identify_class_with_retry(&inst, &mut net, 30, &mut rng).unwrap();
         let out =
             run_step3_quantum(&inst, &mut net, &cover, &gathered, &classes, &mut rng).unwrap();
+        assert!(
+            out.witnesses.windows(2).all(|w| w[0] < w[1]),
+            "witnesses are sorted and distinct"
+        );
         for w in &out.witnesses {
             assert!(
                 inst.has_apex_in_block(w.u, w.v, w.block),
