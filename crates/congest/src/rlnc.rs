@@ -9,16 +9,26 @@
 //! against the ack/retransmit envelope.
 //!
 //! The field is GF(2⁸) with the AES reduction polynomial `x⁸+x⁴+x³+x+1`
-//! (0x11b). Multiplication is the peasant (Russian) algorithm — no
-//! lookup tables, a handful of nanoseconds per byte, and trivially
-//! auditable. Inverses use `a⁻¹ = a²⁵⁴` (Fermat on the 255-element
-//! multiplicative group).
+//! (0x11b). Products come from a 256 × 256 table (64 KiB) that a `const
+//! fn` builds at compile time from the peasant (Russian) multiply, which
+//! stays the auditable definition of the field; the table only caches it.
+//! Every row operation — `dst ^= f · src` and `row = f · row` — reads the
+//! 256-byte table row of its scalar `f`, one lookup per byte. Inverses
+//! use `a⁻¹ = a²⁵⁴` (Fermat on the 255-element multiplicative group).
 //!
 //! Decoding is incremental Gaussian elimination: [`Decoder::absorb`]
 //! reduces each arriving packet against the pivots held so far and
 //! reports whether it was *innovative* (raised the rank). The
 //! non-innovative count is the `wasted_bandwidth` statistic reported by
-//! [`crate::transport::GossipStats`].
+//! [`crate::transport::GossipStats`]. Elimination runs *coefficient
+//! first*: the `k` coefficient bytes are reduced alone while the
+//! (pivot, factor) steps are recorded, because the factors depend on the
+//! coefficients only. The payload is touched only when a new pivot
+//! appears; then the recorded steps are replayed on it, and the stored
+//! row holds the same bytes as a reduction of the whole packet at once.
+//! A non-innovative packet therefore costs `O(k²)` bytes rather than
+//! `O(k · payload)`, and a decoder at full rank rejects every packet
+//! without looking at it.
 
 /// GF(256) addition (and subtraction): XOR.
 #[inline]
@@ -27,10 +37,9 @@ pub fn gf_add(a: u8, b: u8) -> u8 {
     a ^ b
 }
 
-/// GF(256) multiplication with the 0x11b reduction polynomial.
-#[inline]
-#[must_use]
-pub fn gf_mul(mut a: u8, mut b: u8) -> u8 {
+/// GF(256) multiplication with the 0x11b reduction polynomial by the
+/// peasant algorithm: the definition [`MUL`] is generated from.
+const fn peasant_mul(mut a: u8, mut b: u8) -> u8 {
     let mut acc = 0u8;
     while b != 0 {
         if b & 1 != 0 {
@@ -44,6 +53,30 @@ pub fn gf_mul(mut a: u8, mut b: u8) -> u8 {
         b >>= 1;
     }
     acc
+}
+
+const fn product_table() -> [[u8; 256]; 256] {
+    let mut table = [[0u8; 256]; 256];
+    let mut a = 0;
+    while a < 256 {
+        let mut b = 0;
+        while b < 256 {
+            table[a][b] = peasant_mul(a as u8, b as u8);
+            b += 1;
+        }
+        a += 1;
+    }
+    table
+}
+
+/// `MUL[a][b] = a · b` over GF(256), evaluated at compile time.
+static MUL: [[u8; 256]; 256] = product_table();
+
+/// GF(256) multiplication with the 0x11b reduction polynomial.
+#[inline]
+#[must_use]
+pub fn gf_mul(a: u8, b: u8) -> u8 {
+    MUL[usize::from(a)][usize::from(b)]
 }
 
 /// GF(256) multiplicative inverse via `a²⁵⁴` (254 = 0b1111_1110).
@@ -66,6 +99,25 @@ pub fn gf_inv(a: u8) -> u8 {
         exp >>= 1;
     }
     result
+}
+
+/// `dst[i] ^= f · src[i]` over the common length, through the table row
+/// of `f`.
+#[inline]
+fn mul_add_row(dst: &mut [u8], f: u8, src: &[u8]) {
+    let row = &MUL[usize::from(f)];
+    for (x, &s) in dst.iter_mut().zip(src) {
+        *x ^= row[usize::from(s)];
+    }
+}
+
+/// `row[i] = f · row[i]`, through the table row of `f`.
+#[inline]
+fn scale_row(row: &mut [u8], f: u8) {
+    let products = &MUL[usize::from(f)];
+    for x in row {
+        *x = products[usize::from(*x)];
+    }
 }
 
 /// A coded packet: `data = Σ coeffs[i] · chunk[i]` over GF(256).
@@ -180,10 +232,16 @@ impl PacketRng {
 pub struct Decoder {
     chunks: usize,
     chunk_bytes: usize,
-    /// Pivot rows: `rows[i]`, when present, has its leading nonzero
-    /// coefficient (normalized to 1) in column `i`.
-    rows: Vec<Option<(Vec<u8>, Vec<u8>)>>,
+    /// Pivot rows, `chunks + chunk_bytes` bytes each (coefficients, then
+    /// payload): row `i`, when `present[i]`, has its leading nonzero
+    /// coefficient, normalized to 1, in column `i`.
+    rows: Vec<u8>,
+    present: Vec<bool>,
     rank: usize,
+    /// The packet under reduction in [`Decoder::absorb`], one row wide.
+    packet: Vec<u8>,
+    /// The (pivot, factor) eliminations of the packet under reduction.
+    steps: Vec<(usize, u8)>,
 }
 
 impl Decoder {
@@ -191,15 +249,25 @@ impl Decoder {
     ///
     /// # Panics
     ///
-    /// Panics when `chunks == 0`.
+    /// Panics when `chunks == 0`, or when the `chunks` rows of
+    /// `chunks + chunk_bytes` bytes overflow `usize`.
     #[must_use]
     pub fn new(chunks: usize, chunk_bytes: usize) -> Self {
         assert!(chunks > 0, "need at least one chunk");
+        let stride = chunks
+            .checked_add(chunk_bytes)
+            .expect("decoder rows overflow usize");
+        let bytes = chunks
+            .checked_mul(stride)
+            .expect("decoder rows overflow usize");
         Decoder {
             chunks,
             chunk_bytes,
-            rows: vec![None; chunks],
+            rows: vec![0; bytes],
+            present: vec![false; chunks],
             rank: 0,
+            packet: vec![0; stride],
+            steps: Vec::with_capacity(chunks),
         }
     }
 
@@ -237,6 +305,16 @@ impl Decoder {
         self.rank == self.chunks
     }
 
+    fn stride(&self) -> usize {
+        self.chunks + self.chunk_bytes
+    }
+
+    /// Pivot row `col`, split into its coefficients and its payload.
+    fn row(&self, col: usize) -> (&[u8], &[u8]) {
+        let stride = self.stride();
+        self.rows[col * stride..(col + 1) * stride].split_at(self.chunks)
+    }
+
     /// Folds in a received packet. Returns `true` iff the packet was
     /// *innovative* (raised the rank); redundant packets return `false`
     /// and are counted as wasted bandwidth by the transport.
@@ -244,66 +322,80 @@ impl Decoder {
         if coeffs.len() != self.chunks || data.len() != self.chunk_bytes {
             return false; // malformed packet: wrong geometry for this block
         }
-        let mut c = coeffs.to_vec();
-        let mut d = data.to_vec();
-        for col in 0..self.chunks {
-            if c[col] == 0 {
+        if self.is_full() {
+            return false; // every vector lies in the span of a full rank
+        }
+        let k = self.chunks;
+        let stride = self.stride();
+        let Decoder {
+            rows,
+            present,
+            packet,
+            steps,
+            ..
+        } = self;
+        let (c, d) = packet.split_at_mut(k);
+        c.copy_from_slice(coeffs);
+        steps.clear();
+        // Coefficients first: pivot row `col` is zero left of `col`, so
+        // eliminating column `col` leaves the columns before it alone.
+        let mut new_pivot = None;
+        for col in 0..k {
+            let factor = c[col];
+            if factor == 0 {
                 continue;
             }
-            match &self.rows[col] {
-                Some((pc, pd)) => {
-                    // Eliminate this column against the stored pivot.
-                    let factor = c[col];
-                    for (x, p) in c.iter_mut().zip(pc) {
-                        *x = gf_add(*x, gf_mul(factor, *p));
-                    }
-                    for (x, p) in d.iter_mut().zip(pd) {
-                        *x = gf_add(*x, gf_mul(factor, *p));
-                    }
-                }
-                None => {
-                    // New pivot: normalize the leading coefficient to 1.
-                    let inv = gf_inv(c[col]);
-                    for x in &mut c {
-                        *x = gf_mul(*x, inv);
-                    }
-                    for x in &mut d {
-                        *x = gf_mul(*x, inv);
-                    }
-                    self.rows[col] = Some((c, d));
-                    self.rank += 1;
-                    return true;
-                }
+            if !present[col] {
+                new_pivot = Some(col);
+                break;
             }
+            mul_add_row(
+                &mut c[col..],
+                factor,
+                &rows[col * stride + col..col * stride + k],
+            );
+            steps.push((col, factor));
         }
-        false
+        let Some(col) = new_pivot else {
+            return false; // reduced to zero: the payload never mattered
+        };
+        // New pivot: replay the eliminations on the payload, normalize the
+        // leading coefficient to 1 and store the row.
+        d.copy_from_slice(data);
+        for &(pivot, factor) in steps.iter() {
+            mul_add_row(d, factor, &rows[pivot * stride + k..(pivot + 1) * stride]);
+        }
+        let inv = gf_inv(packet[col]);
+        scale_row(packet, inv);
+        rows[col * stride..(col + 1) * stride].copy_from_slice(packet);
+        present[col] = true;
+        self.rank += 1;
+        true
     }
 
     /// Emits a fresh random combination of the rows held so far, or
-    /// `None` when the decoder has heard nothing yet. At least one
-    /// nonzero weight is forced so the packet is never the zero vector.
+    /// `None` when the decoder has heard nothing yet. One weight is drawn
+    /// per held row, in pivot order; when every weight is zero the packet
+    /// is the first held row (weight 1), so it is never the zero vector.
     #[must_use]
     pub fn emit(&self, rng: &mut PacketRng) -> Option<CodedPacket> {
-        let held: Vec<&(Vec<u8>, Vec<u8>)> = self.rows.iter().flatten().collect();
-        if held.is_empty() {
-            return None;
-        }
-        let mut weights: Vec<u8> = held.iter().map(|_| rng.next_byte()).collect();
-        if weights.iter().all(|&w| w == 0) {
-            weights[0] = 1;
-        }
+        let first = self.present.iter().position(|&p| p)?;
         let mut coeffs = vec![0u8; self.chunks];
         let mut data = vec![0u8; self.chunk_bytes];
-        for (&w, (pc, pd)) in weights.iter().zip(&held) {
-            if w == 0 {
-                continue;
+        let mut any = false;
+        for col in (first..self.chunks).filter(|&col| self.present[col]) {
+            let w = rng.next_byte();
+            if w != 0 {
+                let (pc, pd) = self.row(col);
+                mul_add_row(&mut coeffs, w, pc);
+                mul_add_row(&mut data, w, pd);
+                any = true;
             }
-            for (x, p) in coeffs.iter_mut().zip(pc) {
-                *x = gf_add(*x, gf_mul(w, *p));
-            }
-            for (x, p) in data.iter_mut().zip(pd) {
-                *x = gf_add(*x, gf_mul(w, *p));
-            }
+        }
+        if !any {
+            let (pc, pd) = self.row(first);
+            coeffs.copy_from_slice(pc);
+            data.copy_from_slice(pd);
         }
         Some(CodedPacket { coeffs, data })
     }
@@ -317,27 +409,22 @@ impl Decoder {
         }
         // Back-substitute from the last pivot upward so every row ends as
         // a pure unit vector, then concatenate the payloads in order.
-        let mut rows: Vec<(Vec<u8>, Vec<u8>)> =
-            self.rows.iter().map(|r| r.clone().unwrap()).collect();
+        let stride = self.stride();
+        let mut rows = self.rows.clone();
         for col in (0..self.chunks).rev() {
-            let (pc, pd) = rows[col].clone();
-            debug_assert_eq!(pc[col], 1);
-            for (above_c, above_d) in rows.iter_mut().take(col) {
-                let factor = above_c[col];
-                if factor == 0 {
-                    continue;
-                }
-                for (x, p) in above_c.iter_mut().zip(&pc) {
-                    *x = gf_add(*x, gf_mul(factor, *p));
-                }
-                for (x, p) in above_d.iter_mut().zip(&pd) {
-                    *x = gf_add(*x, gf_mul(factor, *p));
+            let (above, from_pivot) = rows.split_at_mut(col * stride);
+            let pivot = &from_pivot[..stride];
+            debug_assert_eq!(pivot[col], 1);
+            for row in above.chunks_exact_mut(stride) {
+                let factor = row[col];
+                if factor != 0 {
+                    mul_add_row(row, factor, pivot);
                 }
             }
         }
         let mut out = Vec::with_capacity(self.chunks * self.chunk_bytes);
-        for (_, d) in rows {
-            out.extend_from_slice(&d);
+        for row in rows.chunks_exact(stride) {
+            out.extend_from_slice(&row[self.chunks..]);
         }
         Some(out)
     }
@@ -349,9 +436,14 @@ mod tests {
 
     #[test]
     fn field_axioms_hold() {
-        // Spot-check associativity/distributivity on a few triples and
-        // verify every nonzero element has a working inverse.
-        for a in [1u8, 2, 7, 0x53, 0xca, 0xff] {
+        // The table must equal its generator on every pair, and every
+        // nonzero element must have a working inverse.
+        for a in 0..=255u8 {
+            for b in 0..=255u8 {
+                assert_eq!(gf_mul(a, b), peasant_mul(a, b), "{a} · {b}");
+            }
+        }
+        for a in 1..=255u8 {
             assert_eq!(gf_mul(a, gf_inv(a)), 1, "a = {a}");
             assert_eq!(gf_mul(a, 1), a);
             assert_eq!(gf_mul(a, 0), 0);

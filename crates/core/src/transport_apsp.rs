@@ -22,10 +22,7 @@
 
 use crate::ApspError;
 use qcc_congest::{GossipStats, GossipTransport, NetConfig, TopologySpec, TraceSink, Transport};
-use qcc_graph::{
-    certificate_local_ok, distance_product_reference, floyd_warshall, DiGraph, ExtWeight,
-    WeightMatrix,
-};
+use qcc_graph::{floyd_warshall, min_plus_fixpoint_certificate, DiGraph, ExtWeight, WeightMatrix};
 
 /// Wire sentinel for "no arc" in a serialized adjacency row.
 const ABSENT: i64 = i64::MAX;
@@ -237,23 +234,19 @@ pub fn gossip_apsp(
         match run {
             Ok(views) => {
                 // Every node decoded every block exactly; any view
-                // disagreement or geometry error is an internal bug.
+                // disagreement or geometry error is an internal bug. The
+                // row parse is injective, so equal bytes are equal views
+                // and one parse serves them all.
                 let adj = views
-                    .iter()
-                    .map(|view| parse_rows(n, view))
-                    .collect::<Option<Vec<_>>>()
-                    .filter(|all| all.windows(2).all(|w| w[0] == w[1]))
-                    .and_then(|mut all| all.pop())
+                    .first()
+                    .filter(|first| views.iter().all(|view| view == *first))
+                    .and_then(|view| parse_rows(n, view))
                     .ok_or_else(|| ApspError::Internal {
                         context: "gossip views disagree after successful decode".into(),
                     })?;
                 let distances = floyd_warshall(&adj).map_err(|_| ApspError::NegativeCycle)?;
-                let verified = if cfg.verify {
-                    certificate_local_ok(&g.adjacency_matrix(), &distances)
-                        && distance_product_reference(&distances, &distances) == distances
-                } else {
-                    true
-                };
+                let verified =
+                    !cfg.verify || min_plus_fixpoint_certificate(&g.adjacency_matrix(), &distances);
                 attempts.push(GossipAttempt {
                     attempt,
                     rounds,
