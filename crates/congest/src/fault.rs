@@ -295,13 +295,22 @@ pub(crate) struct FaultState {
     pub(crate) plan: FaultPlan,
     /// Communication calls seen so far (each call advances the stream).
     calls: u64,
+    /// The hash prefix every draw of the current call shares,
+    /// `splitmix64(seed ^ calls · CALL_MIX)`.
+    call_key: u64,
     crashed: Vec<bool>,
     any_crashed: bool,
 }
 
+/// Odd multipliers spreading the call counter and the message index over
+/// the 64-bit hash input.
+const CALL_MIX: u64 = 0xff51_afd7_ed55_8ccd;
+const MESSAGE_MIX: u64 = 0xc4ce_b9fe_1a85_ec53;
+
 impl FaultState {
     pub(crate) fn new(plan: FaultPlan, n: usize) -> Self {
         FaultState {
+            call_key: splitmix64(plan.seed),
             plan,
             calls: 0,
             crashed: vec![false; n],
@@ -313,6 +322,7 @@ impl FaultState {
     /// every communication call (including the envelope's internal waves).
     pub(crate) fn begin_call(&mut self) {
         self.calls += 1;
+        self.call_key = splitmix64(self.plan.seed ^ self.calls.wrapping_mul(CALL_MIX));
     }
 
     /// Marks nodes whose crash round has been reached; returns how many
@@ -338,6 +348,11 @@ impl FaultState {
 
     /// The deterministic fate of message `idx` of the current call on the
     /// ordered link `src → dst`.
+    ///
+    /// Each draw is a uniform `[0, 1)` sample of `(call, message, salt)`,
+    /// independent of the simulated algorithm's RNG: the message's key
+    /// `splitmix64(call_key ^ idx · MESSAGE_MIX)` mixed once more with the
+    /// salt (0 drop, 1 corrupt, 2 duplicate).
     pub(crate) fn fate(&self, idx: u64, src: NodeId, dst: NodeId) -> MsgFate {
         let drop_rate = self
             .plan
@@ -345,26 +360,18 @@ impl FaultState {
             .iter()
             .find(|((s, d), _)| *s == src && *d == dst)
             .map_or(self.plan.drop_rate, |(_, r)| *r);
-        if drop_rate > 0.0 && self.unit(idx, 0) < drop_rate {
+        let key = splitmix64(self.call_key ^ idx.wrapping_mul(MESSAGE_MIX));
+        let unit = |salt: u64| (splitmix64(key ^ salt) >> 11) as f64 / (1u64 << 53) as f64;
+        if drop_rate > 0.0 && unit(0) < drop_rate {
             return MsgFate::Drop;
         }
-        if self.plan.corrupt_rate > 0.0 && self.unit(idx, 1) < self.plan.corrupt_rate {
+        if self.plan.corrupt_rate > 0.0 && unit(1) < self.plan.corrupt_rate {
             return MsgFate::Corrupt;
         }
-        if self.plan.duplicate_rate > 0.0 && self.unit(idx, 2) < self.plan.duplicate_rate {
+        if self.plan.duplicate_rate > 0.0 && unit(2) < self.plan.duplicate_rate {
             return MsgFate::Duplicate;
         }
         MsgFate::Deliver
-    }
-
-    /// Uniform `[0, 1)` sample for `(call, message, salt)`, independent of
-    /// the simulated algorithm's RNG.
-    fn unit(&self, idx: u64, salt: u64) -> f64 {
-        let mut h = self.plan.seed;
-        h = splitmix64(h ^ self.calls.wrapping_mul(0xff51_afd7_ed55_8ccd));
-        h = splitmix64(h ^ idx.wrapping_mul(0xc4ce_b9fe_1a85_ec53));
-        h = splitmix64(h ^ salt);
-        (h >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
@@ -584,6 +591,88 @@ mod tests {
             assert_eq!(s.fate(i, NodeId::new(0), NodeId::new(1)), MsgFate::Drop);
             assert_eq!(s.fate(i, NodeId::new(1), NodeId::new(0)), MsgFate::Deliver);
         }
+    }
+
+    /// The fault stream as first written: three SplitMix64 rounds from the
+    /// seed for every draw, `unit = splitmix64(splitmix64(splitmix64(seed ^
+    /// calls·K₁) ^ idx·K₂) ^ salt)`.
+    fn reference_fate(plan: &FaultPlan, calls: u64, idx: u64, src: NodeId, dst: NodeId) -> MsgFate {
+        let unit = |salt: u64| {
+            let mut h = plan.seed;
+            h = splitmix64(h ^ calls.wrapping_mul(0xff51_afd7_ed55_8ccd));
+            h = splitmix64(h ^ idx.wrapping_mul(0xc4ce_b9fe_1a85_ec53));
+            h = splitmix64(h ^ salt);
+            (h >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let drop_rate = plan
+            .link_drop
+            .iter()
+            .find(|((s, d), _)| *s == src && *d == dst)
+            .map_or(plan.drop_rate, |(_, r)| *r);
+        if drop_rate > 0.0 && unit(0) < drop_rate {
+            return MsgFate::Drop;
+        }
+        if plan.corrupt_rate > 0.0 && unit(1) < plan.corrupt_rate {
+            return MsgFate::Corrupt;
+        }
+        if plan.duplicate_rate > 0.0 && unit(2) < plan.duplicate_rate {
+            return MsgFate::Duplicate;
+        }
+        MsgFate::Deliver
+    }
+
+    #[test]
+    fn hoisted_stream_matches_the_three_hash_formula() {
+        let mut gen = 0x5eed_u64;
+        let mut next = || {
+            gen = splitmix64(gen);
+            gen
+        };
+        let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let mut seen = [0u64; 4];
+        for _ in 0..24 {
+            let seed = next();
+            // Every zero/non-zero combination of the three rates, with and
+            // without an override that silences `a → b` or drops on it
+            // while the global drop rate is zero.
+            for mask in 0..8u8 {
+                for link_drop in [vec![], vec![((a, b), 0.0)], vec![((a, b), 0.6)]] {
+                    let rate = |bit: u8, r: f64| if mask & bit != 0 { r } else { 0.0 };
+                    let plan = FaultPlan {
+                        drop_rate: rate(1, 0.3),
+                        corrupt_rate: rate(2, 0.25),
+                        duplicate_rate: rate(4, 0.2),
+                        link_drop,
+                        seed,
+                        ..FaultPlan::default()
+                    };
+                    let mut state = FaultState::new(plan.clone(), 3);
+                    for calls in 0..5u64 {
+                        if calls > 0 {
+                            state.begin_call();
+                        }
+                        let small = 0..16u64;
+                        let large = (0..8).map(|_| next() % (1u64 << 40) + 1);
+                        let top = [(1u64 << 40) - 1, 1u64 << 40];
+                        for idx in small.chain(large).chain(top) {
+                            for (src, dst) in [(a, b), (b, a), (a, c)] {
+                                let fate = state.fate(idx, src, dst);
+                                assert_eq!(
+                                    fate,
+                                    reference_fate(&plan, calls, idx, src, dst),
+                                    "seed {seed:#x}, mask {mask}, call {calls}, idx {idx}"
+                                );
+                                seen[fate as usize] += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&count| count > 0),
+            "every fate drawn: {seen:?}"
+        );
     }
 
     #[test]

@@ -30,10 +30,16 @@
 //! from a counting pass, the König coloring reuses its slot tables across
 //! calls ([`ColoringScratch`]), a route repeating the last explicitly
 //! scheduled unit list reuses that schedule's relay maximum, and gossip on
-//! a transparent network is charged from its list sizes. None of this
-//! affects the *model*: charged rounds and all other metrics are
-//! byte-identical to the straightforward implementation, which
-//! `tests/determinism.rs` pins against recorded counts.
+//! a transparent network is charged from its list sizes. Under faults the
+//! ack/retransmit envelope never touches a payload until the end: each
+//! wave is charged from the pending messages' links and sealed widths by
+//! the same accounting code as a raw call, its acks are read off the
+//! arriving copies by one counting pass, and the payloads are placed once,
+//! by the raw delivery's counting placement, when every message is acked
+//! (see [`crate::ReliableConfig`]). None of this affects the *model*:
+//! charged rounds and all other metrics are byte-identical to the
+//! straightforward implementation, which `tests/determinism.rs` pins
+//! against recorded counts.
 
 use crate::coloring::{color_bipartite_into, is_proper_colors, ColoringScratch};
 use crate::envelope::{Envelope, GossipViews, Inboxes};
@@ -42,7 +48,7 @@ use crate::fault::{FaultCounts, FaultKind, FaultPlan, FaultState, MsgFate};
 use crate::metrics::Metrics;
 use crate::node::NodeId;
 use crate::payload::{bits_for_count, Payload};
-use crate::reliable::{ReliableConfig, Wave};
+use crate::reliable::ReliableConfig;
 use crate::tally::{Leg, LinkTally};
 use crate::trace::TraceSink;
 
@@ -59,6 +65,16 @@ pub const DEFAULT_BANDWIDTH_FACTOR: u64 = 16;
 /// routings use the degree bound directly — the schedule's existence is
 /// König's theorem.
 pub const EXPLICIT_SCHEDULE_LIMIT: usize = 50_000;
+
+/// The raw primitive that carries a call's messages.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Wave {
+    /// Direct link delivery, tagged with its trace kind (`"exchange"`,
+    /// `"broadcast"`, `"gossip"`, or the envelope's `"ack"`).
+    Exchange(&'static str),
+    /// Lemma 1 relay routing.
+    Route,
+}
 
 /// Reusable per-call working memory of a [`Clique`].
 ///
@@ -81,13 +97,15 @@ struct Scratch {
     out_load: Vec<u64>,
     /// Per-node incoming bits (or units, in `route`).
     in_load: Vec<u64>,
-    /// Dense `n²` per-`(dst, src)` message tally for arena placement,
-    /// indexed `dst · n + src`; doubles as the write-cursor table during
-    /// the placement pass.
+    /// Dense `n²` per-`(dst, src)` message tally for arena placement and
+    /// the envelope's ack order, indexed `dst · n + src`; doubles as the
+    /// write-cursor table during the placement pass.
     pair_counts: Vec<u32>,
-    /// Copies of each send that arrive under the armed fault plan (0–2).
+    /// Copies of each message of the current call that arrive under the
+    /// armed fault plan (0–2).
     fate_copies: Vec<u8>,
-    /// Bit size of each envelope, computed once per call.
+    /// Bit size of each message of the current call, computed once per
+    /// call (sealed widths in an envelope wave).
     bit_sizes: Vec<u64>,
     /// `route`'s demand multigraph, one entry per fragment unit.
     units: Vec<(usize, usize)>,
@@ -370,34 +388,49 @@ impl Clique {
         }
     }
 
+    /// Resolves the fate of every message of the current call, in
+    /// submission order: message `j` travels on the `j`-th of `links`.
+    /// Fault events are recorded as they are drawn, right after the call's
+    /// comm event, as the trace format expects. Returns the copies of each
+    /// message that arrive (0–2), which stay readable until the next call.
+    pub(crate) fn resolve_fates(&mut self, links: impl Iterator<Item = (NodeId, NodeId)>) -> &[u8] {
+        self.scratch.fate_copies.clear();
+        for (idx, (src, dst)) in links.enumerate() {
+            let copies = self.message_fate(idx, src, dst);
+            self.scratch.fate_copies.push(copies);
+        }
+        &self.scratch.fate_copies
+    }
+
     /// Delivers `sends` into per-node inboxes, preserving the model's
-    /// delivery order (destination; sender; submission order).
+    /// delivery order (destination; sender; submission order), with the
+    /// armed fault plan's fates applied.
+    fn deliver<T: Payload>(&mut self, sends: Vec<Envelope<T>>) -> Inboxes<T> {
+        let faulty = self.faults.is_some();
+        if faulty {
+            self.resolve_fates(links_of(&sends));
+        }
+        self.place(sends, faulty)
+    }
+
+    /// Places `sends` into per-node inboxes in the model's delivery order.
+    /// With `fated`, send `i` arrives `scratch.fate_copies[i]` times (the
+    /// two copies of a duplicate adjacent); otherwise every send arrives
+    /// once.
     ///
     /// The default engine places each record directly at its final arena
     /// offset via a `(dst, src)` counting pass — no per-node vectors and no
     /// sort. The legacy engine stages records and stable-sorts them; both
     /// are byte-identical (pinned by the inbox-equivalence tests).
-    fn deliver<T: Payload>(&mut self, sends: Vec<Envelope<T>>) -> Inboxes<T> {
+    pub(crate) fn place<T: Payload>(&mut self, sends: Vec<Envelope<T>>, fated: bool) -> Inboxes<T> {
         let n = self.n;
-        let faulty = self.faults.is_some();
-        // Resolve fates first (recording fault events in submission order,
-        // right after the comm event, as the trace format expects).
-        self.scratch.fate_copies.clear();
-        if faulty {
-            for (idx, e) in sends.iter().enumerate() {
-                let copies = self.message_fate(idx, e.src, e.dst);
-                self.scratch.fate_copies.push(copies);
-            }
-        }
+        let s = &mut self.scratch;
+        let copies_of = |fates: &[u8], idx: usize| if fated { fates[idx] } else { 1 };
 
         if self.legacy_delivery {
             let mut staged: Vec<(NodeId, NodeId, T)> = Vec::with_capacity(sends.len());
             for (idx, e) in sends.into_iter().enumerate() {
-                let copies = if faulty {
-                    self.scratch.fate_copies[idx]
-                } else {
-                    1
-                };
+                let copies = copies_of(&s.fate_copies, idx);
                 if copies == 2 {
                     staged.push((e.dst, e.src, e.payload.clone()));
                 }
@@ -408,56 +441,30 @@ impl Clique {
             return Inboxes::from_staged(n, staged);
         }
 
-        let s = &mut self.scratch;
-        // Pass 1: per-(dst, src) tallies of arriving copies.
-        s.pair_counts.fill(0);
-        let mut total = 0usize;
-        for (idx, e) in sends.iter().enumerate() {
-            let copies = if faulty {
-                usize::from(s.fate_copies[idx])
-            } else {
-                1
-            };
-            s.pair_counts[e.dst.index() * n + e.src.index()] += copies as u32;
-            total += copies;
-        }
-        // Pass 2: exclusive prefix sum in (dst, src) order turns the tally
-        // into write cursors and yields the per-destination offsets.
-        let mut starts = Vec::with_capacity(n + 1);
-        starts.push(0usize);
-        let mut run = 0usize;
-        for d in 0..n {
-            for src in 0..n {
-                let cell = &mut s.pair_counts[d * n + src];
-                let count = *cell as usize;
-                *cell = run as u32;
-                run += count;
-            }
-            starts.push(run);
-        }
-        debug_assert_eq!(run, total);
-        // Pass 3: place each send (in submission order) at its cursor.
-        // Within a (dst, src) pair cursors advance with submission order,
-        // so the placement reproduces the stable sort without sorting.
+        let fates = &s.fate_copies;
+        let arrivals = sends
+            .iter()
+            .enumerate()
+            .map(|(idx, e)| (e.src, e.dst, copies_of(fates, idx)));
+        let total = arrival_cursors(&mut s.pair_counts, n, arrivals);
+        // The first cursor of each destination's row is its inbox offset.
+        let mut starts: Vec<usize> = (0..n).map(|d| s.pair_counts[d * n] as usize).collect();
+        starts.push(total);
+        // Place each send (in submission order) at its cursor. Within a
+        // (dst, src) pair cursors advance with submission order, so the
+        // placement reproduces the stable sort without sorting.
         let mut slots: Vec<Option<(NodeId, T)>> = Vec::new();
         slots.resize_with(total, || None);
         for (idx, e) in sends.into_iter().enumerate() {
-            let copies = if faulty {
-                usize::from(s.fate_copies[idx])
-            } else {
-                1
-            };
+            let copies = copies_of(&s.fate_copies, idx);
             if copies == 0 {
                 continue;
             }
-            let cell = e.dst.index() * n + e.src.index();
             for _ in 1..copies {
-                let pos = s.pair_counts[cell] as usize;
-                s.pair_counts[cell] += 1;
+                let pos = next_slot(&mut s.pair_counts, n, e.src, e.dst);
                 slots[pos] = Some((e.src, e.payload.clone()));
             }
-            let pos = s.pair_counts[cell] as usize;
-            s.pair_counts[cell] += 1;
+            let pos = next_slot(&mut s.pair_counts, n, e.src, e.dst);
             slots[pos] = Some((e.src, e.payload));
         }
         let data: Vec<(NodeId, T)> = slots
@@ -465,6 +472,32 @@ impl Clique {
             .map(|slot| slot.expect("tally placed every arriving copy"))
             .collect();
         Inboxes::from_parts(data, starts)
+    }
+
+    /// Lists the copies that arrived in the call whose fates were resolved
+    /// last, in the model's delivery order (receiver; sender; submission
+    /// order; the two copies of a duplicate adjacent): `out[k]` is the tag
+    /// of the message behind the `k`-th arriving copy. Message `j` of that
+    /// call is the `j`-th of `msgs`, as `(src, dst, tag)`.
+    pub(crate) fn arrivals_in_delivery_order<I>(&mut self, msgs: I, out: &mut Vec<usize>)
+    where
+        I: Iterator<Item = (NodeId, NodeId, usize)> + Clone,
+    {
+        let n = self.n;
+        let s = &mut self.scratch;
+        let fates = &s.fate_copies;
+        let arrivals = msgs
+            .clone()
+            .zip(fates)
+            .map(|((src, dst, _), &copies)| (src, dst, copies));
+        let total = arrival_cursors(&mut s.pair_counts, n, arrivals);
+        out.clear();
+        out.resize(total, 0);
+        for ((src, dst, tag), &copies) in msgs.zip(fates) {
+            for _ in 0..copies {
+                out[next_slot(&mut s.pair_counts, n, src, dst)] = tag;
+            }
+        }
     }
 
     fn validate<T>(&self, sends: &[Envelope<T>]) -> Result<(), CongestError> {
@@ -478,12 +511,47 @@ impl Clique {
         Ok(())
     }
 
-    /// Fills the bit-size cache for `sends`, one `bit_size()` call each.
-    pub(crate) fn cache_bit_sizes<T: Payload>(&mut self, sends: &[Envelope<T>]) {
+    /// Fills the bit-size cache: entry `i` is the width of message `i` of
+    /// the next call.
+    pub(crate) fn set_bit_sizes(&mut self, sizes: impl Iterator<Item = u64>) {
         self.scratch.bit_sizes.clear();
-        self.scratch
-            .bit_sizes
-            .extend(sends.iter().map(|e| e.payload.bit_size()));
+        self.scratch.bit_sizes.extend(sizes);
+    }
+
+    /// The bit-size cache (see [`Clique::set_bit_sizes`]).
+    pub(crate) fn bit_sizes(&self) -> &[u64] {
+        &self.scratch.bit_sizes
+    }
+
+    /// Runs one call whose message widths are cached: through the
+    /// ack/retransmit envelope when it is active, else charged on `wave`'s
+    /// primitive and delivered raw.
+    fn send_presized<T: Payload>(
+        &mut self,
+        sends: Vec<Envelope<T>>,
+        wave: Wave,
+    ) -> Result<Inboxes<T>, CongestError> {
+        if self.envelope_active() {
+            return self.deliver_reliably(sends, wave);
+        }
+        self.charge_wave(links_of(&sends), wave);
+        Ok(self.deliver(sends))
+    }
+
+    /// Charges one call on `wave`'s primitive: message `i` travels on the
+    /// `i`-th of `links` and is `scratch.bit_sizes[i]` bits wide. Starts
+    /// the call's fault bookkeeping first, so crashes due by now silence
+    /// their senders.
+    pub(crate) fn charge_wave<I>(&mut self, links: I, wave: Wave)
+    where
+        I: ExactSizeIterator<Item = (NodeId, NodeId)> + Clone,
+    {
+        self.fault_call_begin();
+        debug_assert_eq!(links.len(), self.scratch.bit_sizes.len());
+        match wave {
+            Wave::Exchange(kind) => self.charge_exchange(links, kind),
+            Wave::Route => self.charge_route(links),
+        }
     }
 
     /// Delivers messages directly on their `(src, dst)` links.
@@ -501,43 +569,38 @@ impl Clique {
         sends: Vec<Envelope<T>>,
     ) -> Result<Inboxes<T>, CongestError> {
         self.validate(&sends)?;
-        if self.envelope_active() {
-            return self.deliver_reliably(sends, Wave::Exchange("exchange"));
-        }
-        self.cache_bit_sizes(&sends);
-        Ok(self.exchange_presized(sends, "exchange"))
+        self.set_bit_sizes(sends.iter().map(|e| e.payload.bit_size()));
+        self.send_presized(sends, Wave::Exchange("exchange"))
     }
 
-    /// `exchange` body, assuming endpoints are validated and
-    /// `scratch.bit_sizes[i]` already holds the size of `sends[i]`.
-    /// `kind` tags the trace event (`broadcast` and `gossip` funnel here).
-    pub(crate) fn exchange_presized<T: Payload>(
+    /// Charges one direct-link call (see [`Clique::charge_wave`]); `kind`
+    /// tags the trace event (`broadcast`, `gossip` and the envelope's
+    /// `ack` waves funnel here).
+    fn charge_exchange(
         &mut self,
-        sends: Vec<Envelope<T>>,
+        links: impl Iterator<Item = (NodeId, NodeId)>,
         kind: &'static str,
-    ) -> Inboxes<T> {
-        self.fault_call_begin();
+    ) {
         let n = self.n;
         let s = &mut self.scratch;
         let faults = self.faults.as_ref();
-        debug_assert_eq!(s.bit_sizes.len(), sends.len());
         s.out_load.fill(0);
         s.in_load.fill(0);
         let mut total_bits = 0u64;
         let mut message_count = 0u64;
-        for (e, &bits) in sends.iter().zip(&s.bit_sizes) {
+        for ((src, dst), &bits) in links.zip(&s.bit_sizes) {
             // A fail-stopped sender emits nothing, so its messages are not
             // charged; a crashed *receiver*'s inbound links still carry the
             // (wasted) bits.
-            let sender_up = faults.is_none_or(|f| !f.is_crashed(e.src));
-            if e.src != e.dst && sender_up {
-                let link = e.src.index() * n + e.dst.index();
+            let sender_up = faults.is_none_or(|f| !f.is_crashed(src));
+            if src != dst && sender_up {
+                let link = src.index() * n + dst.index();
                 if s.link_bits[link] == 0 && bits > 0 {
                     s.touched_links.push(link);
                 }
                 s.link_bits[link] += bits;
-                s.out_load[e.src.index()] += bits;
-                s.in_load[e.dst.index()] += bits;
+                s.out_load[src.index()] += bits;
+                s.in_load[dst.index()] += bits;
                 total_bits += bits;
                 message_count += 1;
             }
@@ -555,8 +618,8 @@ impl Clique {
         let rounds = max_link.div_ceil(self.bandwidth_bits);
         let max_out = s.out_load.iter().copied().max().unwrap_or(0);
         let max_in = s.in_load.iter().copied().max().unwrap_or(0);
-        // Record the comm event before delivery so per-message fault events
-        // in the trace follow the call that carried them.
+        // Record the comm event before the fates are drawn so per-message
+        // fault events in the trace follow the call that carried them.
         self.metrics.record_comm(
             kind,
             rounds,
@@ -566,7 +629,6 @@ impl Clique {
             max_out,
             max_in,
         );
-        self.deliver(sends)
     }
 
     /// Charges one `exchange` phase from a [`LinkTally`] instead of
@@ -714,17 +776,12 @@ impl Clique {
         sends: Vec<Envelope<T>>,
     ) -> Result<Inboxes<T>, CongestError> {
         self.validate(&sends)?;
-        if self.envelope_active() {
-            return self.deliver_reliably(sends, Wave::Route);
-        }
-        Ok(self.route_raw(sends))
+        self.set_bit_sizes(sends.iter().map(|e| e.payload.bit_size()));
+        self.send_presized(sends, Wave::Route)
     }
 
-    /// `route` body, assuming endpoints are validated. Faults (if armed)
-    /// apply per message after charging; the envelope is *not* consulted.
-    pub(crate) fn route_raw<T: Payload>(&mut self, sends: Vec<Envelope<T>>) -> Inboxes<T> {
-        self.fault_call_begin();
-        self.cache_bit_sizes(&sends);
+    /// Charges one Lemma 1 relay call (see [`Clique::charge_wave`]).
+    fn charge_route(&mut self, links: impl Iterator<Item = (NodeId, NodeId)> + Clone) {
         let n = self.n;
         let s = &mut self.scratch;
         let faults = self.faults.as_ref();
@@ -733,15 +790,15 @@ impl Clique {
         s.in_load.fill(0);
         let mut total_bits = 0u64;
         let mut unit_count = 0u64;
-        for (e, &bits) in sends.iter().zip(&s.bit_sizes) {
-            if e.src == e.dst || faults.is_some_and(|f| f.is_crashed(e.src)) {
+        for ((src, dst), &bits) in links.clone().zip(&s.bit_sizes) {
+            if src == dst || faults.is_some_and(|f| f.is_crashed(src)) {
                 continue;
             }
             total_bits += bits;
             let k = bits.div_ceil(self.bandwidth_bits).max(1);
             unit_count += k;
-            s.out_load[e.src.index()] += k;
-            s.in_load[e.dst.index()] += k;
+            s.out_load[src.index()] += k;
+            s.in_load[dst.index()] += k;
         }
         // The per-node unit loads are exactly the left/right degrees of the
         // demand multigraph, so Δ is their maximum.
@@ -760,14 +817,13 @@ impl Clique {
         // only materialized below the limit.
         let max_link_units = if unit_count as usize <= EXPLICIT_SCHEDULE_LIMIT {
             s.units.reserve(unit_count as usize);
-            for (e, &bits) in sends.iter().zip(&s.bit_sizes) {
-                if e.src == e.dst || faults.is_some_and(|f| f.is_crashed(e.src)) {
+            for ((src, dst), &bits) in links.zip(&s.bit_sizes) {
+                if src == dst || faults.is_some_and(|f| f.is_crashed(src)) {
                     continue;
                 }
                 let k = bits.div_ceil(self.bandwidth_bits).max(1);
-                let (src, dst) = (e.src.index(), e.dst.index());
                 for _ in 0..k {
-                    s.units.push((src, dst));
+                    s.units.push((src.index(), dst.index()));
                 }
             }
             // The maximum is a function of the submission-ordered unit list
@@ -793,7 +849,6 @@ impl Clique {
             max_out * self.bandwidth_bits,
             max_in * self.bandwidth_bits,
         );
-        self.deliver(sends)
     }
 
     /// One node sends the same payload to every other node.
@@ -822,12 +877,8 @@ impl Clique {
             .filter(|&dst| dst != src)
             .map(|dst| Envelope::new(src, dst, payload.clone()))
             .collect();
-        if self.envelope_active() {
-            return self.deliver_reliably(sends, Wave::Exchange("broadcast"));
-        }
-        self.scratch.bit_sizes.clear();
-        self.scratch.bit_sizes.resize(sends.len(), bits);
-        Ok(self.exchange_presized(sends, "broadcast"))
+        self.set_bit_sizes(std::iter::repeat_n(bits, sends.len()));
+        self.send_presized(sends, Wave::Exchange("broadcast"))
     }
 
     /// Every node broadcasts its own list of items to every other node.
@@ -845,7 +896,7 @@ impl Clique {
     /// # Errors
     ///
     /// Returns [`CongestError::UnknownNode`] if `items.len() != n` (reported
-    /// as an unknown node at index `n`).
+    /// as an unknown node at index `items.len()`).
     pub fn gossip<T: Payload>(
         &mut self,
         items: Vec<Vec<T>>,
@@ -879,11 +930,7 @@ impl Clique {
                 self.scratch.bit_sizes.push(bits);
             }
         }
-        let inboxes = if self.envelope_active() {
-            self.deliver_reliably(sends, Wave::Exchange("gossip"))?
-        } else {
-            self.exchange_presized(sends, "gossip")
-        };
+        let inboxes = self.send_presized(sends, Wave::Exchange("gossip"))?;
         let mut out: Vec<Vec<(NodeId, T)>> = Vec::with_capacity(self.n);
         for (i, own) in items.into_iter().enumerate() {
             let me = NodeId::new(i);
@@ -965,6 +1012,45 @@ fn relay_link_max(s: &mut Scratch, n: usize) -> u64 {
     }
     s.touched_relays.clear();
     max
+}
+
+/// The `(src, dst)` link of each send, in submission order.
+fn links_of<T>(
+    sends: &[Envelope<T>],
+) -> impl ExactSizeIterator<Item = (NodeId, NodeId)> + Clone + '_ {
+    sends.iter().map(|e| (e.src, e.dst))
+}
+
+/// Tallies `(src, dst, copies)` arrivals into the dense `n²` table
+/// `cursors`, indexed `dst · n + src`, and turns the tally into write
+/// cursors by an exclusive prefix sum in `(dst, src)` order: each cell then
+/// holds the delivery-order position of its first copy. Returns the number
+/// of arriving copies.
+fn arrival_cursors(
+    cursors: &mut [u32],
+    n: usize,
+    arrivals: impl Iterator<Item = (NodeId, NodeId, u8)>,
+) -> usize {
+    cursors.fill(0);
+    for (src, dst, copies) in arrivals {
+        cursors[dst.index() * n + src.index()] += u32::from(copies);
+    }
+    let mut run = 0usize;
+    for cell in cursors.iter_mut() {
+        let count = *cell as usize;
+        *cell = run as u32;
+        run += count;
+    }
+    run
+}
+
+/// Claims the next delivery-order position of a copy on `src → dst` from
+/// [`arrival_cursors`]' table.
+fn next_slot(cursors: &mut [u32], n: usize, src: NodeId, dst: NodeId) -> usize {
+    let cell = &mut cursors[dst.index() * n + src.index()];
+    let pos = *cell as usize;
+    *cell += 1;
+    pos
 }
 
 #[cfg(test)]

@@ -5,12 +5,13 @@
 //! [`ReliableConfig`], every communication primitive transparently runs
 //! this envelope protocol instead of raw delivery:
 //!
-//! 1. each payload is sealed with a per-call sequence number
-//!    ([`Sealed`], costing `⌈log₂ #messages⌉` extra bits on the wire);
-//! 2. the sealed wave is transmitted with the raw primitive (faults
-//!    apply); receivers deduplicate by sequence number and return one ack
-//!    (the sequence number) per received copy — the ack wave is itself
-//!    subject to faults;
+//! 1. each message carries a per-call sequence number, so its *sealed
+//!    width* on the wire is `⌈log₂ #messages⌉` bits plus its payload's
+//!    bits;
+//! 2. the pending messages are transmitted at their sealed widths with the
+//!    raw primitive (faults apply); receivers deduplicate by sequence
+//!    number and return one ack (the sequence number) per received copy —
+//!    the ack wave is itself subject to faults;
 //! 3. the sender retransmits every unacked message, after charging
 //!    `backoff_base · wave` idle rounds of deterministic backoff;
 //! 4. after `1 + max_retries` waves with survivors, the call fails with
@@ -23,12 +24,19 @@
 //! and the trace. The envelope only engages when faults are present; with
 //! an empty fault plan the primitives keep their exact raw code path, so
 //! round counts stay byte-identical (pinned by `tests/determinism.rs`).
+//!
+//! On the host the waves never touch a payload. What goes on the wire is a
+//! function of each message's link and sealed width, and what arrives is a
+//! function of the fault stream, so a wave is the raw primitive's charge
+//! over the pending sequence numbers followed by its fate draws, and the
+//! acks are read off the arriving copies by one counting pass. Once every
+//! message is acked each was accepted exactly once, so the payloads move
+//! once, into the inboxes a reliable network would have filled.
 
 use crate::envelope::{Envelope, Inboxes};
 use crate::error::CongestError;
-use crate::network::Clique;
-use crate::node::NodeId;
-use crate::payload::{bits_for_count, Payload, RawBits};
+use crate::network::{Clique, Wave};
+use crate::payload::{bits_for_count, Payload};
 
 /// Configuration of the ack/retransmit envelope.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,41 +57,16 @@ impl Default for ReliableConfig {
     }
 }
 
-/// A payload sealed with the envelope's per-call sequence number.
-#[derive(Clone, Debug)]
-pub(crate) struct Sealed<T> {
-    /// Index of the original message within the call.
-    pub(crate) seq: u64,
-    /// Wire width of the sequence-number field.
-    pub(crate) seq_bits: u64,
-    /// The original payload.
-    pub(crate) payload: T,
-}
-
-impl<T: Payload> Payload for Sealed<T> {
-    fn bit_size(&self) -> u64 {
-        self.seq_bits + self.payload.bit_size()
-    }
-}
-
-/// Which raw primitive carries the envelope's data waves.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Wave {
-    /// Direct link delivery, tagged with the original call kind
-    /// (`"exchange"`, `"broadcast"`, `"gossip"`).
-    Exchange(&'static str),
-    /// Lemma 1 relay routing.
-    Route,
-}
-
 impl Clique {
     /// Runs one communication call through the ack/retransmit envelope.
     ///
-    /// Preconditions: endpoints are validated and [`Clique::envelope_active`]
-    /// is true. Returns the same inboxes the raw primitive would produce on
-    /// a reliable network (payloads in send order per `(dst, src)` pair), or
-    /// [`CongestError::NodeCrashed`] / [`CongestError::DeliveryFailed`] when
-    /// the retry budget runs out.
+    /// Preconditions: endpoints are validated, [`Clique::envelope_active`]
+    /// is true, and the bit-size cache holds each send's payload width.
+    /// `wave` is the primitive that carries the data waves. Returns the
+    /// same inboxes the raw primitive would produce on a reliable network
+    /// (payloads in send order per `(dst, src)` pair), or
+    /// [`CongestError::NodeCrashed`] / [`CongestError::DeliveryFailed`]
+    /// when the retry budget runs out.
     pub(crate) fn deliver_reliably<T: Payload>(
         &mut self,
         sends: Vec<Envelope<T>>,
@@ -92,26 +75,13 @@ impl Clique {
         let cfg = self.reliable.expect("envelope_active implies a config");
         let total = sends.len();
         let seq_bits = bits_for_count(total.max(2));
-        let mut pending: Vec<Envelope<Sealed<T>>> = sends
-            .into_iter()
-            .enumerate()
-            .map(|(i, e)| {
-                Envelope::new(
-                    e.src,
-                    e.dst,
-                    Sealed {
-                        seq: i as u64,
-                        seq_bits,
-                        payload: e.payload,
-                    },
-                )
-            })
-            .collect();
-        // Receiver-side dedup and sender-side ack bookkeeping, indexed by
-        // the per-call sequence number.
-        let mut delivered = vec![false; total];
+        let sealed: Vec<u64> = self.bit_sizes().iter().map(|&b| seq_bits + b).collect();
+        let link = |seq: usize| (sends[seq].src, sends[seq].dst);
+        // Unacked sequence numbers in submission order, the sender-side ack
+        // bookkeeping, and the sequence number behind each ack of a wave.
+        let mut pending: Vec<usize> = (0..total).collect();
         let mut acked = vec![false; total];
-        let mut accepted: Vec<(u64, NodeId, NodeId, T)> = Vec::with_capacity(total);
+        let mut acks: Vec<usize> = Vec::new();
         let mut waves = 0u32;
         while !pending.is_empty() && waves <= cfg.max_retries {
             if waves > 0 {
@@ -120,45 +90,39 @@ impl Clique {
                 self.charge_rounds(cfg.backoff_base * u64::from(waves));
             }
             waves += 1;
-            let data = pending.clone();
-            let inboxes = match wave {
-                Wave::Exchange(kind) => {
-                    self.cache_bit_sizes(&data);
-                    self.exchange_presized(data, kind)
-                }
-                Wave::Route => self.route_raw(data),
-            };
-            // Receivers accept the first copy of each sequence number and
-            // ack every copy they see (re-acking tells a sender whose
-            // earlier ack was lost).
-            let mut acks: Vec<Envelope<RawBits>> = Vec::new();
-            for (receiver, inbox) in inboxes.into_vec().into_iter().enumerate() {
-                let me = NodeId::new(receiver);
-                for (src, sealed) in inbox {
-                    let seq = sealed.seq as usize;
-                    if !delivered[seq] {
-                        delivered[seq] = true;
-                        accepted.push((sealed.seq, src, me, sealed.payload));
-                    }
-                    acks.push(Envelope::new(me, src, RawBits::new(sealed.seq, seq_bits)));
-                }
-            }
+            self.set_bit_sizes(pending.iter().map(|&seq| sealed[seq]));
+            let data = pending.iter().map(|&seq| link(seq));
+            self.charge_wave(data.clone(), wave);
+            self.resolve_fates(data);
+            // Receivers ack every copy they see (re-acking tells a sender
+            // whose earlier ack was lost), in delivery order.
+            let copies = pending.iter().map(|&seq| {
+                let (src, dst) = link(seq);
+                (src, dst, seq)
+            });
+            self.arrivals_in_delivery_order(copies, &mut acks);
             // The ack wave rides the direct links and is itself faultable.
             if !acks.is_empty() {
-                self.cache_bit_sizes(&acks);
-                let ack_inboxes = self.exchange_presized(acks, "ack");
-                for inbox in ack_inboxes.into_vec() {
-                    for (_, ack) in inbox {
-                        acked[ack.tag as usize] = true;
+                self.set_bit_sizes(std::iter::repeat_n(seq_bits, acks.len()));
+                let reverse = acks.iter().map(|&seq| {
+                    let (src, dst) = link(seq);
+                    (dst, src)
+                });
+                self.charge_wave(reverse.clone(), Wave::Exchange("ack"));
+                let arrived = self.resolve_fates(reverse);
+                for (&seq, &copies) in acks.iter().zip(arrived) {
+                    if copies > 0 {
+                        acked[seq] = true;
                     }
                 }
             }
-            pending.retain(|e| !acked[e.payload.seq as usize]);
+            pending.retain(|&seq| !acked[seq]);
         }
         if !pending.is_empty() {
             if let Some(faults) = &self.faults {
-                for e in &pending {
-                    for node in [e.src, e.dst] {
+                for &seq in &pending {
+                    let (src, dst) = link(seq);
+                    for node in [src, dst] {
                         if faults.is_crashed(node) {
                             return Err(CongestError::NodeCrashed {
                                 node,
@@ -174,16 +138,9 @@ impl Clique {
                 attempts: waves,
             });
         }
-        // Rebuild the raw primitive's inbox layout: ordering by sequence
-        // number restores send order, and the staged build's stable sort
-        // then yields the usual destination/sender/submission order.
-        accepted.sort_by_key(|&(seq, _, _, _)| seq);
-        let n = self.n();
-        let staged = accepted
-            .into_iter()
-            .map(|(_, src, dst, payload)| (dst, src, payload))
-            .collect();
-        Ok(Inboxes::from_staged(n, staged))
+        // Every message was accepted exactly once: the inboxes are the
+        // fault-free placement of the original sends.
+        Ok(self.place(sends, false))
     }
 }
 
@@ -196,15 +153,5 @@ mod tests {
         let cfg = ReliableConfig::default();
         assert_eq!(cfg.max_retries, 8);
         assert_eq!(cfg.backoff_base, 1);
-    }
-
-    #[test]
-    fn sealing_adds_the_sequence_field_width() {
-        let sealed = Sealed {
-            seq: 3,
-            seq_bits: 7,
-            payload: 5u64,
-        };
-        assert_eq!(sealed.bit_size(), 7 + 64);
     }
 }
