@@ -12,11 +12,13 @@
 //! of messages to intermediate relay nodes.
 //!
 //! This module implements the classic alternating-path (Kempe chain)
-//! algorithm: `O(m · Δ)` time, exact `Δ` colors. The hot entry point is
-//! [`color_bipartite_into`], which writes into caller-owned buffers
-//! ([`ColoringScratch`]) so that a simulator calling it once per
-//! communication phase performs no per-call allocation after warm-up;
-//! [`color_bipartite`] is the convenient allocating wrapper.
+//! algorithm: `O(m · Δ)` time, exact `Δ` colors. [`crate::Clique::route`]
+//! does not call it: a route's cost and busiest link are closed forms in
+//! `Δ`. Experiment E13 (`exp_routing`) and the tests build the schedule
+//! with it and check those closed forms. [`color_bipartite_into`] writes
+//! into caller-owned buffers ([`ColoringScratch`]), so repeated colorings
+//! perform no allocation after warm-up; [`color_bipartite`] is the
+//! convenient allocating wrapper.
 
 /// An edge of the demand multigraph: `(left, right)` with multiplicity
 /// expressed by repetition.

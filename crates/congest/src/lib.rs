@@ -17,8 +17,12 @@
 //! * [`Clique::exchange`] — direct delivery on `(src, dst)` links.
 //! * [`Clique::route`] — Lemma 1 of the paper (Dolev, Lenzen & Peled): any
 //!   message set with per-node load at most `n` units is delivered in two
-//!   rounds through relays chosen by an exact König edge coloring
-//!   ([`coloring`]).
+//!   rounds through relays, and a heavier set with maximum load `Δ` in
+//!   `2·⌈Δ/n⌉`. The relays follow an exact König edge coloring of the
+//!   demand multigraph ([`coloring`]), which König's theorem guarantees;
+//!   the charge and the busiest link (`⌈Δ/n⌉` units per hop) are closed
+//!   forms in `Δ`, so the schedule itself is only built by experiment E13
+//!   and the tests.
 //! * [`Clique::broadcast`] / [`Clique::gossip`] — one-to-all and all-to-all
 //!   broadcast.
 //!
@@ -65,7 +69,7 @@ pub use envelope::{collect_sends, total_bits, Envelope, GossipViews, Inboxes};
 pub use error::CongestError;
 pub use fault::{FaultCounts, FaultKind, FaultPlan, NetConfig};
 pub use metrics::{Metrics, PhaseStats, RoundHistogram, Span};
-pub use network::{Clique, DEFAULT_BANDWIDTH_FACTOR, EXPLICIT_SCHEDULE_LIMIT};
+pub use network::{Clique, DEFAULT_BANDWIDTH_FACTOR};
 pub use node::NodeId;
 pub use payload::{bits_for_count, bits_for_weight_range, Payload, RawBits};
 pub use reliable::ReliableConfig;

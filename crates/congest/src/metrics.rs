@@ -40,7 +40,10 @@ pub struct PhaseStats {
     pub messages: u64,
     /// Total bits transmitted.
     pub bits: u64,
-    /// Maximum bits carried by a single ordered link over the whole phase.
+    /// Largest busiest-link bit count of any call in the phase: the
+    /// busiest `(src, dst)` link of a direct call, or for a `route` the
+    /// busiest relay link of one hop, `⌈Δ/n⌉·B` (see
+    /// [`crate::Clique::route`]).
     pub max_link_bits: u64,
     /// Maximum bits sent by a single node over the whole phase.
     pub max_node_out_bits: u64,

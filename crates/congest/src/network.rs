@@ -12,9 +12,12 @@
 //! * **Routed exchange** ([`Clique::route`]): implements Lemma 1 of the
 //!   paper (Dolev, Lenzen & Peled): any message set in which no node sends
 //!   or receives more than `n` message units is delivered in 2 rounds via
-//!   intermediate relays, chosen by an exact König edge coloring of the
-//!   demand multigraph. Heavier sets take `2·⌈Δ/n⌉` rounds where `Δ` is the
-//!   maximum per-node unit load.
+//!   intermediate relays. Heavier sets take `2·⌈Δ/n⌉` rounds where `Δ` is
+//!   the maximum per-node unit load. The relay schedule, an exact König
+//!   edge coloring of the demand multigraph ([`crate::coloring`]), exists
+//!   by König's theorem; its cost and its busiest link (`⌈Δ/n⌉` units per
+//!   hop) are closed forms in `Δ`, so the simulator charges them without
+//!   building it.
 //!
 //! Local computation is free, as in the model. Messages from a node to
 //! itself are local and cost nothing.
@@ -23,15 +26,13 @@
 //!
 //! A simulation run makes one `exchange`/`route` call per communication
 //! phase, often many thousands per experiment, so the accounting paths are
-//! written to be allocation-free after warm-up: link-bit and relay-load
-//! tallies live in dense `n²` scratch vectors indexed by `src · n + dst`
-//! (cleared sparsely through touched-index lists), payload bit-sizes are
-//! computed once per envelope into a reusable buffer, inboxes are pre-sized
-//! from a counting pass, the König coloring reuses its slot tables across
-//! calls ([`ColoringScratch`]), a route repeating the last explicitly
-//! scheduled unit list reuses that schedule's relay maximum, and gossip on
-//! a transparent network is charged from its list sizes. Under faults the
-//! ack/retransmit envelope never touches a payload until the end: each
+//! written to be allocation-free after warm-up: link-bit tallies live in a
+//! dense `n²` scratch vector indexed by `src · n + dst` (cleared sparsely
+//! through a touched-index list), payload bit-sizes are computed once per
+//! envelope into a reusable buffer, inboxes are pre-sized from a counting
+//! pass, a route is charged from its per-node unit loads alone, and gossip
+//! on a transparent network is charged from its list sizes. Under faults
+//! the ack/retransmit envelope never touches a payload until the end: each
 //! wave is charged from the pending messages' links and sealed widths by
 //! the same accounting code as a raw call, its acks are read off the
 //! arriving copies by one counting pass, and the payloads are placed once,
@@ -41,7 +42,6 @@
 //! straightforward implementation, which `tests/determinism.rs` pins
 //! against recorded counts.
 
-use crate::coloring::{color_bipartite_into, is_proper_colors, ColoringScratch};
 use crate::envelope::{Envelope, GossipViews, Inboxes};
 use crate::error::CongestError;
 use crate::fault::{FaultCounts, FaultKind, FaultPlan, FaultState, MsgFate};
@@ -59,12 +59,6 @@ use crate::trace::TraceSink;
 /// records, which keeps the constants of the simulated algorithms close to
 /// the paper's presentation.
 pub const DEFAULT_BANDWIDTH_FACTOR: u64 = 16;
-
-/// Unit-count threshold up to which [`Clique::route`] constructs (and, in
-/// debug builds, verifies) the explicit König relay schedule. Larger
-/// routings use the degree bound directly — the schedule's existence is
-/// König's theorem.
-pub const EXPLICIT_SCHEDULE_LIMIT: usize = 50_000;
 
 /// The raw primitive that carries a call's messages.
 #[derive(Clone, Copy, Debug)]
@@ -89,10 +83,6 @@ struct Scratch {
     link_bits: Vec<u64>,
     /// Indices of `link_bits` written this call.
     touched_links: Vec<usize>,
-    /// Dense `n²` per-link unit tally for `route`'s relay schedule.
-    relay_units: Vec<u64>,
-    /// Indices of `relay_units` written this call.
-    touched_relays: Vec<usize>,
     /// Per-node outgoing bits (or units, in `route`).
     out_load: Vec<u64>,
     /// Per-node incoming bits (or units, in `route`).
@@ -107,25 +97,12 @@ struct Scratch {
     /// Bit size of each message of the current call, computed once per
     /// call (sealed widths in an envelope wave).
     bit_sizes: Vec<u64>,
-    /// `route`'s demand multigraph, one entry per fragment unit.
-    units: Vec<(usize, usize)>,
-    /// Colors assigned to `units` by the König coloring.
-    colors: Vec<usize>,
-    /// Slot tables of the König coloring.
-    coloring: ColoringScratch,
-    /// Unit list of the last explicit König schedule; a route submitting
-    /// the identical list reuses `scheduled_max` instead of recoloring.
-    scheduled_units: Vec<(usize, usize)>,
-    /// Relay-link maximum of `scheduled_units`' coloring, `None` before the
-    /// first explicit schedule.
-    scheduled_max: Option<u64>,
 }
 
 impl Scratch {
     fn new(n: usize) -> Self {
         Scratch {
             link_bits: vec![0; n * n],
-            relay_units: vec![0; n * n],
             out_load: vec![0; n],
             in_load: vec![0; n],
             pair_counts: vec![0; n * n],
@@ -544,7 +521,7 @@ impl Clique {
     /// their senders.
     pub(crate) fn charge_wave<I>(&mut self, links: I, wave: Wave)
     where
-        I: ExactSizeIterator<Item = (NodeId, NodeId)> + Clone,
+        I: ExactSizeIterator<Item = (NodeId, NodeId)>,
     {
         self.fault_call_begin();
         debug_assert_eq!(links.len(), self.scratch.bit_sizes.len());
@@ -694,22 +671,17 @@ impl Clique {
     }
 
     /// Charges one `route` phase from a pre-tallied link table instead of
-    /// materialized envelopes, every message exactly `bits_per_msg` bits
-    /// wide — but only when the fragment-unit multiset is past
-    /// [`EXPLICIT_SCHEDULE_LIMIT`], where the materialized path also skips
-    /// the explicit König schedule and records the degree bound `⌈Δ/n⌉` as
-    /// the relay-link maximum. Below the limit the relay maximum comes from
-    /// the actual coloring of the submission-ordered unit list, which a
-    /// tally cannot reproduce: the call records **nothing** and returns
-    /// `None`, and the caller must fall back to [`Clique::route`].
-    ///
-    /// On `Some(rounds)`, the recorded rounds, totals, maxima, and trace
-    /// event are byte-identical to [`Clique::route`] over the same traffic.
+    /// materialized envelopes: `link_msgs[src · n + dst]` messages on each
+    /// link, every message exactly `bits_per_msg` bits wide. The recorded
+    /// rounds, totals, maxima, and trace event are byte-identical to
+    /// [`Clique::route`] over the same traffic, whose charge depends only
+    /// on the per-node unit loads; local (`src == dst`) entries are free.
+    /// Costs `O(n²)`. Returns the rounds charged.
     ///
     /// # Panics
     ///
     /// Panics if the network is not transparent or `link_msgs.len() ≠ n²`.
-    pub fn charge_route_tally(&mut self, link_msgs: &[u32], bits_per_msg: u64) -> Option<u64> {
+    pub fn charge_route_tally(&mut self, link_msgs: &[u32], bits_per_msg: u64) -> u64 {
         assert!(
             self.is_transparent(),
             "charge-only route requires a transparent network"
@@ -735,35 +707,25 @@ impl Clique {
                 s.in_load[dst] += units;
             }
         }
-        if unit_count as usize <= EXPLICIT_SCHEDULE_LIMIT {
-            return None;
-        }
-        let total_bits = message_count * bits_per_msg;
-        let max_out = s.out_load.iter().copied().max().unwrap_or(0);
-        let max_in = s.in_load.iter().copied().max().unwrap_or(0);
-        let delta = max_out.max(max_in);
-        let batches = delta.div_ceil(n as u64);
-        let rounds = 2 * batches;
-        self.metrics.record_comm(
-            "route",
-            rounds,
-            2 * unit_count,
-            2 * total_bits,
-            batches * self.bandwidth_bits,
-            max_out * self.bandwidth_bits,
-            max_in * self.bandwidth_bits,
-        );
-        Some(rounds)
+        self.record_route(unit_count, message_count * bits_per_msg)
     }
 
     /// Delivers messages through intermediate relays (Lemma 1 of the paper).
     ///
     /// Each payload is fragmented into *units* of at most `B` bits. The
-    /// demand multigraph over units is edge-colored with `Δ` colors (the
-    /// maximum per-node unit load) via König's theorem; color `c` routes its
-    /// unit through relay node `c mod n` during batch `⌊c / n⌋`. Every batch
-    /// takes exactly 2 rounds (one hop to the relay, one hop onward), so the
-    /// phase costs `2·⌈Δ/n⌉` rounds.
+    /// demand multigraph over units (one edge `src → dst` per unit) has
+    /// maximum degree `Δ`, the largest per-node unit load, and admits a
+    /// proper edge coloring with `Δ` colors (König's theorem); color `c`
+    /// routes its units through relay node `c mod n` during batch `⌊c/n⌋`.
+    /// Every batch takes exactly 2 rounds (one hop to the relay, one hop
+    /// onward), so the phase costs `2·⌈Δ/n⌉` rounds.
+    ///
+    /// The call records the busiest link of one hop as `⌈Δ/n⌉·B` bits, so
+    /// `rounds = 2·max_link_bits/B`. Every such schedule attains it: a
+    /// node of degree `Δ` uses all `Δ` colors, so its link to relay 0
+    /// carries `⌈Δ/n⌉` units, and no link carries more, since below `Δ` at
+    /// most `⌈Δ/n⌉` colors share one residue mod `n`. The value depends on
+    /// `Δ` alone, so the schedule is never constructed.
     ///
     /// When no node sources or sinks more than `n` units this is the
     /// textbook 2-round guarantee.
@@ -781,16 +743,14 @@ impl Clique {
     }
 
     /// Charges one Lemma 1 relay call (see [`Clique::charge_wave`]).
-    fn charge_route(&mut self, links: impl Iterator<Item = (NodeId, NodeId)> + Clone) {
-        let n = self.n;
+    fn charge_route(&mut self, links: impl Iterator<Item = (NodeId, NodeId)>) {
         let s = &mut self.scratch;
         let faults = self.faults.as_ref();
-        s.units.clear();
         s.out_load.fill(0);
         s.in_load.fill(0);
         let mut total_bits = 0u64;
         let mut unit_count = 0u64;
-        for ((src, dst), &bits) in links.clone().zip(&s.bit_sizes) {
+        for ((src, dst), &bits) in links.zip(&s.bit_sizes) {
             if src == dst || faults.is_some_and(|f| f.is_crashed(src)) {
                 continue;
             }
@@ -800,55 +760,31 @@ impl Clique {
             s.out_load[src.index()] += k;
             s.in_load[dst.index()] += k;
         }
+        self.record_route(unit_count, total_bits);
+    }
+
+    /// Records one Lemma 1 call of `units` fragment units carrying `bits`
+    /// payload bits, each unit crossing two hops, from the per-node unit
+    /// loads in the scratch tallies. Returns the rounds charged.
+    fn record_route(&mut self, units: u64, bits: u64) -> u64 {
+        let s = &self.scratch;
+        let b = self.bandwidth_bits;
         // The per-node unit loads are exactly the left/right degrees of the
         // demand multigraph, so Δ is their maximum.
         let max_out = s.out_load.iter().copied().max().unwrap_or(0);
         let max_in = s.in_load.iter().copied().max().unwrap_or(0);
-        let delta = max_out.max(max_in);
-        let batches = delta.div_ceil(n as u64);
+        let batches = max_out.max(max_in).div_ceil(self.n as u64);
         let rounds = 2 * batches;
-        // Relay-link load: within one batch each (src, relay) and
-        // (relay, dst) pair carries at most one unit, so the busiest link
-        // carries at most `batches` units of ≤ B bits each. The explicit
-        // König schedule is constructed (and checked) up to a size limit;
-        // beyond it only the degree bound is computed — the coloring's
-        // existence is König's theorem, and its cost (`O(m·Δ)`) is a
-        // simulator-host concern, not a model concern. The unit multiset is
-        // only materialized below the limit.
-        let max_link_units = if unit_count as usize <= EXPLICIT_SCHEDULE_LIMIT {
-            s.units.reserve(unit_count as usize);
-            for ((src, dst), &bits) in links.zip(&s.bit_sizes) {
-                if src == dst || faults.is_some_and(|f| f.is_crashed(src)) {
-                    continue;
-                }
-                let k = bits.div_ceil(self.bandwidth_bits).max(1);
-                for _ in 0..k {
-                    s.units.push((src.index(), dst.index()));
-                }
-            }
-            // The maximum is a function of the submission-ordered unit list
-            // alone, so an unchanged list keeps its last schedule's value.
-            match s.scheduled_max {
-                Some(max) if s.units == s.scheduled_units => max,
-                _ => {
-                    let max = relay_link_max(s, n);
-                    std::mem::swap(&mut s.units, &mut s.scheduled_units);
-                    s.scheduled_max = Some(max);
-                    max
-                }
-            }
-        } else {
-            batches
-        };
         self.metrics.record_comm(
             "route",
             rounds,
-            2 * unit_count,
-            2 * total_bits,
-            max_link_units * self.bandwidth_bits,
-            max_out * self.bandwidth_bits,
-            max_in * self.bandwidth_bits,
+            2 * units,
+            2 * bits,
+            batches * b,
+            max_out * b,
+            max_in * b,
         );
+        rounds
     }
 
     /// One node sends the same payload to every other node.
@@ -986,38 +922,8 @@ impl Clique {
     }
 }
 
-/// Colors `s.units` with the König schedule and returns its busiest relay
-/// link's unit count: color `c` relays through node `c mod n`, so unit
-/// `(src, dst)` occupies links `src → relay` and `relay → dst`.
-fn relay_link_max(s: &mut Scratch, n: usize) -> u64 {
-    let num_colors = color_bipartite_into(&s.units, n, n, &mut s.coloring, &mut s.colors);
-    debug_assert!(is_proper_colors(&s.units, &s.colors, num_colors, n, n));
-    for (i, &(src, dst)) in s.units.iter().enumerate() {
-        let relay = s.colors[i] % n;
-        for link in [src * n + relay, relay * n + dst] {
-            if s.relay_units[link] == 0 {
-                s.touched_relays.push(link);
-            }
-            s.relay_units[link] += 1;
-        }
-    }
-    let max = s
-        .touched_relays
-        .iter()
-        .map(|&l| s.relay_units[l])
-        .max()
-        .unwrap_or(0);
-    for &l in &s.touched_relays {
-        s.relay_units[l] = 0;
-    }
-    s.touched_relays.clear();
-    max
-}
-
 /// The `(src, dst)` link of each send, in submission order.
-fn links_of<T>(
-    sends: &[Envelope<T>],
-) -> impl ExactSizeIterator<Item = (NodeId, NodeId)> + Clone + '_ {
+fn links_of<T>(sends: &[Envelope<T>]) -> impl ExactSizeIterator<Item = (NodeId, NodeId)> + '_ {
     sends.iter().map(|e| (e.src, e.dst))
 }
 

@@ -23,7 +23,10 @@
 //!   `max_node_in_bits`, `calls`, `hist`), driver spans close bare.
 //! * `{"ev":"comm","kind":"route","span":3,"rounds":2,...}` — one
 //!   communication call, attributed to the innermost open span (`span`
-//!   omitted if none was open).
+//!   omitted if none was open). Its `max_link_bits` is the busiest
+//!   `(src, dst)` link's bits for a direct call; for a `route` it is the
+//!   busiest relay link of one hop, `⌈Δ/n⌉·B` for maximum per-node unit
+//!   load `Δ`, so `rounds = 2·max_link_bits/B`.
 //! * `{"ev":"fault","kind":"drop","span":3}` — one injected network fault
 //!   (`drop`, `corrupt`, `duplicate`, or `crash`; see [`crate::FaultPlan`]),
 //!   attributed like a `comm` event. Fault events carry no round charges —
@@ -423,7 +426,8 @@ pub struct CommEvent {
     pub messages: u64,
     /// Bits transmitted.
     pub bits: u64,
-    /// Busiest-link bits of the call.
+    /// Busiest-link bits of the call (one hop's busiest relay link for a
+    /// `route`).
     pub max_link_bits: u64,
     /// Busiest outgoing node bits of the call.
     pub max_node_out_bits: u64,

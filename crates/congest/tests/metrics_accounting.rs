@@ -9,8 +9,10 @@
 use qcc_congest::{Clique, Envelope, Metrics, NodeId, RawBits, Span};
 
 /// Hand-computed: 8 nodes, 16-bit links, every ordered pair sends one
-/// 16-bit payload. Each link carries 2×16 = 32 bits over the 2 Lemma-1
-/// rounds; each node sends/receives 7 messages of 16 bits = 112 bits.
+/// 16-bit payload. Every node sends and receives Δ = 7 units, so Lemma 1
+/// relays them in one batch of 2 rounds and the busiest link of each hop
+/// carries ⌈7/8⌉ = 1 unit of 16 bits; each node sends/receives 7 messages
+/// of 16 bits = 112 bits.
 fn balanced_route(net: &mut Clique) {
     let n = 8;
     let mut sends = Vec::new();
@@ -57,7 +59,7 @@ fn route_phase_max_stats_match_hand_computation() {
     // both hops: 2 × 8 × 7 = 112 messages of 16 bits.
     assert_eq!(p.messages, 112);
     assert_eq!(p.bits, 112 * 16);
-    assert_eq!(p.max_link_bits, 32); // direct + relayed half-share per link
+    assert_eq!(p.max_link_bits, 16); // one unit per link and hop: ⌈Δ/n⌉ = 1
     assert_eq!(p.max_node_out_bits, 7 * 16);
     assert_eq!(p.max_node_in_bits, 7 * 16);
 }

@@ -7,7 +7,15 @@ use qcc_congest::trace::TraceSink;
 use qcc_congest::{Clique, Envelope, FaultPlan, Leg, LinkTally, NodeId, RawBits, ReliableConfig};
 
 proptest! {
-    /// König coloring is always proper and uses exactly Δ colors.
+    /// König coloring is always proper and uses exactly Δ colors, and the
+    /// relay schedule it defines has the closed-form busiest link that
+    /// [`Clique::route`] records. With color `c` relayed through node
+    /// `c mod n`, a link carries units of distinct colors below Δ that
+    /// share one residue mod n, so at most ⌈Δ/n⌉ per hop; a node of degree
+    /// d uses d distinct colors, so one of its links carries at least
+    /// ⌈d/n⌉. The hop on the side of a degree-Δ node therefore peaks at
+    /// exactly ⌈Δ/n⌉ (0 when Δ = 0); the other hop peaks at ⌈d/n⌉ or more
+    /// for its own largest degree d, which may fall below Δ.
     #[test]
     fn coloring_is_proper_and_optimal(
         n in 1usize..12,
@@ -21,6 +29,21 @@ proptest! {
         let coloring = color_bipartite(&edges, n, n);
         prop_assert_eq!(coloring.num_colors, delta);
         prop_assert!(is_proper(&edges, &coloring, n, n));
+
+        let mut out_deg = vec![0usize; n];
+        let mut in_deg = vec![0usize; n];
+        for &(u, v) in &edges {
+            out_deg[u] += 1;
+            in_deg[v] += 1;
+        }
+        let max_out = out_deg.into_iter().max().unwrap_or(0);
+        let max_in = in_deg.into_iter().max().unwrap_or(0);
+        let bound = delta.div_ceil(n);
+        let (hop1, hop2) = hop_maxima(&edges, &coloring.colors, n);
+        // One of max_out and max_in is Δ, which pins its hop to ⌈Δ/n⌉.
+        prop_assert!(max_out.div_ceil(n) <= hop1 && hop1 <= bound);
+        prop_assert!(max_in.div_ceil(n) <= hop2 && hop2 <= bound);
+        prop_assert_eq!(hop1.max(hop2), bound);
     }
 
     /// Direct exchange delivers every message exactly once, in sender order.
@@ -39,9 +62,9 @@ proptest! {
         prop_assert_eq!(inboxes.message_count(), count);
     }
 
-    /// Routed exchange delivers everything and never beats the theoretical
-    /// lower bound of ⌈Δ_bits / (n · B)⌉ rounds, while never exceeding
-    /// 2·⌈Δ_units / n⌉.
+    /// Routed exchange delivers everything in exactly 2·⌈Δ_units / n⌉
+    /// rounds and records one hop's busiest relay link, ⌈Δ_units / n⌉
+    /// units of B bits, as the call's `max_link_bits`.
     #[test]
     fn route_round_bounds(
         n in 2usize..10,
@@ -63,6 +86,7 @@ proptest! {
         prop_assert_eq!(inboxes.message_count(), count);
         let expected = 2 * delta.div_ceil(n as u64);
         prop_assert_eq!(net.rounds(), expected);
+        prop_assert_eq!(net.metrics().max_link_bits(), delta.div_ceil(n as u64) * 16);
     }
 
     /// Gossip gives every node the same global view.
@@ -235,6 +259,58 @@ proptest! {
         prop_assert_eq!(c, m);
     }
 
+    /// Charging a route from a link table ([`Clique::charge_route_tally`])
+    /// records exactly what routing the same fixed-width traffic through
+    /// [`Clique::route`] records — rounds, message count, bit total, phase
+    /// maxima, and the NDJSON comm events — at every size. Per-link counts
+    /// capped at n, 2n or 3n put Δ below, at and above multiples of n, local
+    /// (diagonal) entries are tallied and free on both sides, widths up to
+    /// 4B fragment each message into several units, and a second table
+    /// reuses the warm network.
+    #[test]
+    fn charge_only_route_matches_materialized(
+        n in 1usize..=12,
+        tables in vec((vec((0usize..144, 0usize..37), 0..24), 1usize..4), 2..3),
+        width in 0u64..1024,
+    ) {
+        let mut materialized = Clique::new(n).unwrap();
+        let bits_per_msg = 1 + width % (4 * materialized.bandwidth_bits());
+        let (sink, materialized_trace) = TraceSink::in_memory();
+        materialized.set_trace_sink(sink);
+        let (sink, charged_trace) = TraceSink::in_memory();
+        let mut charged = Clique::new(n).unwrap();
+        charged.set_trace_sink(sink);
+        for (cells, load) in &tables {
+            let mut link_msgs = vec![0u32; n * n];
+            for &(cell, count) in cells {
+                link_msgs[cell % (n * n)] += (count % (load * n + 1)) as u32;
+            }
+            let mut sends = Vec::new();
+            for (link, &count) in link_msgs.iter().enumerate() {
+                let (src, dst) = (NodeId::new(link / n), NodeId::new(link % n));
+                for _ in 0..count {
+                    sends.push(Envelope::new(src, dst, RawBits::new(0, bits_per_msg)));
+                }
+            }
+            materialized.begin_phase("route");
+            let before = materialized.rounds();
+            materialized.route(sends).unwrap();
+            charged.begin_phase("route");
+            let rounds = charged.charge_route_tally(&link_msgs, bits_per_msg);
+            prop_assert_eq!(rounds, materialized.rounds() - before);
+        }
+        materialized.close_all_spans();
+        charged.close_all_spans();
+
+        prop_assert_eq!(charged.rounds(), materialized.rounds());
+        prop_assert_eq!(charged.metrics().total_messages(), materialized.metrics().total_messages());
+        prop_assert_eq!(charged.metrics().total_bits(), materialized.metrics().total_bits());
+        prop_assert_eq!(charged.metrics().phases(), materialized.metrics().phases());
+        let (c, m) = (comm_events(&charged_trace.contents()), comm_events(&materialized_trace.contents()));
+        prop_assert_eq!(c.len(), tables.len());
+        prop_assert_eq!(c, m);
+    }
+
     /// Gossip on a transparent network is charged from the list sizes and
     /// returns one shared view; a network with an inactive envelope (no
     /// fault plan) sends every copy. Both give the same views, rounds,
@@ -288,11 +364,12 @@ proptest! {
         prop_assert_eq!(a, m);
     }
 
-    /// A route that submits the unit list of the last explicit schedule
-    /// reuses its relay maximum. Routing A, A, B, A on one network (B has
-    /// A's unit count and degrees but different pairs), and the same
-    /// traffic before and after a crash silences one of its senders, must
-    /// each charge what the route charges on a fresh network.
+    /// A route's charge is a function of its traffic and the crash state
+    /// alone, never of earlier calls on the same network. Routing A, A, B,
+    /// A on one network (B has A's unit count and degrees but different
+    /// pairs), and the same traffic before and after a crash silences one
+    /// of its senders, must each charge what the route charges on a fresh
+    /// network.
     #[test]
     fn reused_relay_schedules_match_fresh_routes(
         n in 4usize..9,
@@ -369,6 +446,20 @@ proptest! {
             Err(e) => prop_assert!(e.to_string().contains("undelivered")),
         }
     }
+}
+
+/// Units on the busiest hop-1 `(src, relay)` and hop-2 `(relay, dst)` link
+/// when color `c` relays through node `c mod n`.
+fn hop_maxima(edges: &[(usize, usize)], colors: &[usize], n: usize) -> (usize, usize) {
+    let mut hop1 = vec![0usize; n * n];
+    let mut hop2 = vec![0usize; n * n];
+    for (&(src, dst), &c) in edges.iter().zip(colors) {
+        let relay = c % n;
+        hop1[src * n + relay] += 1;
+        hop2[relay * n + dst] += 1;
+    }
+    let busiest = |loads: Vec<usize>| loads.into_iter().max().unwrap_or(0);
+    (busiest(hop1), busiest(hop2))
 }
 
 /// The `comm` events of an NDJSON trace, one line each.

@@ -604,11 +604,10 @@ pub fn gather_weights(
     net.begin_phase("compute-pairs/step1-gather");
 
     if net.is_transparent() {
-        // Charge-only gather: the route's cost (including the explicit
-        // unit coloring below the scheduling limit) depends only on each
-        // message's (src, dst, bits) in submission order, so ship empty
-        // payloads in the exact same order and fill the tables straight
-        // from the graph — the same rows the messages would carry.
+        // Charge-only gather: the route's cost depends only on each
+        // message's (src, dst, bits), so ship empty payloads in the exact
+        // same order and fill the tables straight from the graph — the same
+        // rows the messages would carry.
         let mut sends: Vec<Envelope<Wire<()>>> = Vec::new();
         for (label, (bu, bv, bw)) in inst.triples.triples() {
             let dst = NodeId::new(inst.triples.labeling().node_of(label));

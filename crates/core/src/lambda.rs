@@ -168,11 +168,11 @@ pub fn build_lambda_cover<R: Rng>(
     let wb = weight_bits(inst.weight_magnitude());
     net.begin_phase("compute-pairs/step2-requests");
 
-    // Transparent networks with large routes: both legs carry fixed-width
-    // wires whose contents are pure functions of the instance, so the
-    // routes can be charged from per-link tallies and the kept lists
-    // assembled locally — byte-identical rounds, metrics, and traces.
-    let mut charged = false;
+    // Transparent networks: both legs carry fixed-width wires whose
+    // contents are pure functions of the instance, so the routes are
+    // charged from per-link tallies and the kept lists assembled locally —
+    // byte-identical rounds, metrics, and traces.
+    let mut kept: Vec<Vec<KeptPair>> = vec![Vec::new(); label_count];
     if net.is_transparent() {
         let mut query_links = vec![0u32; n * n];
         for (label, picked) in sampled.iter().enumerate() {
@@ -181,25 +181,16 @@ pub fn build_lambda_cover<R: Rng>(
                 query_links[src * n + u] += 1;
             }
         }
-        if net.charge_route_tally(&query_links, pb).is_some() {
-            net.begin_phase("compute-pairs/step2-responses");
-            // Each reply travels the reverse link of its query.
-            let mut reply_links = vec![0u32; n * n];
-            for owner in 0..n {
-                for asker in 0..n {
-                    reply_links[owner * n + asker] = query_links[asker * n + owner];
-                }
+        net.charge_route_tally(&query_links, pb);
+        net.begin_phase("compute-pairs/step2-responses");
+        // Each reply travels the reverse link of its query.
+        let mut reply_links = vec![0u32; n * n];
+        for owner in 0..n {
+            for asker in 0..n {
+                reply_links[owner * n + asker] = query_links[asker * n + owner];
             }
-            // Replies are wider than queries over the same links, so they
-            // carry at least as many units and stay past the schedule limit.
-            net.charge_route_tally(&reply_links, pb + wb + 2)
-                .expect("reply leg has at least as many units as the charged query leg");
-            charged = true;
         }
-    }
-
-    let mut kept: Vec<Vec<KeptPair>> = vec![Vec::new(); label_count];
-    if charged {
+        net.charge_route_tally(&reply_links, pb + wb + 2);
         // Owner answers computed in place of the routed replies.
         for (label, picked) in sampled.iter().enumerate() {
             for &(u, v) in picked {
