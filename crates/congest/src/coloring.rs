@@ -15,10 +15,7 @@
 //! algorithm: `O(m · Δ)` time, exact `Δ` colors. [`crate::Clique::route`]
 //! does not call it: a route's cost and busiest link are closed forms in
 //! `Δ`. Experiment E13 (`exp_routing`) and the tests build the schedule
-//! with it and check those closed forms. [`color_bipartite_into`] writes
-//! into caller-owned buffers ([`ColoringScratch`]), so repeated colorings
-//! perform no allocation after warm-up; [`color_bipartite`] is the
-//! convenient allocating wrapper.
+//! with it and check those closed forms.
 
 /// An edge of the demand multigraph: `(left, right)` with multiplicity
 /// expressed by repetition.
@@ -34,75 +31,16 @@ pub struct EdgeColoring {
     pub num_colors: usize,
 }
 
-/// Reusable working memory for [`color_bipartite_into`].
-///
-/// Holds the per-(node, color) slot tables and the degree counters. Buffers
-/// grow to the largest instance seen and are then reused, so a long-lived
-/// scratch makes repeated colorings allocation-free.
-#[derive(Clone, Debug, Default)]
-pub struct ColoringScratch {
-    /// Flat `n_left × Δ` slot table: `left_at[u · Δ + c]` is the edge of
-    /// color `c` at left node `u`, or `u32::MAX`. Edge indices are `u32` so
-    /// the tables stay small enough to be cache-resident — the Kempe walk
-    /// is a chain of dependent random accesses into them.
-    left_at: Vec<u32>,
-    /// Flat `n_right × Δ` slot table, as `left_at`.
-    right_at: Vec<u32>,
-    /// Occupancy bitmask mirror of `left_at`, `⌈Δ/64⌉` words per node: bit
-    /// `c` set ⟺ `left_at[u · Δ + c] != u32::MAX`. Lets the free-color
-    /// scan test 64 slots per word instead of one slot per load, without
-    /// changing which color it finds (always the lowest free one).
-    left_mask: Vec<u64>,
-    /// Bitmask mirror of `right_at`, as `left_mask`.
-    right_mask: Vec<u64>,
-    /// Per-left-node lower bound on the first non-full mask word (every
-    /// word strictly below it is `!0`), so the free-color scan skips the
-    /// saturated prefix.
-    left_hint: Vec<usize>,
-    /// Per-right-node first-non-full-word bound, as `left_hint`.
-    right_hint: Vec<usize>,
-    /// `u32` copy of the input edges, halving the walk's lookup footprint.
-    edg: Vec<(u32, u32)>,
-    left_deg: Vec<usize>,
-    right_deg: Vec<usize>,
-}
-
-impl ColoringScratch {
-    /// Creates an empty scratch; buffers are sized lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Computes the maximum degree of the bipartite demand multigraph.
 #[must_use]
 pub fn max_degree(edges: &[DemandEdge], n_left: usize, n_right: usize) -> usize {
-    let mut scratch = ColoringScratch::new();
-    max_degree_into(edges, n_left, n_right, &mut scratch)
-}
-
-/// [`max_degree`] writing its degree counters into reusable scratch.
-pub fn max_degree_into(
-    edges: &[DemandEdge],
-    n_left: usize,
-    n_right: usize,
-    scratch: &mut ColoringScratch,
-) -> usize {
-    scratch.left_deg.clear();
-    scratch.left_deg.resize(n_left, 0);
-    scratch.right_deg.clear();
-    scratch.right_deg.resize(n_right, 0);
+    let mut left_deg = vec![0usize; n_left];
+    let mut right_deg = vec![0usize; n_right];
     for &(u, v) in edges {
-        scratch.left_deg[u] += 1;
-        scratch.right_deg[v] += 1;
+        left_deg[u] += 1;
+        right_deg[v] += 1;
     }
-    scratch
-        .left_deg
-        .iter()
-        .chain(scratch.right_deg.iter())
-        .copied()
-        .max()
-        .unwrap_or(0)
+    left_deg.into_iter().chain(right_deg).max().unwrap_or(0)
 }
 
 /// Properly edge-colors a bipartite multigraph with `Δ` colors.
@@ -126,92 +64,62 @@ pub fn max_degree_into(
 /// assert_eq!(coloring.num_colors, max_degree(&edges, 2, 2));
 /// ```
 pub fn color_bipartite(edges: &[DemandEdge], n_left: usize, n_right: usize) -> EdgeColoring {
-    let mut scratch = ColoringScratch::new();
-    let mut colors = Vec::new();
-    let num_colors = color_bipartite_into(edges, n_left, n_right, &mut scratch, &mut colors);
-    EdgeColoring { colors, num_colors }
-}
-
-/// [`color_bipartite`] writing into caller-owned buffers.
-///
-/// `colors` is cleared and filled with one color per input edge; the number
-/// of colors (the maximum degree `Δ`) is returned. All working memory lives
-/// in `scratch`, so a caller holding both across invocations performs no
-/// allocation once the buffers have grown to the instance size.
-///
-/// # Panics
-///
-/// Panics if an endpoint is out of range.
-pub fn color_bipartite_into(
-    edges: &[DemandEdge],
-    n_left: usize,
-    n_right: usize,
-    scratch: &mut ColoringScratch,
-    colors: &mut Vec<usize>,
-) -> usize {
-    let delta = max_degree_into(edges, n_left, n_right, scratch);
-    colors.clear();
+    let delta = max_degree(edges, n_left, n_right);
     if delta == 0 {
-        return 0;
+        return EdgeColoring {
+            colors: Vec::new(),
+            num_colors: 0,
+        };
     }
     assert!(
         edges.len() < u32::MAX as usize,
         "demand multigraph too large for u32 edge indices"
     );
-    colors.resize(edges.len(), usize::MAX);
+    let mut colors = vec![usize::MAX; edges.len()];
     // at[node · Δ + color] = edge index carrying that color at that node,
-    // or u32::MAX. Flat layout keeps the tables in two contiguous
-    // reusable buffers. The mask tables mirror occupancy one bit per slot;
-    // padding bits at indices ≥ Δ in each node's last word are pre-set so
-    // the free-color scan never selects them.
+    // or u32::MAX. Edge indices are `u32` so the tables stay small enough
+    // to be cache-resident — the Kempe walk is a chain of dependent random
+    // accesses into them. The mask tables mirror occupancy one bit per
+    // slot, `⌈Δ/64⌉` words per node, so the free-color scan tests 64 slots
+    // per word; padding bits at indices ≥ Δ in each node's last word are
+    // pre-set so the scan never selects them. The hints are per-node lower
+    // bounds on the first non-full mask word.
     let words = delta.div_ceil(64);
     let pad = if delta.is_multiple_of(64) {
         0
     } else {
         !0u64 << (delta % 64)
     };
-    scratch.left_at.clear();
-    scratch.left_at.resize(n_left * delta, u32::MAX);
-    scratch.right_at.clear();
-    scratch.right_at.resize(n_right * delta, u32::MAX);
-    scratch.left_mask.clear();
-    scratch.left_mask.resize(n_left * words, 0);
-    scratch.right_mask.clear();
-    scratch.right_mask.resize(n_right * words, 0);
+    let mut left_at = vec![u32::MAX; n_left * delta];
+    let mut right_at = vec![u32::MAX; n_right * delta];
+    let mut left_mask = vec![0u64; n_left * words];
+    let mut right_mask = vec![0u64; n_right * words];
     for u in 0..n_left {
-        scratch.left_mask[u * words + words - 1] = pad;
+        left_mask[u * words + words - 1] = pad;
     }
     for v in 0..n_right {
-        scratch.right_mask[v * words + words - 1] = pad;
+        right_mask[v * words + words - 1] = pad;
     }
-    scratch.left_hint.clear();
-    scratch.left_hint.resize(n_left, 0);
-    scratch.right_hint.clear();
-    scratch.right_hint.resize(n_right, 0);
-    scratch.edg.clear();
-    scratch
-        .edg
-        .extend(edges.iter().map(|&(eu, ev)| (eu as u32, ev as u32)));
-    let left_at = &mut scratch.left_at;
-    let right_at = &mut scratch.right_at;
-    let left_mask = &mut scratch.left_mask;
-    let right_mask = &mut scratch.right_mask;
-    let left_hint = &mut scratch.left_hint;
-    let right_hint = &mut scratch.right_hint;
-    let edg = &scratch.edg;
+    let mut left_hint = vec![0usize; n_left];
+    let mut right_hint = vec![0usize; n_right];
+    // `u32` copy of the input edges, halving the walk's lookup footprint.
+    let edg: Vec<(u32, u32)> = edges
+        .iter()
+        .map(|&(eu, ev)| (eu as u32, ev as u32))
+        .collect();
 
     for (idx, &(u, v)) in edges.iter().enumerate() {
         assert!(u < n_left && v < n_right, "edge endpoint out of range");
-        let a = free_color(left_mask, left_hint, words, u);
-        let b = free_color(right_mask, right_hint, words, v);
+        let a = free_color(&left_mask, &mut left_hint, words, u);
+        let b = free_color(&right_mask, &mut right_hint, words, v);
         debug_assert_eq!(left_at[u * delta + a], u32::MAX);
         debug_assert_eq!(right_at[v * delta + b], u32::MAX);
         if a == b {
             colors[idx] = a;
             left_at[u * delta + a] = idx as u32;
             right_at[v * delta + a] = idx as u32;
-            set_bit(left_mask, words, u, a);
-            set_bit(right_mask, words, v, a);
+            set_bit(&mut left_mask, words, u, a);
+            set_bit(&mut right_mask, words, v, a);
             continue;
         }
         // Make color `a` free at `v` by flipping the (a, b)-alternating path
@@ -229,7 +137,11 @@ pub fn color_bipartite_into(
         let mut want = a;
         let mut steps = 0usize;
         loop {
-            let at: &mut Vec<u32> = if on_right { right_at } else { left_at };
+            let at = if on_right {
+                &mut right_at
+            } else {
+                &mut left_at
+            };
             let slot_w = node * delta + want;
             let e = at[slot_w];
             if e == u32::MAX {
@@ -243,7 +155,7 @@ pub fn color_bipartite_into(
                 // The start node `v` gains color `b` (its `a`-edge flips);
                 // its bit `a` stays set because the final assignment below
                 // re-occupies it.
-                set_bit(right_mask, words, node, b);
+                set_bit(&mut right_mask, words, node, b);
             }
             // The traversed edge had color `want` and flips to the other.
             colors[e as usize] = other;
@@ -258,9 +170,9 @@ pub fn color_bipartite_into(
             // free slot `want`, the only occupancy change besides `v`.
             let other = a + b - want;
             let (at, mask, hint) = if on_right {
-                (&mut *right_at, &mut *right_mask, &mut *right_hint)
+                (&mut right_at, &mut right_mask, &mut right_hint)
             } else {
-                (&mut *left_at, &mut *left_mask, &mut *left_hint)
+                (&mut left_at, &mut left_mask, &mut left_hint)
             };
             at[node * delta + want] = at[node * delta + other];
             at[node * delta + other] = u32::MAX;
@@ -272,11 +184,14 @@ pub fn color_bipartite_into(
         colors[idx] = a;
         left_at[u * delta + a] = idx as u32;
         right_at[v * delta + a] = idx as u32;
-        set_bit(left_mask, words, u, a);
-        set_bit(right_mask, words, v, a);
+        set_bit(&mut left_mask, words, u, a);
+        set_bit(&mut right_mask, words, v, a);
     }
 
-    delta
+    EdgeColoring {
+        colors,
+        num_colors: delta,
+    }
 }
 
 /// First free color at `node`: the lowest zero bit in its occupancy mask.
@@ -321,29 +236,11 @@ pub fn is_proper(
     n_left: usize,
     n_right: usize,
 ) -> bool {
-    is_proper_colors(
-        edges,
-        &coloring.colors,
-        coloring.num_colors,
-        n_left,
-        n_right,
-    )
-}
-
-/// [`is_proper`] over a raw color slice, for callers using
-/// [`color_bipartite_into`].
-#[must_use]
-pub fn is_proper_colors(
-    edges: &[DemandEdge],
-    colors: &[usize],
-    num_colors: usize,
-    n_left: usize,
-    n_right: usize,
-) -> bool {
+    let num_colors = coloring.num_colors;
     let mut left_seen = vec![false; n_left * num_colors.max(1)];
     let mut right_seen = vec![false; n_right * num_colors.max(1)];
     for (idx, &(u, v)) in edges.iter().enumerate() {
-        let c = colors[idx];
+        let c = coloring.colors[idx];
         if c >= num_colors {
             return false;
         }
@@ -417,27 +314,6 @@ mod tests {
             let c = color_bipartite(&edges, n, n);
             assert_eq!(c.num_colors, delta, "trial {trial}");
             assert!(is_proper(&edges, &c, n, n), "trial {trial}");
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_matches_fresh_runs() {
-        let mut rng = StdRng::seed_from_u64(0x5C4A7C);
-        let mut scratch = ColoringScratch::new();
-        let mut colors = Vec::new();
-        for trial in 0..30 {
-            let n = 2 + (trial % 5);
-            let m = rng.gen_range(0..80);
-            let edges: Vec<DemandEdge> = (0..m)
-                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
-                .collect();
-            let reused = color_bipartite_into(&edges, n, n, &mut scratch, &mut colors);
-            let fresh = color_bipartite(&edges, n, n);
-            assert_eq!(reused, fresh.num_colors, "trial {trial}");
-            assert!(
-                is_proper_colors(&edges, &colors, reused, n, n),
-                "trial {trial}"
-            );
         }
     }
 

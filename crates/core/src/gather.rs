@@ -9,12 +9,18 @@
 //! The gathered tables answer the Step-3 checking queries locally:
 //! `min_{w ∈ w} (f(u, w) + f(w, v)) < −f(u, v)` iff some apex in `w`
 //! completes a negative triangle with `{u, v}`.
+//!
+//! A materialized gather fills every triple's tables from its inboxes. On
+//! a transparent network the rows a triple receives are by construction
+//! the graph's weights, so the gather only charges the route and each
+//! triple's tables are filled from the graph on their first read. The
+//! charge-only quantum Step 3 reads none of them.
 
 use crate::instance::Instance;
 use crate::wire::{weight_bits, Wire};
 use crate::ApspError;
 use qcc_congest::{Clique, CongestError, Envelope, NodeId};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 
 /// Sentinel: the cell was computed and no apex edge pair exists.
 const NO_APEX: i64 = i64::MAX - 1;
@@ -52,13 +58,57 @@ struct LabelGeom {
     v_end: u32,
 }
 
+/// The weight tables one triple `(u, v, w)` loads in Step 1.
+#[derive(Clone, Debug)]
+struct LabelTables {
+    /// `uw[i * |w| + j] = f(u_i, w_j)` for `u_i ∈ u`, `w_j ∈ w`.
+    uw: Vec<Option<i64>>,
+    /// `wv[j * |v| + l] = f(w_j, v_l)` for `w_j ∈ w`, `v_l ∈ v`.
+    wv: Vec<Option<i64>>,
+}
+
+impl LabelTables {
+    /// All-absent tables sized for `label`'s blocks.
+    fn empty(inst: &Instance<'_>, label: usize) -> Self {
+        let (bu, bv, bw) = inst.triples.decode(label);
+        let wlen = inst.parts.fine.block(bw).len();
+        LabelTables {
+            uw: vec![None; inst.parts.coarse.block(bu).len() * wlen],
+            wv: vec![None; wlen * inst.parts.coarse.block(bv).len()],
+        }
+    }
+
+    /// The tables a transparent gather delivers to `label`: the graph's
+    /// weights, row for row.
+    fn from_graph(inst: &Instance<'_>, label: usize) -> Self {
+        let (bu, bv, bw) = inst.triples.decode(label);
+        let wblock = inst.parts.fine.block(bw);
+        let mut t = Self::empty(inst, label);
+        for (i, a) in inst.parts.coarse.block(bu).enumerate() {
+            let row = &mut t.uw[i * wblock.len()..(i + 1) * wblock.len()];
+            for (cell, w) in row.iter_mut().zip(wblock.clone()) {
+                *cell = inst.graph.weight(a, w).finite();
+            }
+        }
+        let vblock = inst.parts.coarse.block(bv);
+        let vlen = vblock.len();
+        for (j, w) in wblock.enumerate() {
+            let row = &mut t.wv[j * vlen..(j + 1) * vlen];
+            for (cell, b) in row.iter_mut().zip(vblock.clone()) {
+                *cell = inst.graph.weight(w, b).finite();
+            }
+        }
+        t
+    }
+}
+
 /// The per-triple weight tables loaded in Step 1.
 #[derive(Clone, Debug)]
 pub struct GatheredWeights {
-    /// `uw[label][i * |w| + j] = f(u_i, w_j)` for `u_i ∈ u`, `w_j ∈ w`.
-    uw: Vec<Vec<Option<i64>>>,
-    /// `wv[label][j * |v| + l] = f(w_j, v_l)` for `w_j ∈ w`, `v_l ∈ v`.
-    wv: Vec<Vec<Option<i64>>>,
+    /// One cell per triple label. A materialized gather fills every cell
+    /// from the inboxes; after a transparent gather the cells start empty
+    /// and each is filled from the graph on its label's first read.
+    tables: Vec<OnceCell<LabelTables>>,
     /// Bumped on every table mutation; the census cache checks it.
     version: u64,
     /// Lazily filled oracle-census memo (interior mutability so lookups
@@ -67,6 +117,26 @@ pub struct GatheredWeights {
 }
 
 impl GatheredWeights {
+    /// The tables of `label`, filled from the graph on first read if the
+    /// gather left them empty.
+    fn label_tables(&self, inst: &Instance<'_>, label: usize) -> &LabelTables {
+        self.tables[label].get_or_init(|| LabelTables::from_graph(inst, label))
+    }
+
+    /// [`GatheredWeights::label_tables`] for a mutation.
+    fn label_tables_mut(&mut self, inst: &Instance<'_>, label: usize) -> &mut LabelTables {
+        self.label_tables(inst, label);
+        self.tables[label]
+            .get_mut()
+            .expect("filled by label_tables")
+    }
+
+    /// How many labels' tables are filled.
+    #[cfg(test)]
+    fn filled_labels(&self) -> usize {
+        self.tables.iter().filter(|t| t.get().is_some()).count()
+    }
+
     /// Looks up `f(u, w)` in the tables of `label`.
     ///
     /// # Panics
@@ -80,7 +150,7 @@ impl GatheredWeights {
         assert!(ublock.contains(&u) && wblock.contains(&w));
         let i = u - ublock.start;
         let j = w - wblock.start;
-        self.uw[label][i * wblock.len() + j]
+        self.label_tables(inst, label).uw[i * wblock.len() + j]
     }
 
     /// Looks up `f(w, v)` in the tables of `label`.
@@ -96,7 +166,7 @@ impl GatheredWeights {
         assert!(vblock.contains(&v) && wblock.contains(&w));
         let j = w - wblock.start;
         let l = v - vblock.start;
-        self.wv[label][j * vblock.len() + l]
+        self.label_tables(inst, label).wv[j * vblock.len() + l]
     }
 
     /// `min_{w ∈ w} (f(u, w) + f(w, v))` over existing apex edges, using
@@ -131,6 +201,7 @@ impl GatheredWeights {
         let i = su - ublock.start;
         let l = sv - vblock.start;
         let wlen = wblock.len();
+        let t = self.label_tables(inst, label);
         let mut best: Option<i64> = None;
         for j in 0..wlen {
             // Skip the degenerate "apexes" equal to an endpoint.
@@ -138,10 +209,7 @@ impl GatheredWeights {
             if w == su || w == sv {
                 continue;
             }
-            if let (Some(a), Some(b)) = (
-                self.uw[label][i * wlen + j],
-                self.wv[label][j * vblock.len() + l],
-            ) {
+            if let (Some(a), Some(b)) = (t.uw[i * wlen + j], t.wv[j * vblock.len() + l]) {
                 let sum = a + b;
                 best = Some(best.map_or(sum, |cur: i64| cur.min(sum)));
             }
@@ -228,10 +296,10 @@ impl GatheredWeights {
             cache.version = self.version;
         }
         if cache.tables.is_empty() {
-            cache.tables.resize(self.uw.len(), Vec::new());
+            cache.tables.resize(self.tables.len(), Vec::new());
         }
-        if cache.geom.len() != self.uw.len() {
-            cache.geom = (0..self.uw.len())
+        if cache.geom.len() != self.tables.len() {
+            cache.geom = (0..self.tables.len())
                 .map(|l| {
                     let (bu, bv, _bw) = inst.triples.decode(l);
                     let ublock = inst.parts.coarse.block(bu);
@@ -375,7 +443,8 @@ impl GatheredWeights {
                 }
             })
         };
-        let (Some(a), Some(b)) = (encode(&self.uw[label]), encode(&self.wv[label])) else {
+        let t = self.label_tables(inst, label);
+        let (Some(a), Some(b)) = (encode(&t.uw), encode(&t.wv)) else {
             let mut table = vec![NO_APEX; ulen * vlen];
             for i in 0..ulen {
                 for l in 0..vlen {
@@ -431,8 +500,9 @@ impl GatheredWeights {
         })
     }
 
-    /// Overwrites `f(u, w)` in the tables of `label`, invalidating the
-    /// oracle-census cache (the solution sets may have changed).
+    /// Overwrites `f(u, w)` in the tables of `label` (filling them first if
+    /// they were never read), invalidating the oracle-census cache (the
+    /// solution sets may have changed).
     ///
     /// # Panics
     ///
@@ -452,12 +522,12 @@ impl GatheredWeights {
         assert!(ublock.contains(&u) && wblock.contains(&w));
         let i = u - ublock.start;
         let j = w - wblock.start;
-        self.uw[label][i * wblock.len() + j] = weight;
+        self.label_tables_mut(inst, label).uw[i * wblock.len() + j] = weight;
         self.version += 1;
     }
 
-    /// Overwrites `f(w, v)` in the tables of `label`, invalidating the
-    /// oracle-census cache.
+    /// Overwrites `f(w, v)` in the tables of `label` (filling them first if
+    /// they were never read), invalidating the oracle-census cache.
     ///
     /// # Panics
     ///
@@ -477,7 +547,7 @@ impl GatheredWeights {
         assert!(vblock.contains(&v) && wblock.contains(&w));
         let j = w - wblock.start;
         let l = v - vblock.start;
-        self.wv[label][j * vblock.len() + l] = weight;
+        self.label_tables_mut(inst, label).wv[j * vblock.len() + l] = weight;
         self.version += 1;
     }
 
@@ -606,8 +676,8 @@ pub fn gather_weights(
     if net.is_transparent() {
         // Charge-only gather: the route's cost depends only on each
         // message's (src, dst, bits), so ship empty payloads in the exact
-        // same order and fill the tables straight from the graph — the same
-        // rows the messages would carry.
+        // same order. The rows the messages would carry are the graph's
+        // weights, so every triple's tables are left to fill on first read.
         let mut sends: Vec<Envelope<Wire<()>>> = Vec::new();
         for (label, (bu, bv, bw)) in inst.triples.triples() {
             let dst = NodeId::new(inst.triples.labeling().node_of(label));
@@ -620,31 +690,11 @@ pub fn gather_weights(
             }
         }
         net.route(sends)?;
-
         let label_count = inst.triples.labeling().label_count();
-        let mut uw: Vec<Vec<Option<i64>>> = Vec::with_capacity(label_count);
-        let mut wv: Vec<Vec<Option<i64>>> = Vec::with_capacity(label_count);
-        for (_label, (bu, bv, bw)) in inst.triples.triples() {
-            let wblock = inst.parts.fine.block(bw);
-            let wlen = wblock.len();
-            let mut uw_t = Vec::with_capacity(inst.parts.coarse.block(bu).len() * wlen);
-            for a in inst.parts.coarse.block(bu) {
-                uw_t.extend(wblock.clone().map(|w| inst.graph.weight(a, w).finite()));
-            }
-            let vblock = inst.parts.coarse.block(bv);
-            let vlen = vblock.len();
-            let mut wv_t = vec![None; wlen * vlen];
-            for (l, b) in vblock.clone().enumerate() {
-                for (j, w) in wblock.clone().enumerate() {
-                    wv_t[j * vlen + l] = inst.graph.weight(w, b).finite();
-                }
-            }
-            uw.push(uw_t);
-            wv.push(wv_t);
-        }
         return Ok(GatheredWeights {
-            uw,
-            wv,
+            tables: std::iter::repeat_with(OnceCell::new)
+                .take(label_count)
+                .collect(),
             version: 0,
             cache: RefCell::new(CensusCache::default()),
         });
@@ -683,39 +733,33 @@ pub fn gather_weights(
     }
     let boxes = net.route(sends)?;
 
-    let label_count = inst.triples.labeling().label_count();
-    let mut uw: Vec<Vec<Option<i64>>> = Vec::with_capacity(label_count);
-    let mut wv: Vec<Vec<Option<i64>>> = Vec::with_capacity(label_count);
-    for (label, (bu, bv, bw)) in inst.triples.triples() {
-        let wlen = inst.parts.fine.block(bw).len();
-        uw.push(vec![None; inst.parts.coarse.block(bu).len() * wlen]);
-        wv.push(vec![None; wlen * inst.parts.coarse.block(bv).len()]);
-        let _ = label;
-    }
+    let mut tables: Vec<LabelTables> = (0..inst.triples.labeling().label_count())
+        .map(|label| LabelTables::empty(inst, label))
+        .collect();
     for host in NodeId::all(n) {
         for (_src, msg) in boxes.of(host) {
             let (label, side, vertex, row) = &msg.value;
             let (bu, bv, bw) = inst.triples.decode(*label);
             debug_assert_eq!(inst.triples.labeling().node_of(*label), host.index());
             let wlen = inst.parts.fine.block(bw).len();
+            let t = &mut tables[*label];
             if *side == 0 {
                 let i = vertex - inst.parts.coarse.block(bu).start;
                 for (j, w) in row.iter().enumerate() {
-                    uw[*label][i * wlen + j] = *w;
+                    t.uw[i * wlen + j] = *w;
                 }
             } else {
                 let l = vertex - inst.parts.coarse.block(bv).start;
                 let vlen = inst.parts.coarse.block(bv).len();
                 for (j, w) in row.iter().enumerate() {
-                    wv[*label][j * vlen + l] = *w;
+                    t.wv[j * vlen + l] = *w;
                 }
             }
         }
     }
 
     Ok(GatheredWeights {
-        uw,
-        wv,
+        tables: tables.into_iter().map(OnceCell::from).collect(),
         version: 0,
         cache: RefCell::new(CensusCache::default()),
     })
@@ -816,6 +860,45 @@ mod tests {
         assert_eq!(
             gathered.check_negative(&inst, label, 0, 1, f_uv).unwrap(),
             census
+        );
+    }
+
+    #[test]
+    fn charge_only_quantum_step3_fills_no_table() {
+        use crate::identify_class::identify_class_with_retry;
+        use crate::lambda::build_lambda_cover_with_retry;
+        use crate::step3::{run_step3_classical, run_step3_quantum};
+        let (g, s) = setup(16, 55);
+        let inst = Instance::new(&g, &s, Params::scaled());
+        let mut net = Clique::new(16).unwrap();
+        let mut rng = StdRng::seed_from_u64(56);
+        let gathered = gather_weights(&inst, &mut net).unwrap();
+        assert_eq!(gathered.filled_labels(), 0, "nothing is filled up front");
+        let cover = build_lambda_cover_with_retry(&inst, &mut net, 30, &mut rng).unwrap();
+        let classes = identify_class_with_retry(&inst, &mut net, 30, &mut rng).unwrap();
+        let out =
+            run_step3_quantum(&inst, &mut net, &cover, &gathered, &classes, &mut rng).unwrap();
+        assert!(out.stats.searches > 0, "the searches ran");
+        assert_eq!(
+            gathered.filled_labels(),
+            0,
+            "charge-only Step 3 reads no table"
+        );
+        // The classical Step 3 answers from the tables, filling them as it reads.
+        run_step3_classical(&inst, &mut net, &cover, &gathered).unwrap();
+        assert!(gathered.filled_labels() > 0);
+    }
+
+    #[test]
+    fn materialized_gather_fills_every_table() {
+        let (g, s) = setup(16, 57);
+        let inst = Instance::new(&g, &s, Params::scaled());
+        let mut net = Clique::new(16).unwrap();
+        net.set_reliable_delivery(qcc_congest::ReliableConfig::default());
+        let gathered = gather_weights(&inst, &mut net).unwrap();
+        assert_eq!(
+            gathered.filled_labels(),
+            inst.triples.labeling().label_count()
         );
     }
 

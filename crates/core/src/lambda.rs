@@ -9,6 +9,13 @@
 //! After sampling, each node loads the weight `f(u, v)` of its sampled
 //! pairs from the pair owners and keeps only the pairs that are edges of
 //! `G` *and* members of `S` — these become its search list for Step 3.
+//!
+//! The simulator holds one universe `P(u, v)` per unordered coarse block
+//! pair and every set as indices into its universe. When the probability
+//! clamps to 1, as it does at every size E1 runs, each `Λ_x(u, v)` is its
+//! whole universe and no randomness is drawn: the labels of one universe
+//! then share one set, and the balance check, the per-owner request
+//! counts and the kept list are computed once for it.
 
 use crate::instance::Instance;
 use crate::sampling::sample_indices;
@@ -31,11 +38,11 @@ pub struct KeptPair {
 /// The constructed covering with its per-label search lists.
 #[derive(Clone, Debug)]
 pub struct LambdaCover {
-    /// Kept pairs (edges of `G` in `S`) per search label.
+    /// Kept pairs (edges of `G` in `S`) per search label, sorted.
     pub kept: Vec<Vec<KeptPair>>,
-    /// Raw sampled pairs per search label (before the `S`/edge filter),
-    /// kept for the Lemma 2 statistics.
-    pub sampled: Vec<Vec<(usize, usize)>>,
+    /// Per search label: how many pairs it sampled (before the `S`/edge
+    /// filter), for the Lemma 2 statistics.
+    pub sampled: Vec<usize>,
 }
 
 impl LambdaCover {
@@ -74,13 +81,162 @@ pub enum LambdaAttempt {
     /// Some `Λ_x(u, v)` violated the balance cap; the protocol aborted
     /// after the (charged) abort consensus, before any weight loading.
     Aborted {
-        /// The violating search label.
+        /// The first violating search label, in label order.
         label: usize,
-        /// The observed per-vertex partner count.
+        /// The partner count of the vertex that first exceeded the cap
+        /// while the label's pairs were counted in order: the smallest
+        /// count above `cap`, i.e. `⌊cap⌋ + 1` for a nonnegative cap.
         observed: usize,
         /// The cap that was exceeded.
         cap: f64,
     },
+}
+
+/// Position of the unordered coarse block pair `{a, b}` in the list of
+/// [`pair_universes`].
+fn universe_slot(a: usize, b: usize) -> usize {
+    let (lo, hi) = (a.min(b), a.max(b));
+    hi * (hi + 1) / 2 + lo
+}
+
+/// `P(a, b)` of every unordered coarse block pair, at its
+/// [`universe_slot`]: `(min, max)` pairs in increasing order.
+fn pair_universes(inst: &Instance<'_>) -> Vec<Vec<(usize, usize)>> {
+    let q = inst.parts.coarse.num_blocks();
+    (0..q)
+        .flat_map(|hi| (0..=hi).map(move |lo| inst.parts.coarse.pair_set(lo, hi)))
+        .collect()
+}
+
+/// The sets `Λ_x(u, v)` of one covering, each held once as indices into
+/// its universe, with every search label pointing at its own.
+struct Samples {
+    /// Per distinct set: its universe's slot and its indices, increasing.
+    sets: Vec<(usize, Vec<usize>)>,
+    /// Per search label: the position of its set in `sets`.
+    set_of: Vec<usize>,
+}
+
+impl Samples {
+    /// Draws every label's set with probability `p`, in label order.
+    ///
+    /// At `p = 1`, [`sample_indices`] draws nothing and returns the whole
+    /// universe, so one call per universe stands for all of its labels,
+    /// which then share that set.
+    fn draw<R: Rng>(
+        inst: &Instance<'_>,
+        universes: &[Vec<(usize, usize)>],
+        p: f64,
+        rng: &mut R,
+    ) -> Self {
+        let slots = inst
+            .searches
+            .triples()
+            .map(|(_, (bu, bv, _x))| universe_slot(bu, bv));
+        if p >= 1.0 {
+            let sets = universes
+                .iter()
+                .enumerate()
+                .map(|(k, pairs)| (k, sample_indices(pairs.len(), p, rng)))
+                .collect();
+            return Samples {
+                sets,
+                set_of: slots.collect(),
+            };
+        }
+        Self::per_label(
+            slots
+                .map(|k| (k, sample_indices(universes[k].len(), p, rng)))
+                .collect(),
+        )
+    }
+
+    /// One set per search label, given in label order.
+    fn per_label(sets: Vec<(usize, Vec<usize>)>) -> Self {
+        Samples {
+            set_of: (0..sets.len()).collect(),
+            sets,
+        }
+    }
+
+    /// `f(universe slot, indices)` of every distinct set.
+    fn per_set<T>(&self, mut f: impl FnMut(usize, &[usize]) -> T) -> Vec<T> {
+        self.sets.iter().map(|(k, picked)| f(*k, picked)).collect()
+    }
+}
+
+/// Well-balancedness of one set: counts each vertex's partners over the
+/// picked pairs in order and returns the count at which a vertex first
+/// exceeds `cap`, or `None` if none does. `counts` is all zero on entry
+/// and is left all zero.
+fn first_crossing(
+    pairs: &[(usize, usize)],
+    picked: &[usize],
+    cap: f64,
+    counts: &mut [usize],
+    touched: &mut Vec<usize>,
+) -> Option<usize> {
+    let mut crossing = None;
+    'scan: for &i in picked {
+        let (a, b) = pairs[i];
+        for endpoint in [a, b] {
+            let count = &mut counts[endpoint];
+            if *count == 0 {
+                touched.push(endpoint);
+            }
+            *count += 1;
+            if (*count as f64) > cap {
+                crossing = Some(*count);
+                break 'scan;
+            }
+        }
+    }
+    for &endpoint in touched.iter() {
+        counts[endpoint] = 0;
+    }
+    touched.clear();
+    crossing
+}
+
+/// The requests one set sends to each pair owner (the smaller endpoint),
+/// as `(owner, requests)` in increasing owner order: a universe is
+/// sorted, so one owner's pairs are consecutive.
+fn owner_requests(pairs: &[(usize, usize)], picked: &[usize]) -> Vec<(usize, u32)> {
+    let mut runs: Vec<(usize, u32)> = Vec::new();
+    for &i in picked {
+        let owner = pairs[i].0;
+        match runs.last_mut() {
+            Some((o, count)) if *o == owner => *count += 1,
+            _ => runs.push((owner, 1)),
+        }
+    }
+    runs
+}
+
+/// The owner's answer to a Step-2 request for `{u, v}`: the pair's weight
+/// if it is an edge of `G` in `S`, else nothing.
+fn owner_answer(inst: &Instance<'_>, u: usize, v: usize) -> Option<i64> {
+    if inst.in_s(u, v) {
+        inst.graph.weight(u, v).finite()
+    } else {
+        None
+    }
+}
+
+/// The kept list of one set, given its universe's owner answers: in
+/// universe order, hence sorted.
+fn kept_pairs(
+    pairs: &[(usize, usize)],
+    answers: &[Option<i64>],
+    picked: &[usize],
+) -> Vec<KeptPair> {
+    picked
+        .iter()
+        .filter_map(|&i| {
+            let (u, v) = pairs[i];
+            answers[i].map(|weight| KeptPair { u, v, weight })
+        })
+        .collect()
 }
 
 /// Runs Step 2 of ComputePairs once: sample the coverings, check balance,
@@ -97,63 +253,29 @@ pub fn build_lambda_cover<R: Rng>(
     let n = inst.n();
     let p = inst.params.lambda_probability(n);
     let cap = inst.params.balance_cap(n);
-    let label_count = inst.searches.labeling().label_count();
+    let universes = pair_universes(inst);
+    let samples = Samples::draw(inst, &universes, p, rng);
 
-    // Pair universes are shared across the √n labels of each (u, v).
-    let q = inst.parts.coarse.num_blocks();
-    let mut pair_universe: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
-    for bu in 0..q {
-        for bv in bu..q {
-            pair_universe.insert((bu, bv), inst.parts.coarse.pair_set(bu, bv));
-        }
-    }
-    let universe_of = |bu: usize, bv: usize| -> &Vec<(usize, usize)> {
-        pair_universe
-            .get(&(bu.min(bv), bu.max(bv)))
-            .expect("universe precomputed for every block pair")
-    };
-
-    let mut sampled: Vec<Vec<(usize, usize)>> = Vec::with_capacity(label_count);
-    let mut violation: Option<(usize, usize)> = None; // (label, observed)
-    let mut flags = vec![false; n];
-    // Well-balancedness counters, reused across labels (only the touched
-    // entries are reset between labels).
-    let mut per_vertex = vec![0usize; n];
+    // Well-balancedness: every vertex of the coarse blocks appears with at
+    // most `cap` partners inside each Λ_x(u, v). The first violating label
+    // raises its node's flag.
+    let mut counts = vec![0usize; n];
     let mut touched: Vec<usize> = Vec::new();
-    for (label, (bu, bv, _x)) in inst.searches.triples() {
-        let universe = universe_of(bu, bv);
-        let picked: Vec<(usize, usize)> = sample_indices(universe.len(), p, rng)
-            .into_iter()
-            .map(|i| universe[i])
-            .collect();
-        // Well-balancedness: every vertex of the coarse blocks appears with
-        // at most `cap` partners inside this Λ_x(u, v).
-        for &(a, b) in &picked {
-            for endpoint in [a, b] {
-                let count = &mut per_vertex[endpoint];
-                if *count == 0 {
-                    touched.push(endpoint);
-                }
-                *count += 1;
-                if (*count as f64) > cap && violation.is_none() {
-                    violation = Some((label, *count));
-                }
-            }
-        }
-        for &endpoint in &touched {
-            per_vertex[endpoint] = 0;
-        }
-        touched.clear();
-        if violation.map(|(l, _)| l) == Some(label) {
-            flags[inst.searches.labeling().node_of(label)] = true;
-        }
-        sampled.push(picked);
+    let crossings = samples
+        .per_set(|k, picked| first_crossing(&universes[k], picked, cap, &mut counts, &mut touched));
+    let violation = samples
+        .set_of
+        .iter()
+        .enumerate()
+        .find_map(|(label, &set)| crossings[set].map(|observed| (label, observed)));
+    let mut flags = vec![false; n];
+    if let Some((label, _)) = violation {
+        flags[inst.searches.labeling().node_of(label)] = true;
     }
     // Abort consensus (the paper's "the protocol is aborted" needs every
     // node to learn the flag): one gather-and-broadcast, charged.
     net.begin_phase("compute-pairs/step2-abort-consensus");
-    let any_violation = net.agree_any(&flags)?;
-    if any_violation {
+    if net.agree_any(&flags)? {
         let (label, observed) = violation.expect("flag implies a recorded violation");
         return Ok(LambdaAttempt::Aborted {
             label,
@@ -161,24 +283,42 @@ pub fn build_lambda_cover<R: Rng>(
             cap,
         });
     }
+    Ok(LambdaAttempt::Balanced(load_weights(
+        inst, net, &universes, &samples,
+    )?))
+}
 
-    // Weight loading: each search node asks the owner (smaller endpoint) of
-    // every sampled pair for the weight, edge existence, and S-membership.
+/// Weight loading: each search node asks the owner (smaller endpoint) of
+/// every sampled pair for the weight, edge existence, and S-membership,
+/// and keeps the pairs that are edges of `G` in `S`.
+fn load_weights(
+    inst: &Instance<'_>,
+    net: &mut Clique,
+    universes: &[Vec<(usize, usize)>],
+    samples: &Samples,
+) -> Result<LambdaCover, CongestError> {
+    let n = inst.n();
+    let labels = inst.searches.labeling();
     let pb = pair_bits(n);
     let wb = weight_bits(inst.weight_magnitude());
+    let sampled = samples
+        .set_of
+        .iter()
+        .map(|&set| samples.sets[set].1.len())
+        .collect();
     net.begin_phase("compute-pairs/step2-requests");
 
     // Transparent networks: both legs carry fixed-width wires whose
     // contents are pure functions of the instance, so the routes are
     // charged from per-link tallies and the kept lists assembled locally —
     // byte-identical rounds, metrics, and traces.
-    let mut kept: Vec<Vec<KeptPair>> = vec![Vec::new(); label_count];
     if net.is_transparent() {
+        let owners = samples.per_set(|k, picked| owner_requests(&universes[k], picked));
         let mut query_links = vec![0u32; n * n];
-        for (label, picked) in sampled.iter().enumerate() {
-            let src = inst.searches.labeling().node_of(label);
-            for &(u, _v) in picked {
-                query_links[src * n + u] += 1;
+        for (label, &set) in samples.set_of.iter().enumerate() {
+            let src = labels.node_of(label);
+            for &(owner, requests) in &owners[set] {
+                query_links[src * n + owner] += requests;
             }
         }
         net.charge_route_tally(&query_links, pb);
@@ -191,66 +331,72 @@ pub fn build_lambda_cover<R: Rng>(
             }
         }
         net.charge_route_tally(&reply_links, pb + wb + 2);
-        // Owner answers computed in place of the routed replies.
-        for (label, picked) in sampled.iter().enumerate() {
-            for &(u, v) in picked {
-                if !inst.in_s(u, v) {
-                    continue;
-                }
-                if let Some(w) = inst.graph.weight(u, v).finite() {
-                    kept[label].push(KeptPair { u, v, weight: w });
-                }
-            }
-        }
-    } else {
-        let mut requests: Vec<Envelope<Wire<(usize, usize, usize)>>> = Vec::new();
-        for (label, picked) in sampled.iter().enumerate() {
-            let src = NodeId::new(inst.searches.labeling().node_of(label));
-            for &(u, v) in picked {
-                requests.push(Envelope::new(
-                    src,
-                    NodeId::new(u),
-                    Wire::new((label, u, v), pb),
-                ));
-            }
-        }
-        let request_boxes = net.route(requests)?;
+        // Owner answers computed in place of the routed replies, once per
+        // universe pair.
+        let answers: Vec<Vec<Option<i64>>> = universes
+            .iter()
+            .map(|pairs| {
+                pairs
+                    .iter()
+                    .map(|&(u, v)| owner_answer(inst, u, v))
+                    .collect()
+            })
+            .collect();
+        let kept_sets = samples.per_set(|k, picked| kept_pairs(&universes[k], &answers[k], picked));
+        let kept = samples
+            .set_of
+            .iter()
+            .map(|&set| kept_sets[set].clone())
+            .collect();
+        return Ok(LambdaCover { kept, sampled });
+    }
 
-        net.begin_phase("compute-pairs/step2-responses");
-        let mut responses: Vec<Envelope<Wire<(usize, usize, usize, Option<i64>, bool)>>> =
-            Vec::new();
-        for owner in NodeId::all(n) {
-            for (asker, msg) in request_boxes.of(owner) {
-                let (label, u, v) = msg.value;
-                debug_assert_eq!(u, owner.index(), "pair owner mismatch");
-                let weight = inst.graph.weight(u, v).finite();
-                let in_s = inst.in_s(u, v);
-                responses.push(Envelope::new(
-                    owner,
-                    *asker,
-                    Wire::new((label, u, v, weight, in_s), pb + wb + 2),
-                ));
-            }
+    let mut requests: Vec<Envelope<Wire<(usize, usize, usize)>>> = Vec::new();
+    for (label, &set) in samples.set_of.iter().enumerate() {
+        let src = NodeId::new(labels.node_of(label));
+        let (k, picked) = &samples.sets[set];
+        for &i in picked {
+            let (u, v) = universes[*k][i];
+            requests.push(Envelope::new(
+                src,
+                NodeId::new(u),
+                Wire::new((label, u, v), pb),
+            ));
         }
-        let response_boxes = net.route(responses)?;
+    }
+    let request_boxes = net.route(requests)?;
 
-        for node in NodeId::all(n) {
-            for (_owner, msg) in response_boxes.of(node) {
-                let (label, u, v, weight, in_s) = msg.value;
-                debug_assert_eq!(inst.searches.labeling().node_of(label), node.index());
-                if let (Some(w), true) = (weight, in_s) {
-                    kept[label].push(KeptPair { u, v, weight: w });
-                }
+    net.begin_phase("compute-pairs/step2-responses");
+    let mut responses: Vec<Envelope<Wire<(usize, usize, usize, Option<i64>)>>> = Vec::new();
+    for owner in NodeId::all(n) {
+        for (asker, msg) in request_boxes.of(owner) {
+            let (label, u, v) = msg.value;
+            debug_assert_eq!(u, owner.index(), "pair owner mismatch");
+            responses.push(Envelope::new(
+                owner,
+                *asker,
+                Wire::new((label, u, v, owner_answer(inst, u, v)), pb + wb + 2),
+            ));
+        }
+    }
+    let response_boxes = net.route(responses)?;
+
+    let mut kept: Vec<Vec<KeptPair>> = vec![Vec::new(); labels.label_count()];
+    for node in NodeId::all(n) {
+        for (_owner, msg) in response_boxes.of(node) {
+            let (label, u, v, answer) = msg.value;
+            debug_assert_eq!(labels.node_of(label), node.index());
+            if let Some(weight) = answer {
+                kept[label].push(KeptPair { u, v, weight });
             }
         }
     }
-    // Per-label keys are distinct, so the sorted lists are identical no
-    // matter which path filled them.
+    // Per-label keys are distinct, so the sorted lists are identical to
+    // the transparent path's universe-ordered ones.
     for list in &mut kept {
         list.sort_by_key(|kp| (kp.u, kp.v));
     }
-
-    Ok(LambdaAttempt::Balanced(LambdaCover { kept, sampled }))
+    Ok(LambdaCover { kept, sampled })
 }
 
 /// Builds a *deterministic* covering instead of the randomized one: each
@@ -271,62 +417,21 @@ pub fn build_deterministic_cover(
     inst: &Instance<'_>,
     net: &mut Clique,
 ) -> Result<LambdaCover, CongestError> {
-    let n = inst.n();
     let s = inst.parts.fine.num_blocks();
-    let label_count = inst.searches.labeling().label_count();
-    let mut sampled: Vec<Vec<(usize, usize)>> = vec![Vec::new(); label_count];
-    for (label, (bu, bv, x)) in inst.searches.triples() {
-        let universe = inst.parts.coarse.pair_set(bu, bv);
-        let chunk = universe.len().div_ceil(s);
-        let start = (x * chunk).min(universe.len());
-        let end = ((x + 1) * chunk).min(universe.len());
-        sampled[label] = universe[start..end].to_vec();
-    }
-
-    // Weight loading, identical to the randomized path.
-    let pb = pair_bits(n);
-    let wb = weight_bits(inst.weight_magnitude());
-    net.begin_phase("compute-pairs/step2-requests");
-    let mut requests: Vec<Envelope<Wire<(usize, usize, usize)>>> = Vec::new();
-    for (label, picked) in sampled.iter().enumerate() {
-        let src = NodeId::new(inst.searches.labeling().node_of(label));
-        for &(u, v) in picked {
-            requests.push(Envelope::new(
-                src,
-                NodeId::new(u),
-                Wire::new((label, u, v), pb),
-            ));
-        }
-    }
-    let request_boxes = net.route(requests)?;
-    net.begin_phase("compute-pairs/step2-responses");
-    let mut responses: Vec<Envelope<Wire<(usize, usize, usize, Option<i64>, bool)>>> = Vec::new();
-    for owner in NodeId::all(n) {
-        for (asker, msg) in request_boxes.of(owner) {
-            let (label, u, v) = msg.value;
-            let weight = inst.graph.weight(u, v).finite();
-            let in_s = inst.in_s(u, v);
-            responses.push(Envelope::new(
-                owner,
-                *asker,
-                Wire::new((label, u, v, weight, in_s), pb + wb + 2),
-            ));
-        }
-    }
-    let response_boxes = net.route(responses)?;
-    let mut kept: Vec<Vec<KeptPair>> = vec![Vec::new(); label_count];
-    for node in NodeId::all(n) {
-        for (_owner, msg) in response_boxes.of(node) {
-            let (label, u, v, weight, in_s) = msg.value;
-            if let (Some(w), true) = (weight, in_s) {
-                kept[label].push(KeptPair { u, v, weight: w });
-            }
-        }
-    }
-    for list in &mut kept {
-        list.sort_by_key(|kp| (kp.u, kp.v));
-    }
-    Ok(LambdaCover { kept, sampled })
+    let universes = pair_universes(inst);
+    let sets: Vec<(usize, Vec<usize>)> = inst
+        .searches
+        .triples()
+        .map(|(_, (bu, bv, x))| {
+            let k = universe_slot(bu, bv);
+            let len = universes[k].len();
+            let chunk = len.div_ceil(s);
+            let start = (x * chunk).min(len);
+            let end = ((x + 1) * chunk).min(len);
+            (k, (start..end).collect())
+        })
+        .collect();
+    load_weights(inst, net, &universes, &Samples::per_label(sets))
 }
 
 /// Retries [`build_lambda_cover`] until a balanced attempt succeeds, up to
@@ -547,7 +652,7 @@ mod tests {
             .flat_map(|a| (0..q).map(move |b| (a, b)))
             .map(|(a, b)| inst.parts.coarse.pair_set(a, b).len())
             .sum();
-        let sampled_total: usize = cover.sampled.iter().map(Vec::len).sum();
+        let sampled_total: usize = cover.sampled.iter().sum();
         assert_eq!(sampled_total, total_pairs);
     }
 

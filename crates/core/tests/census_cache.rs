@@ -1,30 +1,52 @@
 //! Oracle-census cache semantics: eager per-label builds, hit/miss
 //! accounting, version-stamped invalidation when the gathered tables
-//! mutate mid-search, and scalar/batch agreement.
+//! mutate mid-search, scalar/batch agreement, and tables filled on first
+//! read after a transparent gather that agree with a materialized one.
 
-use qcc_apsp::gather::gather_weights;
+use qcc_apsp::gather::{gather_weights, GatheredWeights};
 use qcc_apsp::{Instance, PairSet, Params};
-use qcc_congest::Clique;
+use qcc_congest::{Clique, ReliableConfig};
 use qcc_graph::random_ugraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A `(label, u, v, w)` probe where the pair spans two distinct coarse
+/// `(label, u, v, w)` probes where the pair spans two distinct coarse
 /// blocks and the apex `w` is neither endpoint, so a planted `f(u, w) +
 /// f(w, v)` path is guaranteed to show up in the census.
-fn pick_probe(inst: &Instance<'_>) -> (usize, usize, usize, usize) {
-    for label in 0..inst.triples.labeling().label_count() {
+fn probes<'a>(inst: &'a Instance<'_>) -> impl Iterator<Item = (usize, usize, usize, usize)> + 'a {
+    (0..inst.triples.labeling().label_count()).filter_map(|label| {
         let (bu, bv, bw) = inst.triples.decode(label);
         if bu == bv {
-            continue;
+            return None;
         }
         let u = inst.parts.coarse.block(bu).start;
         let v = inst.parts.coarse.block(bv).start;
-        if let Some(w) = inst.parts.fine.block(bw).find(|&w| w != u && w != v) {
-            return (label, u, v, w);
-        }
-    }
-    panic!("no usable probe in this instance");
+        let w = inst.parts.fine.block(bw).find(|&w| w != u && w != v)?;
+        Some((label, u, v, w))
+    })
+}
+
+/// Plants the path `u → w → v` of weight `−19,998` in `label`'s tables
+/// and checks that the census serves it.
+fn plant_and_check(
+    gathered: &mut GatheredWeights,
+    inst: &Instance<'_>,
+    probe: (usize, usize, usize, usize),
+) {
+    let (label, u, v, w) = probe;
+    let (_, misses) = gathered.census_cache_stats();
+    let version = gathered.version();
+    gathered.set_uw_entry(inst, label, u, w, Some(-9_999));
+    gathered.set_wv_entry(inst, label, w, v, Some(-9_999));
+    assert!(gathered.version() > version, "mutations bump the version");
+    let after = gathered.min_plus_cached(inst, label, u, v).unwrap();
+    assert_eq!(
+        gathered.census_cache_stats().1,
+        misses + 1,
+        "the table was (re)built"
+    );
+    assert_eq!(after, Some(-19_998), "planted path dominates the census");
+    assert_eq!(after, gathered.min_plus(inst, label, u, v).unwrap());
 }
 
 #[test]
@@ -35,7 +57,10 @@ fn mutating_the_solution_set_recomputes_the_census() {
     let inst = Instance::new(&g, &s, Params::paper());
     let mut net = Clique::new(16).unwrap();
     let mut gathered = gather_weights(&inst, &mut net).unwrap();
-    let (label, u, v, w) = pick_probe(&inst);
+    let mut usable = probes(&inst);
+    let read_first = usable.next().expect("a usable probe");
+    let never_read = usable.next().expect("a second usable probe");
+    let (label, u, v, _w) = read_first;
 
     // First query of the label builds its whole census table: one miss.
     let before = gathered.min_plus_cached(&inst, label, u, v).unwrap();
@@ -51,17 +76,84 @@ fn mutating_the_solution_set_recomputes_the_census() {
     // Mid-search mutation of the solution set: plant a deeply negative
     // apex path through w. The version stamp must move and the next query
     // must recompute (a fresh miss), not serve the stale table.
-    let version = gathered.version();
-    gathered.set_uw_entry(&inst, label, u, w, Some(-9_999));
-    gathered.set_wv_entry(&inst, label, w, v, Some(-9_999));
-    assert!(gathered.version() > version, "mutations bump the version");
-    let after = gathered.min_plus_cached(&inst, label, u, v).unwrap();
-    let (_, misses_after) = gathered.census_cache_stats();
-    assert_eq!(misses_after, 2, "stale table was rebuilt");
-    assert_eq!(after, Some(-19_998), "planted path dominates the census");
-    assert_ne!(after, before, "cache did not serve the stale answer");
-    // The rebuilt table agrees with the uncached scan cell for cell.
-    assert_eq!(after, gathered.min_plus(&inst, label, u, v).unwrap());
+    plant_and_check(&mut gathered, &inst, read_first);
+    assert_ne!(
+        gathered.min_plus_cached(&inst, label, u, v).unwrap(),
+        before,
+        "cache did not serve the stale answer"
+    );
+
+    // A label whose tables were never read: the first write fills them
+    // from the graph before overwriting its one entry, so every other
+    // cell still holds the graph's weight.
+    let (label, u, v, w) = never_read;
+    plant_and_check(&mut gathered, &inst, never_read);
+    let (bu, bv, bw) = inst.triples.decode(label);
+    for a in inst.parts.coarse.block(bu) {
+        for x in inst.parts.fine.block(bw).filter(|&x| (a, x) != (u, w)) {
+            assert_eq!(gathered.f_uw(&inst, label, a, x), g.weight(a, x).finite());
+        }
+    }
+    for x in inst.parts.fine.block(bw) {
+        for b in inst.parts.coarse.block(bv).filter(|&b| (x, b) != (w, v)) {
+            assert_eq!(gathered.f_wv(&inst, label, x, b), g.weight(x, b).finite());
+        }
+    }
+}
+
+#[test]
+fn lazily_filled_tables_agree_with_a_materialized_gather() {
+    let mut rng = StdRng::seed_from_u64(74);
+    let g = random_ugraph(27, 0.5, 6, &mut rng);
+    let s = PairSet::all_pairs(27);
+    let inst = Instance::new(&g, &s, Params::scaled());
+    let mut net = Clique::new(27).unwrap();
+    let lazy = gather_weights(&inst, &mut net).unwrap();
+    let mut net = Clique::new(27).unwrap();
+    net.set_reliable_delivery(ReliableConfig::default());
+    let routed = gather_weights(&inst, &mut net).unwrap();
+
+    for label in 0..inst.triples.labeling().label_count() {
+        let (bu, bv, bw) = inst.triples.decode(label);
+        for w in inst.parts.fine.block(bw) {
+            for u in inst.parts.coarse.block(bu) {
+                assert_eq!(
+                    lazy.f_uw(&inst, label, u, w),
+                    routed.f_uw(&inst, label, u, w),
+                    "label {label} f({u}, {w})"
+                );
+            }
+            for v in inst.parts.coarse.block(bv) {
+                assert_eq!(
+                    lazy.f_wv(&inst, label, w, v),
+                    routed.f_wv(&inst, label, w, v),
+                    "label {label} f({w}, {v})"
+                );
+            }
+        }
+    }
+    // Fresh gathers for the census, so that its first reads are the ones
+    // that fill the transparent side's tables.
+    let mut net = Clique::new(27).unwrap();
+    let lazy = gather_weights(&inst, &mut net).unwrap();
+    for label in 0..inst.triples.labeling().label_count() {
+        let (bu, bv, _bw) = inst.triples.decode(label);
+        for u in inst.parts.coarse.block(bu) {
+            for v in inst.parts.coarse.block(bv) {
+                let expected = routed.min_plus(&inst, label, u, v).unwrap();
+                assert_eq!(
+                    lazy.min_plus_cached(&inst, label, u, v).unwrap(),
+                    expected,
+                    "label {label} pair ({u}, {v})"
+                );
+                assert_eq!(lazy.min_plus(&inst, label, u, v).unwrap(), expected);
+                assert_eq!(
+                    routed.min_plus_cached(&inst, label, u, v).unwrap(),
+                    expected
+                );
+            }
+        }
+    }
 }
 
 #[test]
