@@ -39,13 +39,14 @@ fn bench_products(c: &mut Criterion) {
             })
         });
     }
+    let threads = Params::paper().worker_threads();
     for &n in &[16usize, 64, 128] {
         let a = random_matrix(n, 34);
         let b = random_matrix(n, 35);
         group.bench_with_input(BenchmarkId::new("semiring", n), &n, |bch, &n| {
             bch.iter(|| {
                 let mut net = Clique::new(n).unwrap();
-                semiring_distance_product(&a, &b, &mut net).unwrap()
+                semiring_distance_product(&a, &b, &mut net, threads).unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("sequential", n), &n, |bch, _| {

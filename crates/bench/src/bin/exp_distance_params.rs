@@ -22,7 +22,7 @@
 
 use qcc_apsp::{
     classical_extremum_scan, distance_params, eccentricities, network_extremum, ApspAlgorithm,
-    DistanceParam, ExtremumConfig,
+    DistanceParam, DriverConfig, ExtremumConfig,
 };
 use qcc_bench::{banner, Table};
 use qcc_congest::Clique;
@@ -149,7 +149,10 @@ fn main() {
         // The full pipeline once per n: semiring distances, verified
         // quantum search, everything charged.
         let cfg = ExtremumConfig {
-            algorithm: ApspAlgorithm::SemiringSquaring,
+            driver: DriverConfig {
+                algorithm: ApspAlgorithm::SemiringSquaring,
+                ..DriverConfig::default()
+            },
             ..ExtremumConfig::new(DistanceParam::Diameter)
         };
         let mut e2e_rng = StdRng::seed_from_u64(seed ^ 0xD1A ^ n as u64);

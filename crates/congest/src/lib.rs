@@ -75,10 +75,7 @@ pub use payload::{bits_for_count, bits_for_weight_range, Payload, RawBits};
 pub use reliable::ReliableConfig;
 pub use tally::{Leg, LinkTally};
 pub use topology::{Topology, TopologySpec};
-pub use transport::{
-    ByteBlock, CliqueTransport, GossipStats, GossipTransport, Transport, WaveStats,
-    DEFAULT_GOSSIP_CHUNKS,
-};
+pub use transport::{GossipStats, GossipTransport, WaveStats, DEFAULT_GOSSIP_CHUNKS};
 
 pub use trace::{
     parse_trace, parse_trace_line, CommEvent, CommTotals, SpanSummary, TraceBuffer, TraceError,

@@ -914,9 +914,9 @@ impl Clique {
 
     /// Charges `rounds` synchronous rounds without moving data.
     ///
-    /// Reserved for algorithm steps whose communication is analyzed
-    /// analytically rather than executed (currently only used by tests and
-    /// calibration code; every shipped algorithm executes its messages).
+    /// The reliable envelope charges its deterministic retransmit backoff
+    /// through it as idle rounds, and tests use it to charge known amounts.
+    /// Every shipped algorithm executes its messages.
     pub fn charge_rounds(&mut self, rounds: u64) {
         self.metrics.record_comm("charge", rounds, 0, 0, 0, 0, 0);
     }

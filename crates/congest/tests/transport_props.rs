@@ -1,14 +1,10 @@
-//! Property-based tests for the transport abstraction: the clique
-//! transport must be byte-identical to the direct network path, coded
-//! gossip must deliver exactly or fail typed under any seeded fault
-//! plan, and fault specs must round-trip through their canonical form.
+//! Property-based tests for the coded-gossip transport: coded gossip must
+//! deliver exactly or fail typed under any seeded fault plan, and fault
+//! specs must round-trip through their canonical form.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use qcc_congest::{
-    Clique, CliqueTransport, CongestError, Envelope, FaultPlan, GossipTransport, NodeId, RawBits,
-    Topology, TopologySpec, Transport,
-};
+use qcc_congest::{CongestError, FaultPlan, GossipTransport, NodeId, Topology, TopologySpec};
 
 /// Builds one of the seeded topology families from two free parameters.
 fn pick_topology(which: u8, n: usize, degree: usize, seed: u64) -> Topology {
@@ -54,39 +50,6 @@ proptest! {
         let reparsed = FaultPlan::parse(&spec)
             .unwrap_or_else(|e| panic!("canonical spec {spec:?} failed to parse: {e}"));
         prop_assert_eq!(reparsed, plan);
-    }
-
-    /// The clique transport is the network: exchanging through the
-    /// `Transport` trait object charges byte-identical rounds, messages,
-    /// and bits to calling [`Clique::exchange`] directly, and delivers
-    /// byte-identical inboxes. This is the determinism pin that lets the
-    /// rest of the codebase be parameterized over transports for free.
-    #[test]
-    fn clique_through_trait_is_byte_identical(
-        n in 2usize..8,
-        raw in vec((0usize..8, 0usize..8, 0u64..1000, 1u64..64), 0..40),
-    ) {
-        let sends: Vec<Envelope<RawBits>> = raw
-            .into_iter()
-            .map(|(u, v, word, bits)| {
-                Envelope::new(NodeId::new(u % n), NodeId::new(v % n), RawBits::new(word, bits))
-            })
-            .collect();
-
-        let mut direct = Clique::new(n).unwrap();
-        direct.begin_phase("leg");
-        let baseline = direct.exchange(sends.clone()).unwrap();
-
-        let mut boxed: Box<dyn Transport> = Box::new(CliqueTransport::new(n).unwrap());
-        boxed.begin_phase("leg");
-        let inboxes = boxed.exchange_bits(sends).unwrap();
-
-        prop_assert_eq!(boxed.rounds(), direct.rounds());
-        prop_assert_eq!(boxed.metrics().total_messages(), direct.metrics().total_messages());
-        prop_assert_eq!(boxed.metrics().total_bits(), direct.metrics().total_bits());
-        for node in NodeId::all(n) {
-            prop_assert_eq!(inboxes.of(node), baseline.of(node));
-        }
     }
 
     /// Coded gossip under ANY seeded fault plan on ANY connected seeded

@@ -9,11 +9,11 @@
 //! `O(log M)` call count — the "polylogarithmic factor" the footnote
 //! pays — and every other part of the pipeline is reused unchanged.
 
-use crate::distance_product::distributed_distance_product_traced;
+use crate::distance_product::distributed_distance_product_configured;
 use crate::params::Params;
 use crate::step3::SearchBackend;
 use crate::ApspError;
-use qcc_congest::TraceSink;
+use qcc_congest::{NetConfig, TraceSink};
 use qcc_graph::{
     decode_witness, scale_for_witness, DiGraph, ExtWeight, PathOracle, WeightMatrix,
     WitnessedProduct,
@@ -31,28 +31,14 @@ pub struct WitnessedProductReport {
     pub find_edges_calls: u32,
 }
 
-/// Computes `A ⋆ B` *with witnesses* through the distributed pipeline.
+/// Computes `A ⋆ B` *with witnesses* through the distributed pipeline,
+/// with an optional NDJSON trace sink (see
+/// [`distributed_distance_product_configured`]).
 ///
 /// # Errors
 ///
-/// Same as [`distributed_distance_product`].
+/// Same as [`crate::distributed_distance_product`].
 pub fn distributed_witnessed_product<R: Rng>(
-    a: &WeightMatrix,
-    b: &WeightMatrix,
-    params: Params,
-    backend: SearchBackend,
-    rng: &mut R,
-) -> Result<WitnessedProductReport, ApspError> {
-    distributed_witnessed_product_traced(a, b, params, backend, rng, None)
-}
-
-/// [`distributed_witnessed_product`] with an optional NDJSON trace sink
-/// (see [`distributed_distance_product_traced`]).
-///
-/// # Errors
-///
-/// Same as [`distributed_witnessed_product`].
-pub fn distributed_witnessed_product_traced<R: Rng>(
     a: &WeightMatrix,
     b: &WeightMatrix,
     params: Params,
@@ -62,7 +48,15 @@ pub fn distributed_witnessed_product_traced<R: Rng>(
 ) -> Result<WitnessedProductReport, ApspError> {
     let n = a.n();
     let (a2, b2) = scale_for_witness(a, b);
-    let report = distributed_distance_product_traced(&a2, &b2, params, backend, rng, trace)?;
+    let report = distributed_distance_product_configured(
+        &a2,
+        &b2,
+        params,
+        backend,
+        rng,
+        trace,
+        &NetConfig::default(),
+    )?;
     let witnessed = decode_witness(n, &report.product);
     Ok(WitnessedProductReport {
         witnessed,
@@ -147,13 +141,12 @@ pub fn apsp_with_paths_traced<R: Rng>(
     while exponent < (n.max(2) as u64) - 1 {
         let report = if let Some(sink) = trace {
             sink.open_span_scaled(&format!("product-{products}"), 9);
-            let report = distributed_witnessed_product_traced(
-                &current, &current, params, backend, rng, trace,
-            );
+            let report =
+                distributed_witnessed_product(&current, &current, params, backend, rng, trace);
             sink.close_span();
             report?
         } else {
-            distributed_witnessed_product_traced(&current, &current, params, backend, rng, None)?
+            distributed_witnessed_product(&current, &current, params, backend, rng, None)?
         };
         rounds += report.rounds;
         products += 1;
@@ -194,6 +187,7 @@ mod tests {
             Params::paper(),
             SearchBackend::Classical,
             &mut rng,
+            None,
         )
         .unwrap();
         assert_eq!(report.witnessed.product, distance_product(&a, &a));
@@ -225,6 +219,7 @@ mod tests {
             Params::paper(),
             SearchBackend::Classical,
             &mut rng,
+            None,
         )
         .unwrap();
         let extra = witnessed

@@ -14,11 +14,5 @@ mod naive;
 mod semiring;
 
 pub use dolev::dolev_find_edges;
-pub use naive::{
-    naive_broadcast_apsp, naive_broadcast_apsp_configured, naive_broadcast_apsp_traced,
-    naive_broadcast_apsp_with_threads,
-};
-pub use semiring::{
-    semiring_apsp, semiring_apsp_configured, semiring_apsp_traced, semiring_apsp_with_threads,
-    semiring_distance_product, semiring_distance_product_with_threads,
-};
+pub use naive::naive_broadcast_apsp;
+pub use semiring::{semiring_apsp, semiring_distance_product};

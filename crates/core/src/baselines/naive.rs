@@ -11,66 +11,33 @@ use qcc_graph::{floyd_warshall_with_threads, DiGraph};
 ///
 /// Costs `Θ(n · w / B) = Θ(n)` rounds (each node pushes `n` weights of `w`
 /// bits over `B`-bit links): the upper bound every sub-linear algorithm is
-/// compared against.
+/// compared against. `threads` workers run the local Floyd–Warshall solve
+/// (host wall-clock only; rounds are unaffected). The internal `Clique`
+/// attaches to `trace` (round charges are byte-identical with and without
+/// a sink) and is armed with `netcfg`'s fault plan and reliable-delivery
+/// envelope before the gossip.
 ///
 /// # Errors
 ///
-/// Returns [`ApspError::NegativeCycle`] if the graph has a negative cycle.
+/// Returns [`ApspError::NegativeCycle`] if the graph has a negative cycle;
+/// injected faults that break through the envelope surface as
+/// [`ApspError::Faulted`].
 ///
 /// # Examples
 ///
 /// ```
 /// use qcc_apsp::naive_broadcast_apsp;
+/// use qcc_congest::NetConfig;
 /// use qcc_graph::{DiGraph, ExtWeight};
 ///
 /// let mut g = DiGraph::new(4);
 /// g.add_arc(0, 1, 2);
 /// g.add_arc(1, 2, 3);
-/// let report = naive_broadcast_apsp(&g)?;
+/// let report = naive_broadcast_apsp(&g, 1, None, &NetConfig::default())?;
 /// assert_eq!(report.distances[(0, 2)], ExtWeight::from(5));
 /// # Ok::<(), qcc_apsp::ApspError>(())
 /// ```
-pub fn naive_broadcast_apsp(g: &DiGraph) -> Result<ApspReport, ApspError> {
-    naive_broadcast_apsp_with_threads(g, qcc_perf::resolve_threads(None))
-}
-
-/// [`naive_broadcast_apsp`] with an explicit worker count for the local
-/// Floyd–Warshall solve (host wall-clock only; rounds are unaffected).
-///
-/// # Errors
-///
-/// Returns [`ApspError::NegativeCycle`] if the graph has a negative cycle.
-pub fn naive_broadcast_apsp_with_threads(
-    g: &DiGraph,
-    threads: usize,
-) -> Result<ApspReport, ApspError> {
-    naive_broadcast_apsp_traced(g, threads, None)
-}
-
-/// [`naive_broadcast_apsp_with_threads`] with an optional NDJSON trace
-/// sink attached to the internal network. Round charges are byte-identical
-/// with and without a sink.
-///
-/// # Errors
-///
-/// Same as [`naive_broadcast_apsp`].
-pub fn naive_broadcast_apsp_traced(
-    g: &DiGraph,
-    threads: usize,
-    trace: Option<&TraceSink>,
-) -> Result<ApspReport, ApspError> {
-    naive_broadcast_apsp_configured(g, threads, trace, &NetConfig::default())
-}
-
-/// [`naive_broadcast_apsp_traced`] with a network configuration: the
-/// internal `Clique` is armed with `netcfg`'s fault plan and
-/// reliable-delivery envelope before the gossip.
-///
-/// # Errors
-///
-/// Same as [`naive_broadcast_apsp`]; additionally, injected faults that
-/// break through the envelope surface as [`ApspError::Faulted`].
-pub fn naive_broadcast_apsp_configured(
+pub fn naive_broadcast_apsp(
     g: &DiGraph,
     threads: usize,
     trace: Option<&TraceSink>,
@@ -139,7 +106,7 @@ mod tests {
     fn matches_floyd_warshall() {
         let mut rng = StdRng::seed_from_u64(121);
         let g = random_reweighted_digraph(12, 0.5, 6, &mut rng);
-        let report = naive_broadcast_apsp(&g).unwrap();
+        let report = naive_broadcast_apsp(&g, 1, None, &NetConfig::default()).unwrap();
         assert_eq!(
             report.distances,
             floyd_warshall(&g.adjacency_matrix()).unwrap()
@@ -152,8 +119,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(122);
         let g16 = random_reweighted_digraph(16, 0.5, 6, &mut rng);
         let g64 = random_reweighted_digraph(64, 0.5, 6, &mut rng);
-        let r16 = naive_broadcast_apsp(&g16).unwrap().rounds;
-        let r64 = naive_broadcast_apsp(&g64).unwrap().rounds;
+        let r16 = naive_broadcast_apsp(&g16, 1, None, &NetConfig::default())
+            .unwrap()
+            .rounds;
+        let r64 = naive_broadcast_apsp(&g64, 1, None, &NetConfig::default())
+            .unwrap()
+            .rounds;
         // 4x the nodes: roughly 4x the rounds (bandwidth grows by log factor)
         assert!(r64 >= 2 * r16, "r16 = {r16}, r64 = {r64}");
     }
@@ -164,7 +135,7 @@ mod tests {
         g.add_arc(0, 1, -2);
         g.add_arc(1, 0, 1);
         assert_eq!(
-            naive_broadcast_apsp(&g).unwrap_err(),
+            naive_broadcast_apsp(&g, 1, None, &NetConfig::default()).unwrap_err(),
             ApspError::NegativeCycle
         );
     }

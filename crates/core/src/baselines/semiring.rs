@@ -17,28 +17,15 @@ use crate::ApspError;
 use qcc_congest::{Clique, CongestError, Envelope, NetConfig, NodeId, TraceSink};
 use qcc_graph::{ExtWeight, Labeling, Partition, WeightMatrix};
 
-/// One distributed min-plus product `A ⋆ B`, charged to `net`.
+/// One distributed min-plus product `A ⋆ B`, charged to `net`. `threads`
+/// workers compute the local per-triple partial products (host wall-clock
+/// only; the charged round count is identical for every worker count).
 ///
 /// # Errors
 ///
 /// * [`ApspError::DimensionMismatch`] if sizes disagree with the network.
 /// * Propagated [`CongestError`]s on addressing bugs.
 pub fn semiring_distance_product(
-    a: &WeightMatrix,
-    b: &WeightMatrix,
-    net: &mut Clique,
-) -> Result<WeightMatrix, ApspError> {
-    semiring_distance_product_with_threads(a, b, net, qcc_perf::resolve_threads(None))
-}
-
-/// [`semiring_distance_product`] with an explicit worker count for the
-/// local per-triple partial products (host wall-clock only; the charged
-/// round count is identical for every worker count).
-///
-/// # Errors
-///
-/// Same as [`semiring_distance_product`].
-pub fn semiring_distance_product_with_threads(
     a: &WeightMatrix,
     b: &WeightMatrix,
     net: &mut Clique,
@@ -224,68 +211,38 @@ pub fn semiring_distance_product_with_threads(
     Ok(c)
 }
 
-/// APSP by repeated squaring over [`semiring_distance_product`].
+/// APSP by repeated squaring over [`semiring_distance_product`], with
+/// `threads` workers for the local partial products (host wall-clock only;
+/// rounds are unaffected).
+///
+/// The internal `Clique` attaches to `trace` — the run is wrapped in a
+/// root `apsp` span with one `product-k` child per squaring, and round
+/// charges are byte-identical with and without a sink — and is armed with
+/// `netcfg`'s fault plan and reliable-delivery envelope before any message
+/// moves.
 ///
 /// # Errors
 ///
 /// Returns [`ApspError::NegativeCycle`] on negative cycles and propagates
-/// network errors.
+/// network errors; injected faults that break through the envelope surface
+/// as [`ApspError::Faulted`], carrying the rounds the failed run already
+/// charged.
 ///
 /// # Examples
 ///
 /// ```
 /// use qcc_apsp::semiring_apsp;
+/// use qcc_congest::NetConfig;
 /// use qcc_graph::{DiGraph, ExtWeight};
 ///
 /// let mut g = DiGraph::new(5);
 /// g.add_arc(0, 1, 4);
 /// g.add_arc(1, 4, -2);
-/// let report = semiring_apsp(&g)?;
+/// let report = semiring_apsp(&g, 1, None, &NetConfig::default())?;
 /// assert_eq!(report.distances[(0, 4)], ExtWeight::from(2));
 /// # Ok::<(), qcc_apsp::ApspError>(())
 /// ```
-pub fn semiring_apsp(g: &qcc_graph::DiGraph) -> Result<ApspReport, ApspError> {
-    semiring_apsp_with_threads(g, qcc_perf::resolve_threads(None))
-}
-
-/// [`semiring_apsp`] with an explicit worker count for the local partial
-/// products (host wall-clock only; rounds are unaffected).
-///
-/// # Errors
-///
-/// Same as [`semiring_apsp`].
-pub fn semiring_apsp_with_threads(
-    g: &qcc_graph::DiGraph,
-    threads: usize,
-) -> Result<ApspReport, ApspError> {
-    semiring_apsp_traced(g, threads, None)
-}
-
-/// [`semiring_apsp_with_threads`] with an optional NDJSON trace sink:
-/// the run is wrapped in a root `apsp` span with one `product-k` child per
-/// squaring. Round charges are byte-identical with and without a sink.
-///
-/// # Errors
-///
-/// Same as [`semiring_apsp`].
-pub fn semiring_apsp_traced(
-    g: &qcc_graph::DiGraph,
-    threads: usize,
-    trace: Option<&TraceSink>,
-) -> Result<ApspReport, ApspError> {
-    semiring_apsp_configured(g, threads, trace, &NetConfig::default())
-}
-
-/// [`semiring_apsp_traced`] with a network configuration: the internal
-/// `Clique` is armed with `netcfg`'s fault plan and reliable-delivery
-/// envelope before any message moves.
-///
-/// # Errors
-///
-/// Same as [`semiring_apsp`]; additionally, injected faults that break
-/// through the envelope surface as [`ApspError::Faulted`], carrying the
-/// rounds the failed run already charged.
-pub fn semiring_apsp_configured(
+pub fn semiring_apsp(
     g: &qcc_graph::DiGraph,
     threads: usize,
     trace: Option<&TraceSink>,
@@ -303,12 +260,7 @@ pub fn semiring_apsp_configured(
     let mut exponent: u64 = 1;
     while exponent < (n.max(2) as u64) - 1 {
         net.push_span(&format!("product-{products}"));
-        current = match semiring_distance_product_with_threads(
-            &current.clone(),
-            &current,
-            &mut net,
-            threads,
-        ) {
+        current = match semiring_distance_product(&current.clone(), &current, &mut net, threads) {
             Ok(product) => product,
             Err(e) => {
                 net.close_all_spans();
@@ -396,7 +348,7 @@ mod tests {
                 }
             });
             let mut net = Clique::new(n).unwrap();
-            let c = semiring_distance_product(&a, &b, &mut net).unwrap();
+            let c = semiring_distance_product(&a, &b, &mut net, 1).unwrap();
             assert_eq!(c, distance_product(&a, &b), "n = {n}");
             assert!(net.rounds() > 0);
         }
@@ -406,7 +358,7 @@ mod tests {
     fn apsp_matches_floyd_warshall() {
         let mut rng = StdRng::seed_from_u64(132);
         let g = random_reweighted_digraph(13, 0.4, 7, &mut rng);
-        let report = semiring_apsp(&g).unwrap();
+        let report = semiring_apsp(&g, 1, None, &NetConfig::default()).unwrap();
         assert_eq!(
             report.distances,
             floyd_warshall(&g.adjacency_matrix()).unwrap()
@@ -419,7 +371,10 @@ mod tests {
         let mut g = DiGraph::new(5);
         g.add_arc(0, 1, -3);
         g.add_arc(1, 0, 1);
-        assert_eq!(semiring_apsp(&g).unwrap_err(), ApspError::NegativeCycle);
+        assert_eq!(
+            semiring_apsp(&g, 1, None, &NetConfig::default()).unwrap_err(),
+            ApspError::NegativeCycle
+        );
     }
 
     #[test]
@@ -433,7 +388,7 @@ mod tests {
             let g = random_reweighted_digraph(n, 0.5, 4, &mut rng);
             let a = g.adjacency_matrix();
             let mut net = Clique::new(n).unwrap();
-            semiring_distance_product(&a, &a, &mut net).unwrap();
+            semiring_distance_product(&a, &a, &mut net, 1).unwrap();
             net.rounds()
         };
         let r16 = rounds_for(16);

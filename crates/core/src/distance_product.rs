@@ -73,41 +73,17 @@ pub fn distributed_distance_product<R: Rng>(
     backend: SearchBackend,
     rng: &mut R,
 ) -> Result<DistanceProductReport, ApspError> {
-    distributed_distance_product_traced(a, b, params, backend, rng, None)
+    distributed_distance_product_configured(a, b, params, backend, rng, None, &NetConfig::default())
 }
 
-/// [`distributed_distance_product`] with an optional NDJSON trace sink.
+/// [`distributed_distance_product`] with an optional NDJSON trace sink
+/// and a network configuration.
 ///
 /// The internal virtual `Clique(3n)` attaches to `trace`, so every
 /// `FindEdges` span and communication call lands in the caller's trace
-/// (nested under whatever span the caller has open). Round charges are
-/// byte-identical with and without a sink.
-///
-/// # Errors
-///
-/// Same as [`distributed_distance_product`].
-pub fn distributed_distance_product_traced<R: Rng>(
-    a: &WeightMatrix,
-    b: &WeightMatrix,
-    params: Params,
-    backend: SearchBackend,
-    rng: &mut R,
-    trace: Option<&TraceSink>,
-) -> Result<DistanceProductReport, ApspError> {
-    distributed_distance_product_configured(
-        a,
-        b,
-        params,
-        backend,
-        rng,
-        trace,
-        &NetConfig::default(),
-    )
-}
-
-/// [`distributed_distance_product_traced`] with a network configuration:
-/// the internal virtual `Clique(3n)` is armed with `netcfg`'s fault plan
-/// and reliable-delivery envelope before any message moves.
+/// (nested under whatever span the caller has open); round charges are
+/// byte-identical with and without a sink. It is armed with `netcfg`'s
+/// fault plan and reliable-delivery envelope before any message moves.
 ///
 /// # Errors
 ///

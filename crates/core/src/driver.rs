@@ -7,7 +7,9 @@
 //! algorithm, *verify* the output with a distributed certificate, and
 //! retry with fresh fault randomness until a verified matrix emerges or
 //! the attempt budget runs out — then optionally degrade to the classical
-//! semiring baseline as a last resort.
+//! semiring baseline as a last resort. The loop itself is shared with the
+//! distance-parameter search and gossip APSP; this module supplies the
+//! APSP attempt, its certificate and the semiring fallback.
 //!
 //! ## The certificate
 //!
@@ -30,7 +32,8 @@
 //! channel would certify nothing.
 
 use crate::apsp::{apsp_configured, ApspAlgorithm, ApspReport};
-use crate::baselines::{semiring_apsp_configured, semiring_distance_product};
+use crate::baselines::{semiring_apsp, semiring_distance_product};
+use crate::las_vegas::{las_vegas, FallbackPolicy, LasVegasReport, Try};
 use crate::params::Params;
 use crate::ApspError;
 use qcc_congest::{Clique, NetConfig, ReliableConfig, TraceSink};
@@ -41,17 +44,6 @@ use rand::Rng;
 const VERIFY_SALT: u64 = 0x5eed_0000;
 /// Salt for the fallback run's fault randomness.
 const FALLBACK_SALT: u64 = 0xfa11_0000;
-
-/// What to do when every Las-Vegas attempt fails.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FallbackPolicy {
-    /// Degrade to the classical semiring baseline, run with the reliable
-    /// envelope forced on, and verify it like any other attempt.
-    #[default]
-    Semiring,
-    /// Report the failure instead of degrading.
-    Fail,
-}
 
 /// Configuration of the Las-Vegas driver.
 #[derive(Clone, Debug)]
@@ -87,39 +79,9 @@ impl Default for DriverConfig {
     }
 }
 
-/// The outcome of one driver attempt (or the fallback).
-#[derive(Clone, Debug)]
-pub struct AttemptRecord {
-    /// Attempt index (`0`-based; the fallback reuses the next index).
-    pub attempt: u32,
-    /// The algorithm this attempt ran.
-    pub algorithm: ApspAlgorithm,
-    /// Rounds this attempt charged, including its verification product
-    /// and any rounds wasted by a failed run.
-    pub rounds: u64,
-    /// Certificate verdict: `None` when verification was skipped.
-    pub verified: Option<bool>,
-    /// The typed error that ended the attempt, if one did.
-    pub error: Option<String>,
-    /// `true` for the fallback entry.
-    pub fallback: bool,
-}
-
-/// A verified APSP result with its full attempt history.
-#[derive(Clone, Debug)]
-pub struct DriverReport {
-    /// The accepted run's report (distances, rounds, algorithm).
-    pub report: ApspReport,
-    /// Every attempt in order, the accepted one last.
-    pub attempts: Vec<AttemptRecord>,
-    /// Rounds across *all* attempts, failed ones and verification included
-    /// — the honest price of the Las-Vegas loop.
-    pub total_rounds: u64,
-    /// `true` iff the accepted matrix passed the certificate.
-    pub verified: bool,
-    /// `true` iff the accepted matrix came from the fallback.
-    pub used_fallback: bool,
-}
+/// A verified APSP result with its full attempt history: `report` is the
+/// accepted run's report (distances, rounds, algorithm).
+pub type DriverReport = LasVegasReport<ApspReport>;
 
 /// Runs the Las-Vegas loop: attempt → verify → retry → fallback.
 ///
@@ -161,182 +123,43 @@ pub fn apsp_driver<R: Rng>(
     if let Some(sink) = trace {
         sink.open_span("driver");
     }
-    let result = drive(g, cfg, rng, trace);
+    let result = las_vegas(
+        cfg.max_retries,
+        cfg.verify,
+        cfg.fallback,
+        |t| {
+            if let Some(sink) = trace {
+                sink.open_span(&t.run_label(""));
+            }
+            let run = match t {
+                Try::Attempt(i) => {
+                    let netcfg = cfg.net.reseeded(u64::from(i));
+                    apsp_configured(g, cfg.params, cfg.algorithm, rng, trace, &netcfg)
+                }
+                // The last resort: the classical semiring baseline under a
+                // forced reliable envelope, verified like any other attempt.
+                Try::Fallback(_) => {
+                    let netcfg = hardened(&cfg.net, FALLBACK_SALT);
+                    semiring_apsp(g, cfg.params.worker_threads(), trace, &netcfg)
+                }
+            };
+            if let Some(sink) = trace {
+                sink.close_span();
+            }
+            let rounds = run
+                .as_ref()
+                .map_or_else(ApspError::rounds_charged, |report| report.rounds);
+            (run, rounds)
+        },
+        |t, report| {
+            let netcfg = hardened(&cfg.net, VERIFY_SALT + u64::from(t.index()));
+            certify(g, &report.distances, &netcfg, trace, &t.verify_label("")).map(Some)
+        },
+    );
     if let Some(sink) = trace {
         sink.close_span();
     }
     result
-}
-
-fn drive<R: Rng>(
-    g: &DiGraph,
-    cfg: &DriverConfig,
-    rng: &mut R,
-    trace: Option<&TraceSink>,
-) -> Result<DriverReport, ApspError> {
-    let mut attempts: Vec<AttemptRecord> = Vec::new();
-    let mut total_rounds = 0u64;
-    let mut last_error: Option<ApspError> = None;
-
-    for attempt in 0..=cfg.max_retries {
-        let netcfg = cfg.net.reseeded(u64::from(attempt));
-        if let Some(sink) = trace {
-            sink.open_span(&format!("attempt-{attempt}"));
-        }
-        let run = apsp_configured(g, cfg.params, cfg.algorithm, rng, trace, &netcfg);
-        if let Some(sink) = trace {
-            sink.close_span();
-        }
-        match run {
-            Ok(report) => {
-                let mut rounds = report.rounds;
-                let verdict = if cfg.verify {
-                    match certify(
-                        g,
-                        &report.distances,
-                        &hardened(&cfg.net, VERIFY_SALT + u64::from(attempt)),
-                        trace,
-                        &format!("verify-{attempt}"),
-                    ) {
-                        Ok((ok, vrounds)) => {
-                            rounds += vrounds;
-                            Some(ok)
-                        }
-                        Err(e) => {
-                            // The verifier itself lost its messages: the
-                            // attempt proves nothing either way. Treat it
-                            // like a failed run and retry.
-                            rounds += e.rounds_charged();
-                            total_rounds += rounds;
-                            attempts.push(AttemptRecord {
-                                attempt,
-                                algorithm: report.algorithm,
-                                rounds,
-                                verified: None,
-                                error: Some(e.to_string()),
-                                fallback: false,
-                            });
-                            if !e.is_retryable() {
-                                return Err(e);
-                            }
-                            last_error = Some(e);
-                            continue;
-                        }
-                    }
-                } else {
-                    None
-                };
-                total_rounds += rounds;
-                attempts.push(AttemptRecord {
-                    attempt,
-                    algorithm: report.algorithm,
-                    rounds,
-                    verified: verdict,
-                    error: None,
-                    fallback: false,
-                });
-                if verdict.unwrap_or(true) {
-                    return Ok(DriverReport {
-                        report,
-                        attempts,
-                        total_rounds,
-                        verified: verdict.unwrap_or(false),
-                        used_fallback: false,
-                    });
-                }
-            }
-            Err(e) => {
-                let rounds = e.rounds_charged();
-                total_rounds += rounds;
-                attempts.push(AttemptRecord {
-                    attempt,
-                    algorithm: cfg.algorithm,
-                    rounds,
-                    verified: None,
-                    error: Some(e.to_string()),
-                    fallback: false,
-                });
-                if !e.is_retryable() {
-                    return Err(e);
-                }
-                last_error = Some(e);
-            }
-        }
-    }
-
-    match cfg.fallback {
-        FallbackPolicy::Fail => match last_error {
-            Some(e) => Err(e),
-            None => Err(ApspError::VerificationFailed {
-                attempts: attempts.len() as u32,
-            }),
-        },
-        FallbackPolicy::Semiring => {
-            fallback(g, cfg, trace, attempts, total_rounds).map_err(|e| match e {
-                // The fallback's own failure still means "nothing verified".
-                e if e.is_retryable() => ApspError::VerificationFailed {
-                    attempts: cfg.max_retries + 2,
-                },
-                e => e,
-            })
-        }
-    }
-}
-
-/// The last resort: the classical semiring baseline under a forced
-/// reliable envelope, verified like any other attempt.
-fn fallback(
-    g: &DiGraph,
-    cfg: &DriverConfig,
-    trace: Option<&TraceSink>,
-    mut attempts: Vec<AttemptRecord>,
-    mut total_rounds: u64,
-) -> Result<DriverReport, ApspError> {
-    let attempt = cfg.max_retries + 1;
-    let netcfg = hardened(&cfg.net, FALLBACK_SALT);
-    if let Some(sink) = trace {
-        sink.open_span("fallback");
-    }
-    let run = semiring_apsp_configured(g, cfg.params.worker_threads(), trace, &netcfg);
-    if let Some(sink) = trace {
-        sink.close_span();
-    }
-    let report = run?;
-    let mut rounds = report.rounds;
-    let verdict = if cfg.verify {
-        let (ok, vrounds) = certify(
-            g,
-            &report.distances,
-            &hardened(&cfg.net, VERIFY_SALT + u64::from(attempt)),
-            trace,
-            "verify-fallback",
-        )?;
-        rounds += vrounds;
-        Some(ok)
-    } else {
-        None
-    };
-    total_rounds += rounds;
-    attempts.push(AttemptRecord {
-        attempt,
-        algorithm: report.algorithm,
-        rounds,
-        verified: verdict,
-        error: None,
-        fallback: true,
-    });
-    if verdict == Some(false) {
-        return Err(ApspError::VerificationFailed {
-            attempts: attempts.len() as u32,
-        });
-    }
-    Ok(DriverReport {
-        report,
-        attempts,
-        total_rounds,
-        verified: verdict.unwrap_or(false),
-        used_fallback: true,
-    })
 }
 
 /// The verifier's network config: same fault plan (reseeded by `salt`),
@@ -382,7 +205,7 @@ fn certify(
     }
     netcfg.apply(&mut net);
     net.push_span(label);
-    let dd = match semiring_distance_product(d, d, &mut net) {
+    let dd = match semiring_distance_product(d, d, &mut net, qcc_perf::resolve_threads(None)) {
         Ok(dd) => dd,
         Err(e) => {
             net.close_all_spans();
@@ -457,7 +280,7 @@ mod tests {
             .iter()
             .all(|a| a.verified == Some(false) || a.error.is_some()));
         assert!(out.attempts[2].fallback);
-        assert_eq!(out.attempts[2].algorithm, ApspAlgorithm::SemiringSquaring);
+        assert_eq!(out.report.algorithm, ApspAlgorithm::SemiringSquaring);
         assert_eq!(
             out.report.distances,
             floyd_warshall(&g.adjacency_matrix()).unwrap()

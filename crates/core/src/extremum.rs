@@ -24,27 +24,27 @@
 //!
 //! A vertex that cannot reach some other vertex has `ecc(v) = +∞`
 //! ([`ExtWeight::PosInf`]), **not** 0 — so a disconnected digraph reports
-//! diameter `+∞` rather than silently underestimating (the bug the old
-//! `examples/diameter.rs` had). The radius can still be finite on such a
-//! graph: a center vertex may reach everything even when some other vertex
-//! reaches nothing. [`DistanceParamReport::connected`] makes the
-//! distinction explicit.
+//! diameter `+∞` rather than silently underestimating. The radius can
+//! still be finite on such a graph: a center vertex may reach everything
+//! even when some other vertex reaches nothing.
+//! [`DistanceParamReport::connected`] makes the distinction explicit.
 //!
 //! ## The Las-Vegas loop
 //!
-//! Like the APSP driver, the search stage is wrapped in attempt → certify
-//! → retry → fallback: a claimed extremum `(v, x)` is checked by
-//! broadcasting it and letting every node flag a violation (its own value
-//! is strictly better, or it is the claimed witness and disagrees), then
-//! [`Clique::agree_any`]. Faults only ever *discard* messages (corruption
+//! Like the APSP driver, the search stage runs in the shared attempt →
+//! certify → retry → fallback loop, under the APSP driver's retry budget,
+//! verification switch and fallback policy. A claimed extremum `(v, x)` is
+//! checked by broadcasting it and letting every node flag a violation (its
+//! own value is strictly better, or it is the claimed witness and
+//! disagrees), then [`Clique::agree_any`]. Faults only ever *discard* messages (corruption
 //! is detected-and-dropped), so a search can stall or lose answers but
 //! never deliver a mangled value — the certificate catches exactly the
 //! failures that can occur. The verifier and the classical fallback always
 //! run over a hardened reliable envelope.
 
-use crate::apsp::{apsp_configured, ApspAlgorithm};
-use crate::driver::{apsp_driver, hardened, DriverConfig, FallbackPolicy};
-use crate::params::Params;
+use crate::apsp::apsp_configured;
+use crate::driver::{apsp_driver, hardened, DriverConfig};
+use crate::las_vegas::{las_vegas, AttemptRecord, LasVegasReport, Try};
 use crate::ApspError;
 use qcc_congest::{Clique, Envelope, NetConfig, NodeId, TraceSink};
 use qcc_graph::{DiGraph, ExtWeight, WeightMatrix};
@@ -110,66 +110,32 @@ impl ExtremumBackend {
 pub struct ExtremumConfig {
     /// Which parameter to compute.
     pub param: DistanceParam,
-    /// The APSP algorithm computing the distance matrix.
-    pub algorithm: ApspAlgorithm,
-    /// Paper constants for the APSP pipelines.
-    pub params: Params,
     /// How the extremum search stage runs.
     pub backend: ExtremumBackend,
     /// Per-stage BBHT attempt budget of the quantum search; an exhausted
     /// stage aborts the attempt (typed, retryable) instead of guessing.
     pub stage_attempts: u32,
-    /// Extra attempts after the first, for the APSP stage and the search
-    /// stage independently.
-    pub max_retries: u32,
-    /// Verify the distance matrix (APSP driver certificate) and the
-    /// claimed extremum (distributed witness check).
-    pub verify: bool,
-    /// What to do when the search attempt budget is spent:
-    /// [`FallbackPolicy::Semiring`] degrades to the verified classical
-    /// scan (and the APSP stage to the semiring baseline), `Fail` reports.
-    pub fallback: FallbackPolicy,
-    /// Fault plan and envelope for every network the run builds.
-    pub net: NetConfig,
+    /// The distance stage's APSP driver. The search stage runs under the
+    /// same retry budget (`max_retries`, counted per stage), verification
+    /// switch (it certifies the claimed extremum), fallback policy
+    /// ([`crate::FallbackPolicy::Semiring`] degrades it to the verified
+    /// classical scan) and network.
+    pub driver: DriverConfig,
 }
 
 impl ExtremumConfig {
-    /// Defaults for `param`: quantum APSP + quantum search, 3 retries,
-    /// verification on, classical fallback, clean network.
+    /// Defaults for `param`: quantum search over the default driver
+    /// (quantum APSP, 3 retries, verification on, classical fallback,
+    /// clean network).
     #[must_use]
     pub fn new(param: DistanceParam) -> Self {
         ExtremumConfig {
             param,
-            algorithm: ApspAlgorithm::QuantumTriangle,
-            params: Params::paper(),
             backend: ExtremumBackend::Quantum,
             stage_attempts: DEFAULT_STAGE_ATTEMPTS,
-            max_retries: 3,
-            verify: true,
-            fallback: FallbackPolicy::Semiring,
-            net: NetConfig::default(),
+            driver: DriverConfig::default(),
         }
     }
-}
-
-/// One search-stage attempt (or the fallback) of the Las-Vegas loop.
-#[derive(Clone, Debug)]
-pub struct SearchAttempt {
-    /// Attempt index (`0`-based; the fallback reuses the next index).
-    pub attempt: u32,
-    /// Backend this attempt ran.
-    pub backend: ExtremumBackend,
-    /// Rounds charged, verification and wasted work included.
-    pub rounds: u64,
-    /// Distributed oracle evaluations performed.
-    pub evaluations: u64,
-    /// Certificate verdict; `None` when verification was skipped or the
-    /// attempt died first.
-    pub verified: Option<bool>,
-    /// The typed error that ended the attempt, if one did.
-    pub error: Option<String>,
-    /// `true` for the fallback entry.
-    pub fallback: bool,
 }
 
 /// Result of a [`distance_params`] run.
@@ -198,7 +164,7 @@ pub struct DistanceParamReport {
     /// Oracle evaluations of the *accepted* search attempt.
     pub evaluations: u64,
     /// Every search-stage attempt in order, the accepted one last.
-    pub search_attempts: Vec<SearchAttempt>,
+    pub search_attempts: Vec<AttemptRecord>,
     /// `true` iff both stages' certificates passed (always `false` when
     /// `verify` is off).
     pub verified: bool,
@@ -646,7 +612,7 @@ fn gather_eccentricities(
 /// * [`ApspError::VerificationFailed`] when no search attempt (fallback
 ///   included) produced a certified extremum.
 /// * The last typed error when the budget runs out under
-///   [`FallbackPolicy::Fail`].
+///   [`crate::FallbackPolicy::Fail`].
 ///
 /// # Examples
 ///
@@ -691,27 +657,20 @@ fn run_distance_params<R: Rng>(
     // Stage 1: distances. The driver (with its certificate and retries)
     // engages whenever verification is requested or the network is not
     // clean; a plain run keeps the cheap single-shot path.
-    let (distances, distance_rounds, apsp_verified, apsp_fallback) =
-        if cfg.verify || !cfg.net.is_default() {
-            let dcfg = DriverConfig {
-                algorithm: cfg.algorithm,
-                params: cfg.params,
-                max_retries: cfg.max_retries,
-                verify: cfg.verify,
-                fallback: cfg.fallback,
-                net: cfg.net.clone(),
-            };
-            let out = apsp_driver(g, &dcfg, rng, trace)?;
-            (
-                out.report.distances,
-                out.total_rounds,
-                out.verified,
-                out.used_fallback,
-            )
-        } else {
-            let report = apsp_configured(g, cfg.params, cfg.algorithm, rng, trace, &cfg.net)?;
-            (report.distances, report.rounds, false, false)
-        };
+    let d = &cfg.driver;
+    let driven = d.verify || !d.net.is_default();
+    let (distances, distance_rounds, apsp_verified, apsp_fallback) = if driven {
+        let out = apsp_driver(g, d, rng, trace)?;
+        (
+            out.report.distances,
+            out.total_rounds,
+            out.verified,
+            out.used_fallback,
+        )
+    } else {
+        let report = apsp_configured(g, d.params, d.algorithm, rng, trace, &d.net)?;
+        (report.distances, report.rounds, false, false)
+    };
 
     // Stage 2: eccentricities, local to each node's row — free.
     let ecc = eccentricities(&distances);
@@ -726,9 +685,8 @@ fn run_distance_params<R: Rng>(
 
     let value = match cfg.param {
         DistanceParam::Eccentricities => diameter_of(&ecc).expect("n > 0"),
-        _ => stage.value,
+        _ => stage.report.value,
     };
-    let total_rounds = distance_rounds + stage.rounds;
     Ok(DistanceParamReport {
         param: cfg.param,
         n: g.n(),
@@ -736,27 +694,19 @@ fn run_distance_params<R: Rng>(
         value,
         witness: match cfg.param {
             DistanceParam::Eccentricities => None,
-            _ => Some(stage.index),
+            _ => Some(stage.report.index),
         },
         connected,
         distance_rounds,
-        search_rounds: stage.rounds,
-        total_rounds,
-        evaluations: stage.evaluations,
+        search_rounds: stage.total_rounds,
+        total_rounds: distance_rounds + stage.total_rounds,
+        evaluations: stage.report.evaluations,
         search_attempts: stage.attempts,
-        verified: cfg.verify && apsp_verified_or_plain(cfg, apsp_verified) && stage.verified,
+        // On a clean unverified-distance path the APSP stage has no
+        // certificate; `verified` then reflects the search stage only.
+        verified: d.verify && (apsp_verified || !driven) && stage.verified,
         used_fallback: apsp_fallback || stage.used_fallback,
     })
-}
-
-/// On a clean unverified-distance path the APSP stage has no certificate;
-/// `verified` then reflects the search stage only when the driver ran.
-fn apsp_verified_or_plain(cfg: &ExtremumConfig, apsp_verified: bool) -> bool {
-    if cfg.verify || !cfg.net.is_default() {
-        apsp_verified
-    } else {
-        true
-    }
 }
 
 /// What one search-stage attempt actually runs.
@@ -768,204 +718,60 @@ enum SearchKind {
     Gather,
 }
 
-/// Accumulated outcome of the search stage's Las-Vegas loop.
-struct StageOutcome {
-    index: usize,
-    value: ExtWeight,
-    evaluations: u64,
-    rounds: u64,
-    attempts: Vec<SearchAttempt>,
-    verified: bool,
-    used_fallback: bool,
-}
-
+/// The search stage in the Las-Vegas loop: the configured search (or the
+/// gather) per attempt, the classical scan as fallback, each search's
+/// claim certified by [`certify_extremum`].
 fn search_stage<R: Rng>(
     ecc: &[ExtWeight],
     maximize: bool,
     cfg: &ExtremumConfig,
     rng: &mut R,
     trace: Option<&TraceSink>,
-) -> Result<StageOutcome, ApspError> {
-    let mut attempts: Vec<SearchAttempt> = Vec::new();
-    let mut total_rounds = 0u64;
-    let mut last_error: Option<ApspError> = None;
-    let kind = if cfg.param == DistanceParam::Eccentricities {
-        SearchKind::Gather
-    } else {
-        SearchKind::Extremum(cfg.backend)
-    };
-
-    for attempt in 0..=cfg.max_retries {
-        let label = format!("ext-attempt-{attempt}");
-        let netcfg = cfg.net.reseeded(SEARCH_SALT + u64::from(attempt));
-        let run = run_search(
-            ecc,
-            maximize,
-            kind,
-            cfg.stage_attempts,
-            &netcfg,
-            rng,
-            trace,
-            &label,
-        );
-        match run {
-            Ok(out) => {
-                let mut rounds = out.rounds;
-                let verdict = if cfg.verify && cfg.param != DistanceParam::Eccentricities {
-                    match certify_extremum(
-                        ecc,
-                        out.index,
-                        out.value,
-                        maximize,
-                        &hardened(&cfg.net, SEARCH_VERIFY_SALT + u64::from(attempt)),
-                        trace,
-                        &format!("ext-verify-{attempt}"),
-                    ) {
-                        Ok((ok, vrounds)) => {
-                            rounds += vrounds;
-                            Some(ok)
-                        }
-                        Err(e) => {
-                            rounds += e.rounds_charged();
-                            total_rounds += rounds;
-                            attempts.push(SearchAttempt {
-                                attempt,
-                                backend: cfg.backend,
-                                rounds,
-                                evaluations: out.evaluations,
-                                verified: None,
-                                error: Some(e.to_string()),
-                                fallback: false,
-                            });
-                            if !e.is_retryable() {
-                                return Err(e);
-                            }
-                            last_error = Some(e);
-                            continue;
-                        }
-                    }
-                } else {
-                    None
-                };
-                total_rounds += rounds;
-                attempts.push(SearchAttempt {
-                    attempt,
-                    backend: cfg.backend,
-                    rounds,
-                    evaluations: out.evaluations,
-                    verified: verdict,
-                    error: None,
-                    fallback: false,
-                });
-                if verdict.unwrap_or(true) {
-                    return Ok(StageOutcome {
-                        index: out.index,
-                        value: out.value,
-                        evaluations: out.evaluations,
-                        rounds: total_rounds,
-                        attempts,
-                        verified: verdict.unwrap_or(cfg.verify),
-                        used_fallback: false,
-                    });
-                }
-            }
-            Err(e) => {
-                let rounds = e.rounds_charged();
-                total_rounds += rounds;
-                attempts.push(SearchAttempt {
-                    attempt,
-                    backend: cfg.backend,
-                    rounds,
-                    evaluations: 0,
-                    verified: None,
-                    error: Some(e.to_string()),
-                    fallback: false,
-                });
-                if !e.is_retryable() {
-                    return Err(e);
-                }
-                last_error = Some(e);
-            }
-        }
-    }
-
-    match cfg.fallback {
-        FallbackPolicy::Fail => match last_error {
-            Some(e) => Err(e),
-            None => Err(ApspError::VerificationFailed {
-                attempts: attempts.len() as u32,
-            }),
-        },
-        FallbackPolicy::Semiring => {
-            // The last resort: the classical scan (or gather) under a
-            // forced reliable envelope, verified like any other attempt.
-            let attempt = cfg.max_retries + 1;
-            let netcfg = hardened(&cfg.net, SEARCH_FALLBACK_SALT);
-            let fb_kind = match kind {
-                SearchKind::Gather => SearchKind::Gather,
-                SearchKind::Extremum(_) => SearchKind::Extremum(ExtremumBackend::ClassicalScan),
+) -> Result<LasVegasReport<NetworkExtremumOutcome>, ApspError> {
+    let d = &cfg.driver;
+    let gather = cfg.param == DistanceParam::Eccentricities;
+    las_vegas(
+        d.max_retries,
+        d.verify,
+        d.fallback,
+        |t| {
+            let (backend, netcfg) = match t {
+                Try::Attempt(i) => (cfg.backend, d.net.reseeded(SEARCH_SALT + u64::from(i))),
+                Try::Fallback(_) => (
+                    ExtremumBackend::ClassicalScan,
+                    hardened(&d.net, SEARCH_FALLBACK_SALT),
+                ),
             };
-            let out = run_search(
+            let kind = if gather {
+                SearchKind::Gather
+            } else {
+                SearchKind::Extremum(backend)
+            };
+            let label = t.run_label("ext-");
+            let run = run_search(
                 ecc,
                 maximize,
-                fb_kind,
+                kind,
                 cfg.stage_attempts,
                 &netcfg,
                 rng,
                 trace,
-                "ext-fallback",
-            )
-            .map_err(|e| {
-                if e.is_retryable() {
-                    ApspError::VerificationFailed {
-                        attempts: attempt + 1,
-                    }
-                } else {
-                    e
-                }
-            })?;
-            let mut rounds = out.rounds;
-            let verdict = if cfg.verify && cfg.param != DistanceParam::Eccentricities {
-                let (ok, vrounds) = certify_extremum(
-                    ecc,
-                    out.index,
-                    out.value,
-                    maximize,
-                    &hardened(&cfg.net, SEARCH_VERIFY_SALT + u64::from(attempt)),
-                    trace,
-                    "ext-verify-fallback",
-                )?;
-                rounds += vrounds;
-                Some(ok)
-            } else {
-                None
-            };
-            total_rounds += rounds;
-            attempts.push(SearchAttempt {
-                attempt,
-                backend: ExtremumBackend::ClassicalScan,
-                rounds,
-                evaluations: out.evaluations,
-                verified: verdict,
-                error: None,
-                fallback: true,
-            });
-            if verdict == Some(false) {
-                return Err(ApspError::VerificationFailed {
-                    attempts: attempts.len() as u32,
-                });
+                &label,
+            );
+            let rounds = run
+                .as_ref()
+                .map_or_else(ApspError::rounds_charged, |out| out.rounds);
+            (run, rounds)
+        },
+        |t, out| {
+            if gather {
+                return Ok(None);
             }
-            Ok(StageOutcome {
-                index: out.index,
-                value: out.value,
-                evaluations: out.evaluations,
-                rounds: total_rounds,
-                attempts,
-                verified: verdict.unwrap_or(cfg.verify),
-                used_fallback: true,
-            })
-        }
-    }
+            let netcfg = hardened(&d.net, SEARCH_VERIFY_SALT + u64::from(t.index()));
+            let label = t.verify_label("ext-");
+            certify_extremum(ecc, out.index, out.value, maximize, &netcfg, trace, &label).map(Some)
+        },
+    )
 }
 
 /// Builds a fresh traced network under `netcfg`, runs one search attempt
@@ -1013,6 +819,7 @@ fn run_search<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ApspAlgorithm;
     use qcc_congest::FaultPlan;
     use qcc_graph::{floyd_warshall, random_reweighted_digraph};
     use rand::rngs::StdRng;
@@ -1158,7 +965,7 @@ mod tests {
             (DistanceParam::Radius, ExtWeight::from(7)),
         ] {
             let mut cfg = ExtremumConfig::new(param);
-            cfg.algorithm = ApspAlgorithm::NaiveBroadcast;
+            cfg.driver.algorithm = ApspAlgorithm::NaiveBroadcast;
             let report = distance_params(&g, &cfg, &mut rng, None).unwrap();
             assert_eq!(report.value, want);
             assert!(report.connected && report.verified && !report.used_fallback);
@@ -1177,7 +984,7 @@ mod tests {
         // vertices 2..6 isolated
         let mut rng = StdRng::seed_from_u64(306);
         let mut cfg = ExtremumConfig::new(DistanceParam::Diameter);
-        cfg.algorithm = ApspAlgorithm::NaiveBroadcast;
+        cfg.driver.algorithm = ApspAlgorithm::NaiveBroadcast;
         let report = distance_params(&g, &cfg, &mut rng, None).unwrap();
         assert!(!report.connected);
         assert_eq!(report.value, ExtWeight::PosInf);
@@ -1188,7 +995,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(307);
         let g = ring(7);
         let mut cfg = ExtremumConfig::new(DistanceParam::Eccentricities);
-        cfg.algorithm = ApspAlgorithm::NaiveBroadcast;
+        cfg.driver.algorithm = ApspAlgorithm::NaiveBroadcast;
         let report = distance_params(&g, &cfg, &mut rng, None).unwrap();
         assert_eq!(report.eccentricities, true_ecc(&g));
         assert!(report.witness.is_none());
@@ -1201,8 +1008,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(308);
         let g = ring(9);
         let mut cfg = ExtremumConfig::new(DistanceParam::Diameter);
-        cfg.algorithm = ApspAlgorithm::NaiveBroadcast;
-        cfg.net = NetConfig::faulty(FaultPlan::parse("drop=0.15,seed=5").unwrap());
+        cfg.driver.algorithm = ApspAlgorithm::NaiveBroadcast;
+        cfg.driver.net = NetConfig::faulty(FaultPlan::parse("drop=0.15,seed=5").unwrap());
         let report = distance_params(&g, &cfg, &mut rng, None).unwrap();
         assert_eq!(report.value, ExtWeight::from(8));
         assert!(report.verified);
@@ -1213,7 +1020,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(309);
         let g = ring(10);
         let mut cfg = ExtremumConfig::new(DistanceParam::Radius);
-        cfg.algorithm = ApspAlgorithm::NaiveBroadcast;
+        cfg.driver.algorithm = ApspAlgorithm::NaiveBroadcast;
         cfg.backend = ExtremumBackend::ClassicalScan;
         let report = distance_params(&g, &cfg, &mut rng, None).unwrap();
         assert_eq!(report.value, ExtWeight::from(9));

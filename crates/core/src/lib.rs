@@ -74,39 +74,36 @@ pub use wire::{pair_bits, weight_bits, Wire};
 
 pub mod distance_product;
 pub use distance_product::{
-    distributed_distance_product, distributed_distance_product_configured,
-    distributed_distance_product_traced, DistanceProductReport,
+    distributed_distance_product, distributed_distance_product_configured, DistanceProductReport,
 };
 
 pub mod apsp;
 pub mod baselines;
 pub use apsp::{apsp, apsp_configured, apsp_traced, ApspAlgorithm, ApspReport};
 pub use baselines::{
-    dolev_find_edges, naive_broadcast_apsp, naive_broadcast_apsp_configured,
-    naive_broadcast_apsp_traced, naive_broadcast_apsp_with_threads, semiring_apsp,
-    semiring_apsp_configured, semiring_apsp_traced, semiring_apsp_with_threads,
-    semiring_distance_product, semiring_distance_product_with_threads,
+    dolev_find_edges, naive_broadcast_apsp, semiring_apsp, semiring_distance_product,
 };
+
+mod las_vegas;
+pub use las_vegas::{AttemptRecord, FallbackPolicy, LasVegasReport};
 
 pub mod driver;
-pub use driver::{apsp_driver, AttemptRecord, DriverConfig, DriverReport, FallbackPolicy};
+pub use driver::{apsp_driver, DriverConfig, DriverReport};
 
 pub mod transport_apsp;
-pub use transport_apsp::{
-    gossip_apsp, GossipApspConfig, GossipApspReport, GossipAttempt, TransportKind,
-};
+pub use transport_apsp::{gossip_apsp, GossipApspConfig, GossipApspReport, TransportKind};
 
 pub mod extremum;
 pub use extremum::{
     classical_extremum_scan, diameter_of, distance_params, eccentricities, network_extremum,
     radius_of, DistanceParam, DistanceParamReport, ExtremumBackend, ExtremumConfig,
-    NetworkExtremumOutcome, SearchAttempt,
+    NetworkExtremumOutcome,
 };
 
 pub mod apsp_paths;
 pub use apsp_paths::{
-    apsp_with_paths, apsp_with_paths_traced, distributed_witnessed_product,
-    distributed_witnessed_product_traced, ApspPathsReport, WitnessedProductReport,
+    apsp_with_paths, apsp_with_paths_traced, distributed_witnessed_product, ApspPathsReport,
+    WitnessedProductReport,
 };
 
 pub mod gamma_count;

@@ -11,17 +11,18 @@
 //! workload the transport matrix uses to compare coded redundancy
 //! against the clique's ack/retransmit envelope at matched fault rates.
 //!
-//! The Las-Vegas shape of [`crate::apsp_driver`] is preserved: attempts
-//! reseed the fault plan, and every surviving matrix passes the same
-//! three-part certificate (zero diagonal, `D ≤ A₀`, `D ⊗ D = D`) before
-//! it is accepted. The certificate is checked *locally* here — after a
-//! successful gossip every node holds the entire graph, so the check
-//! needs no further communication — but it still rejects every
-//! overestimate, keeping "never a silently wrong matrix" independent of
-//! the transport's own correctness argument.
+//! The run goes through the same Las-Vegas loop as [`crate::apsp_driver`],
+//! without a fallback: attempts reseed the fault plan, and every surviving
+//! matrix passes the same three-part certificate (zero diagonal, `D ≤ A₀`,
+//! `D ⊗ D = D`) before it is accepted. The certificate is checked
+//! *locally* here — after a successful gossip every node holds the entire
+//! graph, so the check needs no further communication — but it still
+//! rejects every overestimate, keeping "never a silently wrong matrix"
+//! independent of the transport's own correctness argument.
 
+use crate::las_vegas::{las_vegas, AttemptRecord, FallbackPolicy};
 use crate::ApspError;
-use qcc_congest::{GossipStats, GossipTransport, NetConfig, TopologySpec, TraceSink, Transport};
+use qcc_congest::{GossipStats, GossipTransport, NetConfig, TopologySpec, TraceSink};
 use qcc_graph::{floyd_warshall, min_plus_fixpoint_certificate, DiGraph, ExtWeight, WeightMatrix};
 
 /// Wire sentinel for "no arc" in a serialized adjacency row.
@@ -100,20 +101,6 @@ impl Default for GossipApspConfig {
     }
 }
 
-/// One gossip-APSP attempt's outcome.
-#[derive(Clone, Debug)]
-pub struct GossipAttempt {
-    /// Attempt index (0-based).
-    pub attempt: u32,
-    /// Rounds this attempt charged (failed attempts included).
-    pub rounds: u64,
-    /// Certificate verdict; `None` when the attempt died on a typed
-    /// error before producing a matrix.
-    pub verified: Option<bool>,
-    /// The typed error that ended the attempt, if one did.
-    pub error: Option<String>,
-}
-
 /// A verified gossip-APSP result.
 #[derive(Clone, Debug)]
 pub struct GossipApspReport {
@@ -124,7 +111,7 @@ pub struct GossipApspReport {
     /// Rounds across all attempts — the honest Las-Vegas price.
     pub total_rounds: u64,
     /// Every attempt in order, the accepted one last.
-    pub attempts: Vec<GossipAttempt>,
+    pub attempts: Vec<AttemptRecord>,
     /// Coded-gossip statistics of the accepted attempt.
     pub stats: GossipStats,
     /// `true` iff the accepted matrix passed the certificate.
@@ -172,8 +159,9 @@ fn parse_rows(n: usize, rows: &[Vec<u8>]) -> Option<WeightMatrix> {
 ///
 /// # Errors
 ///
-/// * [`ApspError::Congest`] with [`CongestError::Partitioned`] when the
-///   topology is disconnected — immediately, retries cannot help.
+/// * [`ApspError::Congest`] with
+///   [`qcc_congest::CongestError::Partitioned`] when the topology is
+///   disconnected — immediately, retries cannot help.
 /// * [`ApspError::NegativeCycle`] from the local solve.
 /// * The last typed transport error when every attempt fails (crash
 ///   plans refire deterministically, so a crashed node fails every
@@ -203,36 +191,35 @@ pub fn gossip_apsp(
     let n = g.n();
     let rows: Vec<Vec<u8>> = (0..n).map(|i| serialize_row(g, i)).collect();
     let topo = cfg.topology.build(n, cfg.seed);
-    let topo_label = topo.label().to_string();
-
-    let mut attempts: Vec<GossipAttempt> = Vec::new();
-    let mut total_rounds = 0u64;
-    let mut last_error: Option<ApspError> = None;
-
-    for attempt in 0..=cfg.max_retries {
-        // The topology is the environment — stable across attempts; only
-        // the fault randomness is fresh. Disconnection therefore fails
-        // immediately rather than burning the retry budget.
-        let mut transport =
-            GossipTransport::new(topo.clone(), cfg.seed ^ (u64::from(attempt) << 32))
-                .map_err(ApspError::Congest)?;
-        if cfg.chunks > 0 {
-            transport = transport.with_chunks(cfg.chunks);
-        }
-        let netcfg = cfg.net.reseeded(u64::from(attempt));
-        if let Some(plan) = netcfg.faults {
-            transport.set_fault_plan(plan);
-        }
-        if let Some(sink) = trace {
-            transport.set_trace_sink(sink.clone());
-        }
-        transport.begin_phase(&format!("gossip-apsp-{attempt}"));
-        let run = transport.gossip_blocks(&rows);
-        transport.close_all_spans();
-        let rounds = transport.rounds();
-        total_rounds += rounds;
-        match run {
-            Ok(views) => {
+    let adjacency = g.adjacency_matrix();
+    let out = las_vegas(
+        cfg.max_retries,
+        cfg.verify,
+        FallbackPolicy::Fail,
+        |t| {
+            let attempt = t.index();
+            // The topology is the environment — stable across attempts;
+            // only the fault randomness is fresh. Disconnection therefore
+            // fails immediately rather than burning the retry budget.
+            let mut transport =
+                match GossipTransport::new(topo.clone(), cfg.seed ^ (u64::from(attempt) << 32)) {
+                    Ok(transport) => transport,
+                    Err(e) => return (Err(ApspError::Congest(e)), 0),
+                };
+            if cfg.chunks > 0 {
+                transport = transport.with_chunks(cfg.chunks);
+            }
+            if let Some(plan) = cfg.net.reseeded(u64::from(attempt)).faults {
+                transport.set_fault_plan(plan);
+            }
+            if let Some(sink) = trace {
+                transport.set_trace_sink(sink.clone());
+            }
+            transport.begin_phase(&format!("gossip-apsp-{attempt}"));
+            let run = transport.gossip_blocks(&rows);
+            transport.close_all_spans();
+            let rounds = transport.rounds();
+            let solved = run.map_err(ApspError::Congest).and_then(|views| {
                 // Every node decoded every block exactly; any view
                 // disagreement or geometry error is an internal bug. The
                 // row parse is injective, so equal bytes are equal views
@@ -244,49 +231,35 @@ pub fn gossip_apsp(
                     .ok_or_else(|| ApspError::Internal {
                         context: "gossip views disagree after successful decode".into(),
                     })?;
-                let distances = floyd_warshall(&adj).map_err(|_| ApspError::NegativeCycle)?;
-                let verified =
-                    !cfg.verify || min_plus_fixpoint_certificate(&g.adjacency_matrix(), &distances);
-                attempts.push(GossipAttempt {
-                    attempt,
+                Ok(Gossiped {
+                    distances: floyd_warshall(&adj).map_err(|_| ApspError::NegativeCycle)?,
                     rounds,
-                    verified: Some(verified),
-                    error: None,
-                });
-                if verified {
-                    let stats = transport.gossip_stats().cloned().unwrap_or_default();
-                    return Ok(GossipApspReport {
-                        distances,
-                        rounds,
-                        total_rounds,
-                        attempts,
-                        stats,
-                        verified: cfg.verify,
-                        topology: topo_label,
-                    });
-                }
-            }
-            Err(e) => {
-                let e = ApspError::Congest(e);
-                attempts.push(GossipAttempt {
-                    attempt,
-                    rounds,
-                    verified: None,
-                    error: Some(e.to_string()),
-                });
-                if !e.is_retryable() {
-                    return Err(e);
-                }
-                last_error = Some(e);
-            }
-        }
-    }
-    match last_error {
-        Some(e) => Err(e),
-        None => Err(ApspError::VerificationFailed {
-            attempts: attempts.len() as u32,
-        }),
-    }
+                    stats: transport.gossip_stats().clone(),
+                })
+            });
+            (solved, rounds)
+        },
+        |_, out| {
+            let ok = min_plus_fixpoint_certificate(&adjacency, &out.distances);
+            Ok(Some((ok, 0)))
+        },
+    )?;
+    Ok(GossipApspReport {
+        distances: out.report.distances,
+        rounds: out.report.rounds,
+        total_rounds: out.total_rounds,
+        attempts: out.attempts,
+        stats: out.report.stats,
+        verified: out.verified,
+        topology: topo.label().to_string(),
+    })
+}
+
+/// One decoded and solved gossip attempt.
+struct Gossiped {
+    distances: WeightMatrix,
+    rounds: u64,
+    stats: GossipStats,
 }
 
 #[cfg(test)]

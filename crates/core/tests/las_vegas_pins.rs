@@ -107,11 +107,11 @@ fn distance_run(
     let mut rng = StdRng::seed_from_u64(11);
     let g = random_reweighted_digraph(10, 0.6, 6, &mut rng);
     let mut cfg = ExtremumConfig::new(param);
-    cfg.algorithm = ApspAlgorithm::NaiveBroadcast;
+    cfg.driver.algorithm = ApspAlgorithm::NaiveBroadcast;
     cfg.backend = ExtremumBackend::Quantum;
-    cfg.max_retries = 2;
-    cfg.fallback = fallback;
-    cfg.net = unprotected(faults);
+    cfg.driver.max_retries = 2;
+    cfg.driver.fallback = fallback;
+    cfg.driver.net = unprotected(faults);
     let (sink, trace) = TraceSink::in_memory();
     let result = distance_params(&g, &cfg, &mut rng, Some(&sink));
     (result, trace.contents())

@@ -811,11 +811,14 @@ pub fn run(
                 crate::graph::generators::random_reweighted_digraph(n, density, w_max, &mut rng);
             let sink = open_sink(trace.as_ref())?;
             let cfg = ExtremumConfig {
-                algorithm,
                 backend,
-                max_retries,
-                verify,
-                net: faults.clone().map(NetConfig::faulty).unwrap_or_default(),
+                driver: DriverConfig {
+                    algorithm,
+                    max_retries,
+                    verify,
+                    net: faults.clone().map(NetConfig::faulty).unwrap_or_default(),
+                    ..DriverConfig::default()
+                },
                 ..ExtremumConfig::new(param)
             };
             let result = distance_params(&g, &cfg, &mut rng, sink.as_ref());

@@ -95,7 +95,7 @@ fn directed_asymmetry_finite_radius_infinite_diameter() {
     g.add_arc(1, 2, 3);
     let mut rng = StdRng::seed_from_u64(11);
     let mut cfg = ExtremumConfig::new(DistanceParam::Radius);
-    cfg.algorithm = ApspAlgorithm::NaiveBroadcast;
+    cfg.driver.algorithm = ApspAlgorithm::NaiveBroadcast;
     let radius = distance_params(&g, &cfg, &mut rng, None).expect("runs");
     assert_eq!(radius.value, ExtWeight::from(7));
     assert_eq!(radius.witness, Some(0));
