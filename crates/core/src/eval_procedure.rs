@@ -471,6 +471,14 @@ impl<'a, 'd> ChargeOnlyEval<'a, 'd> {
         self.counts[search_label * self.fine + target] += 1;
     }
 
+    /// The query counts [`ChargeOnlyEval::push`] increments, at
+    /// `search_label * fine + target`, with `fine`: the lockstep draw loop
+    /// increments them in place.
+    #[inline]
+    pub(crate) fn grid(&mut self) -> (&mut [u32], usize) {
+        (&mut self.counts, self.fine)
+    }
+
     /// Charges the two exchange legs of the queries pushed since the last
     /// call, and empties the session for the next evaluation.
     ///

@@ -108,10 +108,8 @@ impl<'a> Instance<'a> {
     /// Whether some vertex of fine block `bw` completes a negative triangle
     /// with the pair `{u, v}` — the predicate of the Step-3 searches.
     pub fn has_apex_in_block(&self, u: usize, v: usize, bw: usize) -> bool {
-        self.parts
-            .fine
-            .block(bw)
-            .any(|w| self.graph.is_negative_triangle(u, v, w))
+        self.graph
+            .has_negative_apex(u, v, self.parts.fine.block(bw))
     }
 }
 

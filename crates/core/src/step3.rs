@@ -74,12 +74,15 @@ pub struct Step3Stats {
     pub repetitions: u64,
 }
 
-/// One row of query-solution probabilities per distinct `(domain size,
-/// solution count)`, shared by every search of a Step-3 run.
+/// One row of `gen_bool` thresholds per distinct `(domain size, solution
+/// count)`, shared by every search of a Step-3 run.
 ///
 /// A search's state after `k` Grover iterations is a rotation fixed by its
 /// domain size and solution count alone, so searches with the same split
-/// share their row; rows are filled on first use.
+/// share their row; rows are filled on first use. Entry `k` of a row is the
+/// [`gen_bool_threshold`] of the query-solution probability after `k`
+/// iterations, so a draw compares the generator's next word with it instead
+/// of calling `gen_bool` on a probability.
 struct RotationRows {
     /// Iteration counts per row: `0 ..= max_useful_iterations(fine)`
     /// covers every `k` a domain of at most `fine` blocks draws.
@@ -88,8 +91,9 @@ struct RotationRows {
     /// `u32::MAX` until built.
     index: Vec<u32>,
     fine: usize,
-    /// `sin²((2k+1)θ)`, clamped to `[0, 1]`, row-major.
-    probs: Vec<f64>,
+    /// `⌈sin²((2k+1)θ)·2^53⌉`, the probability clamped to `[0, 1]`,
+    /// row-major.
+    thresholds: Vec<u64>,
 }
 
 impl RotationRows {
@@ -98,7 +102,7 @@ impl RotationRows {
             stride: GroverAmplitudes::max_useful_iterations(fine) as usize + 1,
             index: vec![u32::MAX; (fine + 1) * (fine + 1)],
             fine,
-            probs: Vec::new(),
+            thresholds: Vec::new(),
         }
     }
 
@@ -106,19 +110,38 @@ impl RotationRows {
     fn row(&mut self, domain: usize, solutions: usize) -> u32 {
         let slot = &mut self.index[domain * (self.fine + 1) + solutions];
         if *slot == u32::MAX {
-            *slot = (self.probs.len() / self.stride) as u32;
+            *slot = (self.thresholds.len() / self.stride) as u32;
             let amp = GroverAmplitudes::new(domain, solutions);
-            self.probs.extend(
-                (0..self.stride as u64).map(|k| amp.query_solution_probability(k).clamp(0.0, 1.0)),
-            );
+            self.thresholds
+                .extend((0..self.stride as u64).map(|k| {
+                    gen_bool_threshold(amp.query_solution_probability(k).clamp(0.0, 1.0))
+                }));
         }
         *slot
     }
 
-    #[inline]
-    fn probability(&self, row: u32, k: u64) -> f64 {
-        self.probs[row as usize * self.stride + k as usize]
+    /// Entry `k` of every row, indexed by row: the thresholds of one
+    /// evaluation after `k` iterations.
+    fn column_into(&self, k: u64, column: &mut Vec<u64>) {
+        column.clear();
+        column.extend(self.thresholds.iter().skip(k as usize).step_by(self.stride));
     }
+}
+
+/// `⌈p·2^53⌉`, the integer form of `gen_bool(p)`: `gen_bool` compares the
+/// top 53 bits `m` of one `next_u64()` as `m·2^-53 < p`, which (both sides
+/// exact in `f64`, `m` an integer) holds iff `m < ⌈p·2^53⌉`.
+///
+/// # Panics
+///
+/// Panics if `p` is not in `[0, 1]`, as `gen_bool` would; a NaN must not
+/// become a threshold of 0 through the saturating cast.
+fn gen_bool_threshold(p: f64) -> u64 {
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "gen_bool probability out of range: {p}"
+    );
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// How a search draws its query target: one census per `(pair, block
@@ -137,9 +160,41 @@ struct Census {
 enum Pick {
     /// Always this side: the domain holds one kind of block only.
     Always(bool),
-    /// The solution side with the probability in this row of
-    /// [`RotationRows`], drawn by `gen_bool`.
+    /// The solution side when the next word's top 53 bits fall below this
+    /// row's threshold in [`RotationRows`] — the draw of `gen_bool`.
     Rotation(u32),
+}
+
+/// What one evaluation's draws read: the α-context's censuses and target
+/// blocks, and the threshold column of the evaluation's iteration.
+#[derive(Clone, Copy)]
+struct Sampler<'t> {
+    censuses: &'t [Census],
+    blocks: &'t [u32],
+    column: &'t [u64],
+}
+
+impl Sampler<'_> {
+    /// Samples a target block from census `census`, together with the
+    /// evaluation's (predetermined) answer: a target drawn from the
+    /// solution side is exactly one with an apex in its block — the same
+    /// boolean the joint evaluation ships back.
+    ///
+    /// The draws are those of the textbook sampler: a `gen_bool` only when
+    /// both sides are non-empty, then a uniform index into the side.
+    #[inline(always)]
+    fn draw<R: Rng>(self, census: u32, rng: &mut R) -> (usize, bool) {
+        let census = &self.censuses[census as usize];
+        let solution = match census.pick {
+            Pick::Always(solution) => solution,
+            Pick::Rotation(row) => {
+                let threshold = self.column[row as usize];
+                rng.next_u64() >> 11 < threshold
+            }
+        };
+        let index = census.sides[usize::from(solution)].sample(rng);
+        (self.blocks[index as usize] as usize, solution)
+    }
 }
 
 /// The searches of one α-context, as flat tables filled in one pass per
@@ -150,12 +205,13 @@ struct SearchTables {
     /// non-solution blocks, each in domain order.
     blocks: Vec<u32>,
     censuses: Vec<Census>,
+    /// Pair of each census; read when a measurement confirms one of its
+    /// searches and by materialized evaluations.
+    pairs: Vec<KeptPair>,
     /// Search label of each search, in lockstep order.
     labels: Vec<u32>,
     /// Census of each search.
     census_of: Vec<u32>,
-    /// Pair of each search; read when a measurement confirms it.
-    pairs: Vec<KeptPair>,
     /// Searches with at least one solution block.
     with_solutions: usize,
     /// Largest domain any search has.
@@ -165,24 +221,6 @@ struct SearchTables {
 impl SearchTables {
     fn len(&self) -> usize {
         self.labels.len()
-    }
-
-    /// Samples search `i`'s target block after `k` Grover iterations,
-    /// together with the evaluation's (predetermined) answer: a target
-    /// drawn from the solution side is exactly one with an apex in its
-    /// block — the same boolean the joint evaluation ships back.
-    ///
-    /// The draws are those of the textbook sampler: a `gen_bool` only when
-    /// both sides are non-empty, then a uniform index into the side.
-    #[inline(always)]
-    fn draw<R: Rng>(&self, rows: &RotationRows, i: usize, k: u64, rng: &mut R) -> (usize, bool) {
-        let census = &self.censuses[self.census_of[i] as usize];
-        let solution = match census.pick {
-            Pick::Always(solution) => solution,
-            Pick::Rotation(row) => rng.gen_bool(rows.probability(row, k)),
-        };
-        let index = census.sides[usize::from(solution)].sample(rng);
-        (self.blocks[index as usize] as usize, solution)
     }
 }
 
@@ -288,6 +326,7 @@ impl TableBuilder {
                                     pick: Pick::Rotation(row),
                                 }
                             });
+                            t.pairs.push(*pair);
                         }
                         let census = self.census_at[pair_cell].1;
                         if !matches!(t.censuses[census as usize].pick, Pick::Always(false)) {
@@ -295,7 +334,6 @@ impl TableBuilder {
                         }
                         t.labels.push(label as u32);
                         t.census_of.push(census);
-                        t.pairs.push(*pair);
                     }
                 }
                 if t.len() > searches_before {
@@ -351,9 +389,19 @@ pub fn run_step3_quantum<R: Rng>(
 
         // The lockstep iterations consume only the evaluation *charges* (the
         // answers are fixed by the census side a target is drawn from, as
-        // the debug_asserts below check), so on transparent networks a
-        // charge-only session replaces the full query materialization.
+        // the debug_asserts below check), so on a transparent network each
+        // draw is one increment on the charge-only session's grid instead
+        // of a materialized query.
         let mut charge_sess = ChargeOnlyEval::try_new(inst, net, &actx);
+        let (labels, census_of, pairs) =
+            (&tables.labels[..], &tables.census_of[..], &tables.pairs[..]);
+        let (censuses, blocks) = (&tables.censuses[..], &tables.blocks[..]);
+        let rows = &builder.rows;
+        let has_apex = |census: u32, target| {
+            let pair = &pairs[census as usize];
+            inst.has_apex_in_block(pair.u, pair.v, target)
+        };
+        let mut column: Vec<u64> = Vec::new();
         // One query buffer reused across every materialized evaluation.
         let mut queries: Vec<EvalQuery> = Vec::new();
         // Draws every search's target after `k` iterations and evaluates the
@@ -365,26 +413,41 @@ pub fn run_step3_quantum<R: Rng>(
                             positives: &mut Vec<(usize, usize)>|
          -> Result<(), EvalJointError> {
             positives.clear();
+            rows.column_into(k, &mut column);
+            // A local of this call, so that the loops keep its slices in
+            // registers instead of reloading them per draw.
+            let sampler = Sampler {
+                censuses,
+                blocks,
+                column: &column,
+            };
+            let searches = labels.iter().zip(census_of);
             if let Some(sess) = charge_sess.as_mut() {
-                for i in 0..tables.len() {
-                    let (target, answer) = tables.draw(&builder.rows, i, k, rng);
-                    sess.push(tables.labels[i] as usize, target);
-                    debug_assert!(
-                        answer
-                            == inst.has_apex_in_block(tables.pairs[i].u, tables.pairs[i].v, target)
-                    );
-                    if measure && answer {
-                        positives.push((i, target));
+                let (grid, fine) = sess.grid();
+                if measure {
+                    for (i, (&label, &census)) in searches.enumerate() {
+                        let (target, answer) = sampler.draw(census, rng);
+                        grid[label as usize * fine + target] += 1;
+                        debug_assert!(answer == has_apex(census, target));
+                        if answer {
+                            positives.push((i, target));
+                        }
+                    }
+                } else {
+                    for (&label, &census) in searches {
+                        let (target, answer) = sampler.draw(census, rng);
+                        grid[label as usize * fine + target] += 1;
+                        debug_assert!(answer == has_apex(census, target));
                     }
                 }
                 return sess.finish(net);
             }
             queries.clear();
-            for i in 0..tables.len() {
+            for (&label, &census) in searches {
                 queries.push(EvalQuery {
-                    search_label: tables.labels[i] as usize,
-                    pair: tables.pairs[i],
-                    target: tables.draw(&builder.rows, i, k, rng).0,
+                    search_label: label as usize,
+                    pair: pairs[census as usize],
+                    target: sampler.draw(census, rng).0,
                 });
             }
             let answers = evaluate_joint(inst, net, gathered, &actx, &queries)?;
@@ -418,7 +481,7 @@ pub fn run_step3_quantum<R: Rng>(
                         unresolved -= 1;
                     }
                     // Record each (pair, block) the first time it is seen.
-                    let pair = tables.pairs[i];
+                    let pair = pairs[census_of[i] as usize];
                     let apex = &mut builder.apex[(pair.u * n + pair.v) * fine + block];
                     debug_assert!(*apex == APEX || *apex == WITNESSED);
                     if *apex == APEX {
@@ -593,6 +656,78 @@ mod tests {
             assert!(inst.has_apex_in_block(w.u, w.v, w.block));
         }
         (out.found, out.stats, net.rounds())
+    }
+
+    /// Replays one scripted word per `next_u64`.
+    struct Scripted(std::vec::IntoIter<u64>);
+
+    impl rand::RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("a scripted word")
+        }
+    }
+
+    #[test]
+    fn draws_decide_exactly_as_gen_bool() {
+        const TOP: u64 = (1 << 53) - 1;
+        // One two-sided census: solution block 7, non-solution block 9.
+        let blocks = [7, 9];
+        for fine in [4, 10, 28] {
+            let mut rows = RotationRows::new(fine);
+            let mut column = Vec::new();
+            for domain in 1..=fine {
+                for solutions in 0..=domain {
+                    let row = rows.row(domain, solutions);
+                    let census = Census {
+                        sides: [Uniform::new(1, 2), Uniform::new(0, 1)],
+                        pick: Pick::Rotation(row),
+                    };
+                    let amp = GroverAmplitudes::new(domain, solutions);
+                    for k in 0..rows.stride as u64 {
+                        rows.column_into(k, &mut column);
+                        let sampler = Sampler {
+                            censuses: &[census],
+                            blocks: &blocks,
+                            column: &column,
+                        };
+                        let threshold = column[row as usize];
+                        let p = amp.query_solution_probability(k).clamp(0.0, 1.0);
+                        let top_bits = [0, threshold.saturating_sub(1), threshold, TOP];
+                        for m in top_bits.map(|m| m.min(TOP)) {
+                            // The 11 low bits `gen_bool` drops, clear and set.
+                            for word in [m << 11, m << 11 | 0x7ff] {
+                                let expected = Scripted(vec![word].into_iter()).gen_bool(p);
+                                // The second word is the side's index draw.
+                                let mut rng = Scripted(vec![word, 0].into_iter());
+                                let (target, solution) = sampler.draw(0, &mut rng);
+                                assert_eq!(
+                                    (solution, target),
+                                    (expected, if expected { 7 } else { 9 }),
+                                    "fine {fine}, ({domain}, {solutions}), k {k}, p {p}, word {word:#x}"
+                                );
+                                assert!(rng.0.next().is_none(), "a draw takes two words");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_probabilities_panic_at_the_row_build() {
+        for p in [f64::NAN, -1e-300, -0.5, 1.0 + f64::EPSILON, f64::INFINITY] {
+            let outcome = std::panic::catch_unwind(|| gen_bool_threshold(p));
+            assert!(outcome.is_err(), "p = {p} made a threshold");
+        }
+        assert_eq!(gen_bool_threshold(-0.0), 0);
+        assert_eq!(gen_bool_threshold(1.0), 1 << 53);
+        assert_eq!(gen_bool_threshold(0.5), 1 << 52);
+        assert_eq!(gen_bool_threshold(f64::MIN_POSITIVE), 1);
     }
 
     #[test]

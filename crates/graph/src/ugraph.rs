@@ -117,6 +117,41 @@ impl UGraph {
         }
     }
 
+    /// Whether some `w` in `block` completes a negative triangle with the
+    /// pair `{u, v}`: `block.any(|w| self.is_negative_triangle(u, v, w))`,
+    /// with the two endpoints' weight rows read once instead of three
+    /// lookups per apex.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use qcc_graph::UGraph;
+    ///
+    /// let mut g = UGraph::new(4);
+    /// g.add_edge(0, 1, -5);
+    /// g.add_edge(0, 3, 2);
+    /// g.add_edge(1, 3, 2);
+    /// assert!(g.has_negative_apex(0, 1, 2..4));
+    /// assert!(!g.has_negative_apex(0, 1, 0..3)); // vertex 2 is no apex
+    /// ```
+    pub fn has_negative_apex(&self, u: usize, v: usize, block: std::ops::Range<usize>) -> bool {
+        if block.is_empty() {
+            return false;
+        }
+        let Some(a) = self.weight(u, v).finite() else {
+            return false;
+        };
+        // The diagonal is never finite, so `w ∈ {u, v}` completes nothing.
+        let (from_u, from_v) = (self.weights.row(u), self.weights.row(v));
+        from_u[block.clone()]
+            .iter()
+            .zip(&from_v[block])
+            .any(|(&b, &c)| match (b.finite(), c.finite()) {
+                (Some(b), Some(c)) => a + b + c < 0,
+                _ => false,
+            })
+    }
+
     /// `Γ(u, v)`: the number of negative triangles through the pair `{u, v}`.
     ///
     /// Reference implementation in `O(n)` time per pair.

@@ -113,6 +113,41 @@ proptest! {
         }
     }
 
+    /// The row-scan apex test agrees with the triangle predicate on every
+    /// pair (edges, non-edges and `u = v`) and every range of apexes,
+    /// empty ranges and ranges holding `u` or `v` included.
+    #[test]
+    fn negative_apex_row_scan_matches_the_triangle_predicate(
+        graph in (1usize..10).prop_flat_map(|n| (
+            Just(n),
+            vec(prop_oneof![3 => (-20i64..20).prop_map(Some), 1 => Just(None)], n * n),
+        ))
+    ) {
+        let (n, weights) = graph;
+        let mut g = UGraph::new(n);
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if let Some(w) = weights[u * n + v] {
+                    g.add_edge(u, v, w);
+                }
+            }
+        }
+        for u in 0..n {
+            for v in 0..n {
+                for lo in 0..=n {
+                    for hi in lo..=n {
+                        let expected = (lo..hi).any(|w| g.is_negative_triangle(u, v, w));
+                        prop_assert_eq!(
+                            g.has_negative_apex(u, v, lo..hi),
+                            expected,
+                            "pair ({}, {}), apexes {}..{}", u, v, lo, hi
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// Edge sampling keeps a subset of edges with original weights.
     #[test]
     fn sampling_yields_subgraph(seed in 0u64..100, p in 0.0f64..1.0) {
