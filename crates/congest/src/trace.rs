@@ -1081,11 +1081,39 @@ mod tests {
             "{\"ev\":\"warp\",\"id\":1}",
             "{\"ev\":\"comm\",\"kind\":\"route\",\"rounds\":1}",
             "{\"ev\":\"open\",\"id\":1,\"label\":\"x\"} extra",
+            "{\"ev\":\"close\",\"id\":-1}",
+            "{\"ev\":\"close\",\"id\":1.5}",
+            "{\"ev\":\"close\",\"id\":true}",
+            "{\"ev\":\"close\",\"id\":null}",
+            "{\"ev\":\"close\",\"id\":{\"a\":1}}",
+            "{\"ev\":\"close\",\"id\":[1]}",
+            "{\"ev\":\"open\",\"id\":1,\"label\":\"a\\qb\"}",
+            "{\"ev\":\"close\",\"id\":18446744073709551616}",
         ] {
             let text = format!("{{\"ev\":\"close\",\"id\":9}}\n{bad}\n");
             let e = parse_trace(&text).unwrap_err();
             assert_eq!(e.line, 2, "case {bad:?}: {e}");
         }
+    }
+
+    #[test]
+    fn comm_counters_round_trip_at_u64_max() {
+        let (sink, buffer) = TraceSink::in_memory();
+        sink.emit_comm("route", u64::MAX, u64::MAX, u64::MAX, u64::MAX, 0, u64::MAX);
+        let events = parse_trace(&buffer.contents()).unwrap();
+        assert_eq!(
+            events,
+            vec![TraceEvent::Comm(CommEvent {
+                kind: "route".into(),
+                span: None,
+                rounds: u64::MAX,
+                messages: u64::MAX,
+                bits: u64::MAX,
+                max_link_bits: u64::MAX,
+                max_node_out_bits: 0,
+                max_node_in_bits: u64::MAX,
+            })]
+        );
     }
 
     #[test]
