@@ -5,7 +5,7 @@
 //! At n = 81 the run charges 9,767,313 rounds; `BENCH_e1_fast.json`
 //! records it with its wall-clock times, and the rounds are the pin. The
 //! binary owns the end-to-end E1 measurement, and CI smoke-tests it for
-//! wall-clock regressions at a reduced `n` against a checked-in reference
+//! host-time regressions at a reduced `n` against a checked-in reference
 //! (`BENCH_e1_smoke_ref.json`).
 //!
 //! Usage:
@@ -18,27 +18,78 @@
 //! * Every rep replays the *identical* run (the RNG is re-seeded per rep),
 //!   so charged rounds are asserted equal across reps. One warmup rep is
 //!   executed and discarded before timing.
-//! * `--check REF.json` compares this run's `min_ms` against the
-//!   reference's `min_ms` (falling back to `median_ms`) and exits 1 when
-//!   it regressed by more than `--max-ratio` (default 2.0). `min_ms` is
-//!   compared because it is the noise-robust statistic on shared CI hosts.
+//! * Every timed rep is priced against a fixed single-threaded reference
+//!   kernel ([`kernel_ms`]) timed right before and right after it: a
+//!   slower or busier host stretches the kernel as much as the rep, so
+//!   the rep's `ratio` (its time over the mean of the two kernel times)
+//!   holds still while the host's speed drifts.
+//! * `--check REF.json` compares this run's `min_ratio` against the
+//!   reference's and exits 1 when it regressed by more than `--max-ratio`
+//!   (default 2.0), or when the charged rounds differ from the
+//!   reference's. A reference without `min_ratio` or `rounds` exits 2.
+//!   The minimum is compared because it is the noise-robust statistic on
+//!   shared CI hosts.
 //! * The JSON also records `trimmed_mean_ms` (mean with the fastest and
 //!   slowest rep dropped) as the typical-rep statistic; it is reported,
 //!   never gated on. See EXPERIMENTS.md for the rationale.
 
 use qcc_apsp::{apsp_traced, ApspAlgorithm, Params};
-use qcc_congest::TraceSink;
-use qcc_graph::random_reweighted_digraph;
+use qcc_congest::{json, TraceSink};
+use qcc_graph::{floyd_warshall_with_threads, random_reweighted_digraph, WeightMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
+
+/// Vertices of the reference kernel's graph: 96³ ≈ 0.9 M relaxations, a
+/// few milliseconds per pass.
+const KERNEL_N: usize = 96;
+
+/// What `kernel_ms` times, as recorded in the JSON.
+const KERNEL: &str = "floyd_warshall_with_threads(n = 96, threads = 1), median of 5";
 
 struct E1Result {
     n: usize,
     reps: usize,
     times_ms: Vec<f64>,
+    /// Per timed rep: the mean of the kernel times just before and after.
+    kernel_ms: Vec<f64>,
     rounds: u64,
+}
+
+impl E1Result {
+    /// Each rep's time in units of its adjacent kernel time.
+    fn ratios(&self) -> Vec<f64> {
+        self.times_ms
+            .iter()
+            .zip(&self.kernel_ms)
+            .map(|(t, k)| t / k)
+            .collect()
+    }
+}
+
+/// The fixed graph the reference kernel solves.
+fn kernel_input() -> WeightMatrix {
+    let mut rng = StdRng::seed_from_u64(0xE1);
+    random_reweighted_digraph(KERNEL_N, 0.5, 8, &mut rng).adjacency_matrix()
+}
+
+/// Milliseconds one single-threaded Floyd–Warshall pass over `input`
+/// takes now: the median of five, so that one interrupted pass does not
+/// count.
+fn kernel_ms(input: &WeightMatrix) -> f64 {
+    let mut runs: Vec<f64> = (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            let closure = floyd_warshall_with_threads(black_box(input), 1);
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            black_box(closure).expect("the kernel graph has no negative cycle");
+            ms
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    runs[2]
 }
 
 fn median(sorted: &[f64]) -> f64 {
@@ -67,6 +118,8 @@ fn run_e1(n: usize, reps: usize, sink: Option<&TraceSink>) -> E1Result {
     // The E1 instance: graph and algorithm randomness both come from the
     // 0xE1 stream.
     let mut times_ms = Vec::with_capacity(reps);
+    let mut kernel = Vec::with_capacity(reps);
+    let input = kernel_input();
     let mut rounds: Option<u64> = None;
     // Rep 0 is a discarded warmup: it faults in code pages and warms the
     // allocator so the timed reps measure steady state.
@@ -74,6 +127,7 @@ fn run_e1(n: usize, reps: usize, sink: Option<&TraceSink>) -> E1Result {
         let mut rng = StdRng::seed_from_u64(0xE1);
         let g = random_reweighted_digraph(n, 0.5, 8, &mut rng);
         let timed_sink = if rep == 1 { sink } else { None };
+        let before = kernel_ms(&input);
         let t = Instant::now();
         let report = apsp_traced(
             &g,
@@ -84,6 +138,7 @@ fn run_e1(n: usize, reps: usize, sink: Option<&TraceSink>) -> E1Result {
         )
         .expect("pipeline succeeds");
         let elapsed = t.elapsed().as_secs_f64() * 1e3;
+        let kernel_mean = (before + kernel_ms(&input)) / 2.0;
         // Identical seed ⇒ identical simulation: any drift in charged
         // rounds between reps is a determinism bug.
         assert_eq!(
@@ -93,10 +148,13 @@ fn run_e1(n: usize, reps: usize, sink: Option<&TraceSink>) -> E1Result {
         );
         if rep > 0 {
             times_ms.push(elapsed);
+            kernel.push(kernel_mean);
         }
         eprintln!(
-            "bench_e1: rep {rep}{} n={n}: {elapsed:.1} ms, {} rounds",
+            "bench_e1: rep {rep}{} n={n}: {elapsed:.1} ms ({:.1} kernels of {kernel_mean:.2} ms), \
+             {} rounds",
             if rep == 0 { " (warmup, discarded)" } else { "" },
+            elapsed / kernel_mean,
             report.rounds
         );
     }
@@ -104,8 +162,19 @@ fn run_e1(n: usize, reps: usize, sink: Option<&TraceSink>) -> E1Result {
         n,
         reps,
         times_ms,
+        kernel_ms: kernel,
         rounds: rounds.expect("at least one rep ran"),
     }
+}
+
+/// `values` as a JSON array of three-decimal numbers.
+fn json_list(values: &[f64]) -> String {
+    let items: Vec<String> = values.iter().map(|v| format!("{v:.3}")).collect();
+    format!("[{}]", items.join(", "))
+}
+
+fn min_of(values: &[f64]) -> f64 {
+    values.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
 fn to_json(r: &E1Result) -> String {
@@ -113,7 +182,7 @@ fn to_json(r: &E1Result) -> String {
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"qcc-bench-e1/v1\",");
+    let _ = writeln!(s, "  \"schema\": \"qcc-bench-e1/v2\",");
     let _ = writeln!(
         s,
         "  \"host_available_parallelism\": {},",
@@ -127,27 +196,13 @@ fn to_json(r: &E1Result) -> String {
     let _ = writeln!(s, "  \"trimmed_mean_ms\": {:.3},", trimmed_mean(&sorted));
     let _ = writeln!(s, "  \"min_ms\": {:.3},", sorted[0]);
     let _ = writeln!(s, "  \"rounds\": {},", r.rounds);
-    let _ = write!(s, "  \"all_ms\": [");
-    for (j, t) in r.times_ms.iter().enumerate() {
-        if j > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "{t:.3}");
-    }
-    s.push_str("]\n}\n");
+    let _ = writeln!(s, "  \"all_ms\": {},", json_list(&r.times_ms));
+    let _ = writeln!(s, "  \"kernel\": {},", json::quote(KERNEL));
+    let _ = writeln!(s, "  \"kernel_ms\": {},", json_list(&r.kernel_ms));
+    let _ = writeln!(s, "  \"ratios\": {},", json_list(&r.ratios()));
+    let _ = writeln!(s, "  \"min_ratio\": {:.3}", min_of(&r.ratios()));
+    s.push_str("}\n");
     s
-}
-
-/// Pulls `"key": <number>` out of a flat JSON object without a JSON
-/// dependency (the bench JSON is machine-written, schema-stable).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {
@@ -217,40 +272,39 @@ fn main() {
     eprintln!("bench_e1: wrote {out_path}");
 
     if let Some(ref_path) = check_path {
-        let ref_text = std::fs::read_to_string(&ref_path).unwrap_or_else(|e| {
-            eprintln!("bench_e1: cannot read reference {ref_path}: {e}");
+        let reference = std::fs::read_to_string(&ref_path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| {
+                let (value, _) = json::parse(&text).map_err(|e| e.to_string())?;
+                let rounds = value.get("rounds").and_then(json::Value::as_u64);
+                let ratio = value.get("min_ratio").and_then(json::Value::as_f64);
+                rounds
+                    .zip(ratio)
+                    .ok_or_else(|| "no rounds or min_ratio".to_string())
+            });
+        let (ref_rounds, ref_ratio) = reference.unwrap_or_else(|e| {
+            eprintln!("bench_e1: cannot use reference {ref_path}: {e}");
             std::process::exit(2);
         });
-        let ref_ms = json_number(&ref_text, "min_ms")
-            .or_else(|| json_number(&ref_text, "median_ms"))
-            .unwrap_or_else(|| {
-                eprintln!("bench_e1: reference {ref_path} has no min_ms/median_ms");
-                std::process::exit(2);
-            });
-        let mut sorted = result.times_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let ours = sorted[0];
-        let ratio = ours / ref_ms;
-        if let Some(ref_rounds) = json_number(&ref_text, "rounds") {
-            let ref_rounds = ref_rounds as u64;
-            if ref_rounds != result.rounds {
-                eprintln!(
-                    "bench_e1: FAIL — charged rounds {} differ from reference {} \
-                     (simulation semantics changed)",
-                    result.rounds, ref_rounds
-                );
-                std::process::exit(1);
-            }
+        if ref_rounds != result.rounds {
+            eprintln!(
+                "bench_e1: FAIL — charged rounds {} differ from reference {ref_rounds} \
+                 (simulation semantics changed)",
+                result.rounds
+            );
+            std::process::exit(1);
         }
+        let ours = min_of(&result.ratios());
+        let ratio = ours / ref_ratio;
         if ratio > max_ratio {
             eprintln!(
-                "bench_e1: FAIL — min {ours:.1} ms is {ratio:.2}x the reference \
-                 {ref_ms:.1} ms (limit {max_ratio}x)"
+                "bench_e1: FAIL — min {ours:.1} kernels is {ratio:.2}x the reference \
+                 {ref_ratio:.1} kernels (limit {max_ratio}x)"
             );
             std::process::exit(1);
         }
         eprintln!(
-            "bench_e1: check OK — min {ours:.1} ms vs reference {ref_ms:.1} ms \
+            "bench_e1: check OK — min {ours:.1} kernels vs reference {ref_ratio:.1} kernels \
              ({ratio:.2}x, limit {max_ratio}x)"
         );
     }

@@ -27,7 +27,7 @@ use qcc_apsp::{
     apsp_driver, gossip_apsp, ApspAlgorithm, DriverConfig, GossipApspConfig, GossipApspReport,
 };
 use qcc_bench::{banner, take_trace_flag, Table};
-use qcc_congest::{FaultPlan, NetConfig, NodeId, TopologySpec};
+use qcc_congest::{json, FaultPlan, NetConfig, NodeId, TopologySpec};
 use qcc_graph::{floyd_warshall, random_reweighted_digraph, WeightMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,11 +47,6 @@ struct Cell {
     wasted_packets: Option<u64>,
     wasted_bits: Option<u64>,
     full_nodes: Option<u64>,
-}
-
-fn json_str_opt(v: &Option<String>) -> String {
-    v.as_ref()
-        .map_or("null".to_string(), |s| format!("{:?}", s))
 }
 
 fn json_num_opt(v: Option<u64>) -> String {
@@ -294,17 +289,17 @@ fn main() {
         let comma = if i + 1 < cells.len() { "," } else { "" };
         let _ = writeln!(
             s,
-            "    {{\"topology\": {:?}, \"transport\": {:?}, \"mechanism\": {:?}, \
-             \"faults\": {:?}, \"success\": {}, \"verified\": {}, \"error\": {}, \
+            "    {{\"topology\": {}, \"transport\": {}, \"mechanism\": {}, \
+             \"faults\": {}, \"success\": {}, \"verified\": {}, \"error\": {}, \
              \"rounds\": {}, \"attempts\": {}, \"wasted_packets\": {}, \
              \"wasted_bits\": {}, \"full_nodes\": {}}}{comma}",
-            c.topology,
-            c.transport,
-            c.mechanism,
-            c.faults,
+            json::quote(c.topology),
+            json::quote(c.transport),
+            json::quote(c.mechanism),
+            json::quote(&c.faults),
             c.success,
             c.verified,
-            json_str_opt(&c.error),
+            c.error.as_deref().map_or("null".to_string(), json::quote),
             json_num_opt(c.rounds),
             json_num_opt(c.attempts),
             json_num_opt(c.wasted_packets),

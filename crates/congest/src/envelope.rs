@@ -61,24 +61,6 @@ impl<T> Inboxes<T> {
         }
     }
 
-    /// Builds inboxes from `(dst, src, payload)` records in submission
-    /// order: the stable sort groups by destination and orders each inbox
-    /// by sender then submission — the model's delivery order.
-    pub(crate) fn from_staged(n: usize, mut staged: Vec<(NodeId, NodeId, T)>) -> Self {
-        staged.sort_by_key(|&(dst, src, _)| (dst, src));
-        let mut starts = vec![0usize; n + 1];
-        for &(dst, _, _) in &staged {
-            starts[dst.index() + 1] += 1;
-        }
-        for d in 0..n {
-            starts[d + 1] += starts[d];
-        }
-        Inboxes {
-            data: staged.into_iter().map(|(_, src, p)| (src, p)).collect(),
-            starts,
-        }
-    }
-
     /// Builds inboxes from pre-placed parts: `data` already grouped by
     /// destination per `starts`, each group sender-then-submission ordered.
     pub(crate) fn from_parts(data: Vec<(NodeId, T)>, starts: Vec<usize>) -> Self {
@@ -224,25 +206,6 @@ mod tests {
         assert_eq!(boxes.len(), 3);
         assert_eq!(boxes.message_count(), 0);
         assert!(boxes.of(NodeId::new(1)).is_empty());
-    }
-
-    #[test]
-    fn staged_records_order_by_destination_then_sender() {
-        let boxes = Inboxes::from_staged(
-            2,
-            vec![
-                (NodeId::new(0), NodeId::new(1), 10u64),
-                (NodeId::new(1), NodeId::new(0), 30u64),
-                (NodeId::new(0), NodeId::new(0), 20u64),
-                (NodeId::new(0), NodeId::new(1), 11u64),
-            ],
-        );
-        let inbox = boxes.of(NodeId::new(0));
-        assert_eq!(inbox[0], (NodeId::new(0), 20));
-        assert_eq!(inbox[1], (NodeId::new(1), 10));
-        assert_eq!(inbox[2], (NodeId::new(1), 11), "submission order kept");
-        assert_eq!(boxes.of(NodeId::new(1)), &[(NodeId::new(0), 30)]);
-        assert_eq!(boxes.message_count(), 4);
     }
 
     #[test]

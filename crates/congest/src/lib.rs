@@ -54,6 +54,7 @@ pub mod coloring;
 mod envelope;
 mod error;
 mod fault;
+pub mod json;
 mod metrics;
 mod network;
 mod node;

@@ -199,12 +199,6 @@ impl Metrics {
         self.sink = Some(sink);
     }
 
-    /// The attached trace sink, if any.
-    #[must_use]
-    pub fn trace_sink(&self) -> Option<&TraceSink> {
-        self.sink.as_ref()
-    }
-
     /// Starts a new named phase; subsequent exchanges accumulate into it.
     ///
     /// If no phase was ever begun, exchanges accumulate into an implicit

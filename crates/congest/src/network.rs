@@ -138,10 +138,6 @@ pub struct Clique {
     /// Ack/retransmit envelope configuration; engages only together with
     /// `faults` (see [`Clique::envelope_active`]).
     pub(crate) reliable: Option<ReliableConfig>,
-    /// When true, delivery stages `(dst, src, payload)` records and stable
-    /// sorts them — the straightforward reference path. The default arena
-    /// path places records by counting; `tests/` pin the two byte-identical.
-    legacy_delivery: bool,
 }
 
 impl Clique {
@@ -176,7 +172,6 @@ impl Clique {
             scratch: Scratch::new(n),
             faults: None,
             reliable: None,
-            legacy_delivery: false,
         })
     }
 
@@ -271,12 +266,6 @@ impl Clique {
         self.faults.as_ref().map(|f| &f.plan)
     }
 
-    /// The configured reliable-delivery envelope, if any.
-    #[must_use]
-    pub fn reliable_config(&self) -> Option<ReliableConfig> {
-        self.reliable
-    }
-
     /// Global tally of injected faults.
     #[must_use]
     pub fn fault_counts(&self) -> &FaultCounts {
@@ -319,15 +308,6 @@ impl Clique {
         for _ in 0..newly_crashed {
             self.metrics.record_fault(FaultKind::Crash);
         }
-    }
-
-    /// Enables (or disables) the staged-and-sorted reference delivery path.
-    ///
-    /// Both paths produce byte-identical inboxes, rounds, and metrics; the
-    /// arena path is the fast default. The switch exists so equivalence
-    /// tests can run the same schedule through both engines.
-    pub fn set_legacy_delivery(&mut self, on: bool) {
-        self.legacy_delivery = on;
     }
 
     /// Copies of message `idx` on `src → dst` that arrive under the armed
@@ -395,29 +375,14 @@ impl Clique {
     /// two copies of a duplicate adjacent); otherwise every send arrives
     /// once.
     ///
-    /// The default engine places each record directly at its final arena
-    /// offset via a `(dst, src)` counting pass — no per-node vectors and no
-    /// sort. The legacy engine stages records and stable-sorts them; both
-    /// are byte-identical (pinned by the inbox-equivalence tests).
+    /// Each record goes directly to its final arena offset via a
+    /// `(dst, src)` counting pass — no per-node vectors and no sort.
+    /// `tests/delivery_reference.rs` checks the result against a stable
+    /// sort of the arriving copies.
     pub(crate) fn place<T: Payload>(&mut self, sends: Vec<Envelope<T>>, fated: bool) -> Inboxes<T> {
         let n = self.n;
         let s = &mut self.scratch;
         let copies_of = |fates: &[u8], idx: usize| if fated { fates[idx] } else { 1 };
-
-        if self.legacy_delivery {
-            let mut staged: Vec<(NodeId, NodeId, T)> = Vec::with_capacity(sends.len());
-            for (idx, e) in sends.into_iter().enumerate() {
-                let copies = copies_of(&s.fate_copies, idx);
-                if copies == 2 {
-                    staged.push((e.dst, e.src, e.payload.clone()));
-                }
-                if copies >= 1 {
-                    staged.push((e.dst, e.src, e.payload));
-                }
-            }
-            return Inboxes::from_staged(n, staged);
-        }
-
         let fates = &s.fate_copies;
         let arrivals = sends
             .iter()

@@ -230,37 +230,6 @@ impl Topology {
         }
     }
 
-    /// BFS next-hop table for shortest-hop forwarding: entry `[v][u]` is
-    /// the neighbor of `u` on a shortest path toward `v` (ties broken by
-    /// smallest node index; `u` itself when `u == v`). Requires a
-    /// connected topology (checked by the transports before use).
-    #[must_use]
-    pub fn next_hops(&self) -> Vec<Vec<usize>> {
-        let n = self.n;
-        let mut table = Vec::with_capacity(n);
-        for dst in 0..n {
-            // BFS from the destination: each discovered node's parent is
-            // its next hop toward `dst`.
-            let mut hop = vec![usize::MAX; n];
-            hop[dst] = dst;
-            let mut frontier = vec![dst];
-            while !frontier.is_empty() {
-                let mut next = Vec::new();
-                for &u in &frontier {
-                    for &v in &self.adj[u] {
-                        if hop[v] == usize::MAX {
-                            hop[v] = u;
-                            next.push(v);
-                        }
-                    }
-                }
-                frontier = next;
-            }
-            table.push(hop);
-        }
-        table
-    }
-
     /// The longest shortest-hop distance between any pair, or `None` when
     /// disconnected.
     #[must_use]
@@ -459,29 +428,6 @@ mod tests {
             CongestError::Partitioned { reachable: 2, n: 4 }
         );
         assert!(Topology::ring(4).require_connected().is_ok());
-    }
-
-    #[test]
-    fn next_hops_follow_shortest_paths() {
-        let t = Topology::ring(6);
-        let hops = t.next_hops();
-        // Toward node 3 from node 0: either way is 3 hops; the tie breaks
-        // toward the smaller-index neighbor discovered first.
-        assert!(hops[3][0] == 1 || hops[3][0] == 5);
-        assert_eq!(hops[3][2], 3, "one hop out");
-        assert_eq!(hops[3][3], 3, "self");
-        // Walking the table always reaches the destination.
-        for (dst, toward) in hops.iter().enumerate() {
-            for start in 0..6 {
-                let mut cur = start;
-                let mut steps = 0;
-                while cur != dst {
-                    cur = toward[cur];
-                    steps += 1;
-                    assert!(steps <= 6, "next-hop walk must terminate");
-                }
-            }
-        }
     }
 
     #[test]

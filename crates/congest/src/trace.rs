@@ -38,6 +38,7 @@
 //! closing statistics, and renders the rounds/bits/max-link breakdown shown
 //! by `qcc trace-summary`.
 
+use crate::json::{self, Value};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -268,7 +269,7 @@ impl TraceSink {
             line.push_str(&format!(",\"parent\":{parent}"));
         }
         line.push_str(",\"label\":\"");
-        escape_into(label, &mut line);
+        json::escape_into(&mut line, label);
         line.push('"');
         if factor != 1 {
             line.push_str(&format!(",\"factor\":{factor}"));
@@ -311,7 +312,7 @@ impl TraceSink {
                 totals.calls,
             );
             line.push_str(",\"hist\":\"");
-            escape_into(hist, &mut line);
+            json::escape_into(&mut line, hist);
             line.push_str("\"}");
             inner.emit(&line);
         }
@@ -333,7 +334,7 @@ impl TraceSink {
             return;
         };
         let mut line = String::from("{\"ev\":\"comm\",\"kind\":\"");
-        escape_into(kind, &mut line);
+        json::escape_into(&mut line, kind);
         line.push('"');
         if let Some(&span) = inner.stack.last() {
             line.push_str(&format!(",\"span\":{span}"));
@@ -352,19 +353,13 @@ impl TraceSink {
             return;
         };
         let mut line = String::from("{\"ev\":\"fault\",\"kind\":\"");
-        escape_into(kind, &mut line);
+        json::escape_into(&mut line, kind);
         line.push('"');
         if let Some(&span) = inner.stack.last() {
             line.push_str(&format!(",\"span\":{span}"));
         }
         line.push('}');
         inner.emit(&line);
-    }
-
-    /// Number of events successfully written.
-    #[must_use]
-    pub fn events_written(&self) -> u64 {
-        self.lock_read().events
     }
 
     /// Events silently dropped because the sink's mutex was poisoned by a
@@ -394,17 +389,6 @@ impl TraceSink {
             )));
         }
         Ok(())
-    }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }
 
@@ -497,191 +481,68 @@ fn err(line: usize, message: impl Into<String>) -> TraceError {
     }
 }
 
-#[derive(Clone, Debug, PartialEq)]
-enum JsonValue {
-    Num(u64),
-    Str(String),
-}
-
-/// Minimal parser for the flat one-line objects this module emits: string
-/// keys mapping to unsigned integers or strings. Anything else is rejected
-/// — a malformed trace should fail loudly, not best-effort.
-fn parse_flat_object(line: &str, line_no: usize) -> Result<Vec<(String, JsonValue)>, TraceError> {
-    let bytes: Vec<char> = line.trim().chars().collect();
-    let mut pos = 0usize;
-    let mut pairs = Vec::new();
-    let expect = |pos: &mut usize, want: char, bytes: &[char]| -> Result<(), TraceError> {
-        if bytes.get(*pos) == Some(&want) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(err(
-                line_no,
-                format!("expected '{want}' at column {}", *pos + 1),
-            ))
-        }
-    };
-    expect(&mut pos, '{', &bytes)?;
-    if bytes.get(pos) == Some(&'}') {
-        return Ok(pairs);
-    }
-    loop {
-        let key = parse_json_string(&bytes, &mut pos, line_no)?;
-        expect(&mut pos, ':', &bytes)?;
-        let value = match bytes.get(pos) {
-            Some('"') => JsonValue::Str(parse_json_string(&bytes, &mut pos, line_no)?),
-            Some(c) if c.is_ascii_digit() => {
-                let mut v: u64 = 0;
-                while let Some(c) = bytes.get(pos).filter(|c| c.is_ascii_digit()) {
-                    v = v
-                        .checked_mul(10)
-                        .and_then(|v| v.checked_add(*c as u64 - '0' as u64))
-                        .ok_or_else(|| err(line_no, "integer overflow"))?;
-                    pos += 1;
-                }
-                JsonValue::Num(v)
-            }
-            _ => {
-                return Err(err(
-                    line_no,
-                    format!("expected value at column {}", pos + 1),
-                ))
-            }
-        };
-        pairs.push((key, value));
-        match bytes.get(pos) {
-            Some(',') => pos += 1,
-            Some('}') => {
-                pos += 1;
-                break;
-            }
-            _ => {
-                return Err(err(
-                    line_no,
-                    format!("expected ',' or '}}' at column {}", pos + 1),
-                ))
-            }
-        }
-    }
-    if pos != bytes.len() {
-        return Err(err(line_no, "trailing characters after object"));
-    }
-    Ok(pairs)
-}
-
-fn parse_json_string(
-    bytes: &[char],
-    pos: &mut usize,
-    line_no: usize,
-) -> Result<String, TraceError> {
-    if bytes.get(*pos) != Some(&'"') {
-        return Err(err(
-            line_no,
-            format!("expected string at column {}", *pos + 1),
-        ));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err(line_no, "unterminated string")),
-            Some('"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some('\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('t') => out.push('\t'),
-                    Some('r') => out.push('\r'),
-                    Some('u') => {
-                        let hex: String = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .unwrap_or(&[])
-                            .iter()
-                            .collect();
-                        let code = u32::from_str_radix(&hex, 16)
-                            .ok()
-                            .and_then(char::from_u32)
-                            .ok_or_else(|| err(line_no, "bad \\u escape"))?;
-                        out.push(code);
-                        *pos += 4;
-                    }
-                    _ => return Err(err(line_no, "bad escape")),
-                }
-                *pos += 1;
-            }
-            Some(c) => {
-                out.push(*c);
-                *pos += 1;
-            }
-        }
-    }
-}
-
-fn take_num(pairs: &[(String, JsonValue)], key: &str, line_no: usize) -> Result<u64, TraceError> {
-    opt_num(pairs, key, line_no)?.ok_or_else(|| err(line_no, format!("missing field {key}")))
-}
-
-fn opt_num(
-    pairs: &[(String, JsonValue)],
-    key: &str,
-    line_no: usize,
-) -> Result<Option<u64>, TraceError> {
-    match pairs.iter().find(|(k, _)| k == key) {
-        None => Ok(None),
-        Some((_, JsonValue::Num(v))) => Ok(Some(*v)),
-        Some((_, JsonValue::Str(_))) => Err(err(line_no, format!("field {key} must be a number"))),
-    }
-}
-
-fn take_str(
-    pairs: &[(String, JsonValue)],
-    key: &str,
-    line_no: usize,
-) -> Result<String, TraceError> {
-    match pairs.iter().find(|(k, _)| k == key) {
-        Some((_, JsonValue::Str(v))) => Ok(v.clone()),
-        Some((_, JsonValue::Num(_))) => Err(err(line_no, format!("field {key} must be a string"))),
-        None => Err(err(line_no, format!("missing field {key}"))),
-    }
-}
-
 /// Parses one NDJSON line into a [`TraceEvent`].
 ///
 /// # Errors
 ///
 /// Returns a [`TraceError`] describing the first malformation.
 pub fn parse_trace_line(line: &str, line_no: usize) -> Result<TraceEvent, TraceError> {
-    let pairs = parse_flat_object(line, line_no)?;
-    match take_str(&pairs, "ev", line_no)?.as_str() {
+    let (event, rest) = json::parse(line).map_err(|e| err(line_no, e.to_string()))?;
+    if !rest.is_empty() {
+        return Err(err(line_no, "trailing characters after object"));
+    }
+    let Value::Object(fields) = &event else {
+        return Err(err(line_no, "a trace event must be a JSON object"));
+    };
+    // The writer emits only strings and unsigned integers; anything else
+    // is a malformed trace, even in a field this reader does not use.
+    if let Some((key, _)) = fields
+        .iter()
+        .find(|(_, v)| v.as_str().is_none() && v.as_u64().is_none())
+    {
+        return Err(err(
+            line_no,
+            format!("field {key} must be a string or an unsigned integer"),
+        ));
+    }
+    let missing = |key: &str| err(line_no, format!("missing field {key}"));
+    let opt_num = |key: &str| match event.get(key) {
+        None => Ok(None),
+        Some(v) => v
+            .as_u64()
+            .map(Some)
+            .ok_or_else(|| err(line_no, format!("field {key} must be a number"))),
+    };
+    let take_num = |key: &str| opt_num(key)?.ok_or_else(|| missing(key));
+    let take_str = |key: &str| match event.get(key) {
+        Some(Value::String(v)) => Ok(v.clone()),
+        Some(_) => Err(err(line_no, format!("field {key} must be a string"))),
+        None => Err(missing(key)),
+    };
+    match take_str("ev")?.as_str() {
         "open" => Ok(TraceEvent::Open {
-            id: take_num(&pairs, "id", line_no)?,
-            parent: opt_num(&pairs, "parent", line_no)?,
-            label: take_str(&pairs, "label", line_no)?,
-            factor: opt_num(&pairs, "factor", line_no)?.unwrap_or(1),
+            id: take_num("id")?,
+            parent: opt_num("parent")?,
+            label: take_str("label")?,
+            factor: opt_num("factor")?.unwrap_or(1),
         }),
         "close" => Ok(TraceEvent::Close {
-            id: take_num(&pairs, "id", line_no)?,
-            rounds: opt_num(&pairs, "rounds", line_no)?,
+            id: take_num("id")?,
+            rounds: opt_num("rounds")?,
         }),
         "comm" => Ok(TraceEvent::Comm(CommEvent {
-            kind: take_str(&pairs, "kind", line_no)?,
-            span: opt_num(&pairs, "span", line_no)?,
-            rounds: take_num(&pairs, "rounds", line_no)?,
-            messages: take_num(&pairs, "messages", line_no)?,
-            bits: take_num(&pairs, "bits", line_no)?,
-            max_link_bits: take_num(&pairs, "max_link_bits", line_no)?,
-            max_node_out_bits: take_num(&pairs, "max_node_out_bits", line_no)?,
-            max_node_in_bits: take_num(&pairs, "max_node_in_bits", line_no)?,
+            kind: take_str("kind")?,
+            span: opt_num("span")?,
+            rounds: take_num("rounds")?,
+            messages: take_num("messages")?,
+            bits: take_num("bits")?,
+            max_link_bits: take_num("max_link_bits")?,
+            max_node_out_bits: take_num("max_node_out_bits")?,
+            max_node_in_bits: take_num("max_node_in_bits")?,
         })),
         "fault" => Ok(TraceEvent::Fault {
-            kind: take_str(&pairs, "kind", line_no)?,
-            span: opt_num(&pairs, "span", line_no)?,
+            kind: take_str("kind")?,
+            span: opt_num("span")?,
         }),
         other => Err(err(line_no, format!("unknown event kind: {other}"))),
     }

@@ -134,66 +134,6 @@ proptest! {
         }
     }
 
-    /// The arena counting-placement delivery engine is byte-identical to
-    /// the legacy staged-and-sorted reference path: same per-node inboxes
-    /// (payloads *and* order), same charged rounds, same message/bit
-    /// totals, same fault tallies — across exchange and route, with and
-    /// without a non-empty fault plan (drops, corruptions, duplications,
-    /// and a crash).
-    #[test]
-    fn arena_and_legacy_delivery_are_byte_identical(
-        n in 2usize..8,
-        raw in vec((0usize..8, 0usize..8, 0u32..1000), 0..60),
-        use_route in 0u8..2,
-        faulty in 0u8..2,
-        drop in 0.0f64..0.4,
-        dup in 0.0f64..0.4,
-        corrupt in 0.0f64..0.3,
-        seed in 0u64..500,
-    ) {
-        let sends: Vec<Envelope<u32>> = raw
-            .into_iter()
-            .map(|(u, v, x)| Envelope::new(NodeId::new(u % n), NodeId::new(v % n), x))
-            .collect();
-        let plan = FaultPlan {
-            drop_rate: drop,
-            corrupt_rate: corrupt,
-            duplicate_rate: dup,
-            crashes: vec![(NodeId::new(n - 1), 2)],
-            seed,
-            ..FaultPlan::default()
-        };
-        let run = |legacy: bool| {
-            let mut net = Clique::new(n).unwrap();
-            net.set_legacy_delivery(legacy);
-            if faulty == 1 {
-                net.set_fault_plan(plan.clone());
-            }
-            // Two phases: the second reuses warm scratch and advances the
-            // fate stream, so submission-order bookkeeping is exercised.
-            let first = if use_route == 1 {
-                net.route(sends.clone()).unwrap()
-            } else {
-                net.exchange(sends.clone()).unwrap()
-            };
-            let second = net.exchange(sends.clone()).unwrap();
-            let totals = (
-                net.rounds(),
-                net.metrics().total_messages(),
-                net.metrics().total_bits(),
-                *net.fault_counts(),
-            );
-            (first, second, totals)
-        };
-        let (arena1, arena2, arena_totals) = run(false);
-        let (legacy1, legacy2, legacy_totals) = run(true);
-        prop_assert_eq!(arena_totals, legacy_totals);
-        for node in NodeId::all(n) {
-            prop_assert_eq!(arena1.of(node), legacy1.of(node));
-            prop_assert_eq!(arena2.of(node), legacy2.of(node));
-        }
-    }
-
     /// Charging an exchange from a sparse link tally
     /// ([`Clique::charge_exchange_tally`]) records exactly what
     /// materializing the same fixed-width traffic through

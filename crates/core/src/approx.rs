@@ -14,7 +14,6 @@
 //! This module implements quantization on top of the exact distributed
 //! pipeline and measures the call-count/error trade (experiment E15).
 
-use crate::apsp::ApspAlgorithm;
 use crate::distance_product::distributed_distance_product;
 use crate::params::Params;
 use crate::step3::SearchBackend;
@@ -140,16 +139,6 @@ pub fn max_additive_error(exact: &WeightMatrix, approx: &WeightMatrix) -> i64 {
         }
     }
     worst
-}
-
-/// Exact APSP report for comparison, run through the same backend (helper
-/// for the E15 experiment).
-pub fn exact_reference<R: Rng>(
-    g: &DiGraph,
-    params: Params,
-    rng: &mut R,
-) -> Result<crate::apsp::ApspReport, ApspError> {
-    crate::apsp::apsp(g, params, ApspAlgorithm::ClassicalTriangle, rng)
 }
 
 #[cfg(test)]

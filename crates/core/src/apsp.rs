@@ -139,43 +139,77 @@ fn squaring_apsp<R: Rng>(
     trace: Option<&TraceSink>,
     netcfg: &NetConfig,
 ) -> Result<ApspReport, ApspError> {
-    let n = g.n();
-    let mut current = g.adjacency_matrix();
+    let (distances, rounds, products) =
+        square_to_closure(g.adjacency_matrix(), trace, |current| {
+            let report = distributed_distance_product_configured(
+                current, current, params, backend, rng, trace, netcfg,
+            )?;
+            debug_assert_eq!(report.simulation_factor, 9);
+            Ok((report.physical_rounds(), report.product))
+        })?;
+    let algorithm = match backend {
+        SearchBackend::Quantum => ApspAlgorithm::QuantumTriangle,
+        SearchBackend::Classical => ApspAlgorithm::ClassicalTriangle,
+    };
+    Ok(ApspReport {
+        distances,
+        rounds,
+        products,
+        algorithm,
+    })
+}
+
+/// Repeated squaring (Proposition 3), shared by [`apsp_traced`] and
+/// [`crate::apsp_with_paths_traced`]: squares `adjacency` with `product`
+/// until the exponent reaches `n − 1`, since shortest paths have at most
+/// `n − 1` arcs. `product` returns one product's physical rounds and
+/// matrix. Returns the closure, the total physical rounds and the number
+/// of products.
+///
+/// With a sink, the run is a root `apsp` span with one `product-k` child
+/// per product, scaled by the virtual `Clique(3n)`'s simulation factor 9,
+/// so the trace's scaled total equals the returned rounds. Every span is
+/// closed on every path out.
+///
+/// # Errors
+///
+/// * A failed product, as [`ApspError::Faulted`] carrying the rounds of
+///   the completed products plus those the failed one charged.
+/// * [`ApspError::NegativeCycle`] if the closure has a negative diagonal
+///   entry.
+pub(crate) fn square_to_closure(
+    adjacency: WeightMatrix,
+    trace: Option<&TraceSink>,
+    mut product: impl FnMut(&WeightMatrix) -> Result<(u64, WeightMatrix), ApspError>,
+) -> Result<(WeightMatrix, u64, u32), ApspError> {
+    let n = adjacency.n();
+    let mut current = adjacency;
     let mut rounds = 0u64;
     let mut products = 0u32;
     if let Some(sink) = trace {
         sink.open_span("apsp");
     }
-    // Square until the exponent reaches n - 1 (paths need at most n - 1 arcs).
     let mut exponent: u64 = 1;
     while exponent < (n.max(2) as u64) - 1 {
-        let result = if let Some(sink) = trace {
-            // Each product runs on a virtual Clique(3n); its subtree counts
-            // simulation_factor-fold toward the physical total.
+        if let Some(sink) = trace {
             sink.open_span_scaled(&format!("product-{products}"), 9);
-            let result = distributed_distance_product_configured(
-                &current, &current, params, backend, rng, trace, netcfg,
-            );
+        }
+        let result = product(&current);
+        if let Some(sink) = trace {
             sink.close_span();
-            result
-        } else {
-            distributed_distance_product_configured(
-                &current, &current, params, backend, rng, None, netcfg,
-            )
-        };
-        let report = match result {
-            Ok(report) => report,
+        }
+        match result {
+            Ok((product_rounds, next)) => {
+                rounds += product_rounds;
+                current = next;
+            }
             Err(e) => {
                 if let Some(sink) = trace {
                     sink.close_span(); // the "apsp" root
                 }
-                // Completed products plus the aborted one: the full bill.
                 return Err(ApspError::faulted(rounds + e.rounds_charged(), e));
             }
-        };
-        debug_assert_eq!(report.simulation_factor, 9);
-        rounds += report.physical_rounds();
-        current = report.product;
+        }
         products += 1;
         exponent *= 2;
     }
@@ -183,21 +217,10 @@ fn squaring_apsp<R: Rng>(
         sink.close_span(); // the "apsp" root
     }
     // Negative cycle ⟺ some negative diagonal entry of the closure.
-    for i in 0..n {
-        if current[(i, i)] < ExtWeight::ZERO {
-            return Err(ApspError::NegativeCycle);
-        }
+    if (0..n).any(|i| current[(i, i)] < ExtWeight::ZERO) {
+        return Err(ApspError::NegativeCycle);
     }
-    let algorithm = match backend {
-        SearchBackend::Quantum => ApspAlgorithm::QuantumTriangle,
-        SearchBackend::Classical => ApspAlgorithm::ClassicalTriangle,
-    };
-    Ok(ApspReport {
-        distances: current,
-        rounds,
-        products,
-        algorithm,
-    })
+    Ok((current, rounds, products))
 }
 
 #[cfg(test)]

@@ -9,14 +9,14 @@
 //! `O(log M)` call count — the "polylogarithmic factor" the footnote
 //! pays — and every other part of the pipeline is reused unchanged.
 
+use crate::apsp::square_to_closure;
 use crate::distance_product::distributed_distance_product_configured;
 use crate::params::Params;
 use crate::step3::SearchBackend;
 use crate::ApspError;
 use qcc_congest::{NetConfig, TraceSink};
 use qcc_graph::{
-    decode_witness, scale_for_witness, DiGraph, ExtWeight, PathOracle, WeightMatrix,
-    WitnessedProduct,
+    decode_witness, scale_for_witness, DiGraph, PathOracle, WeightMatrix, WitnessedProduct,
 };
 use rand::Rng;
 
@@ -83,7 +83,8 @@ pub struct ApspPathsReport {
 /// # Errors
 ///
 /// * [`ApspError::NegativeCycle`] if the graph has one.
-/// * Propagated network/stage errors.
+/// * A failed witnessed product (network or stage error), as
+///   [`ApspError::Faulted`] carrying every round charged up to the failure.
 ///
 /// # Examples
 ///
@@ -128,42 +129,15 @@ pub fn apsp_with_paths_traced<R: Rng>(
     rng: &mut R,
     trace: Option<&TraceSink>,
 ) -> Result<ApspPathsReport, ApspError> {
-    let n = g.n();
     let adjacency = g.adjacency_matrix();
-    let mut current = adjacency.clone();
     let mut levels = Vec::new();
-    let mut rounds = 0u64;
-    let mut products = 0u32;
-    if let Some(sink) = trace {
-        sink.open_span("apsp");
-    }
-    let mut exponent: u64 = 1;
-    while exponent < (n.max(2) as u64) - 1 {
-        let report = if let Some(sink) = trace {
-            sink.open_span_scaled(&format!("product-{products}"), 9);
-            let report =
-                distributed_witnessed_product(&current, &current, params, backend, rng, trace);
-            sink.close_span();
-            report?
-        } else {
-            distributed_witnessed_product(&current, &current, params, backend, rng, None)?
-        };
-        rounds += report.rounds;
-        products += 1;
+    let (closure, rounds, products) = square_to_closure(adjacency.clone(), trace, |current| {
+        let report = distributed_witnessed_product(current, current, params, backend, rng, trace)?;
         levels.push(report.witnessed.witness);
-        current = report.witnessed.product;
-        exponent *= 2;
-    }
-    if let Some(sink) = trace {
-        sink.close_span(); // the "apsp" root
-    }
-    for i in 0..n {
-        if current[(i, i)] < ExtWeight::ZERO {
-            return Err(ApspError::NegativeCycle);
-        }
-    }
+        Ok((report.rounds, report.witnessed.product))
+    })?;
     Ok(ApspPathsReport {
-        oracle: PathOracle::from_parts(adjacency, levels, current),
+        oracle: PathOracle::from_parts(adjacency, levels, closure),
         rounds,
         products,
     })
@@ -172,9 +146,46 @@ pub fn apsp_with_paths_traced<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcc_graph::{distance_product, floyd_warshall, path_weight, random_reweighted_digraph};
+    use crate::{apsp_traced, ApspAlgorithm};
+    use qcc_congest::{parse_trace, TraceSummary};
+    use qcc_graph::{
+        distance_product, floyd_warshall, path_weight, random_reweighted_digraph, ExtWeight,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// An IdentifyClass abort in the first product: both entries must
+    /// close every span they opened and bill the same rounds.
+    #[test]
+    fn a_failed_product_closes_the_trace_and_bills_its_rounds() {
+        let params = Params {
+            identify_abort: 0.0,
+            ..Params::paper()
+        };
+        let run = |with_paths: bool| {
+            let mut rng = StdRng::seed_from_u64(5);
+            let g = random_reweighted_digraph(8, 0.5, 6, &mut rng);
+            let (sink, buffer) = TraceSink::in_memory();
+            let err = if with_paths {
+                apsp_with_paths_traced(&g, params, SearchBackend::Quantum, &mut rng, Some(&sink))
+                    .unwrap_err()
+            } else {
+                let algorithm = ApspAlgorithm::QuantumTriangle;
+                apsp_traced(&g, params, algorithm, &mut rng, Some(&sink)).unwrap_err()
+            };
+            let events = parse_trace(&buffer.contents()).unwrap();
+            let summary = TraceSummary::from_events(&events).unwrap();
+            summary.verify().unwrap();
+            (err, summary.total_rounds())
+        };
+        let (plain, plain_total) = run(false);
+        assert!(
+            matches!(&plain, ApspError::Faulted { rounds: 882, source }
+                if matches!(**source, ApspError::StageAborted { .. })),
+            "{plain:?}"
+        );
+        assert_eq!(run(true), (plain, plain_total));
+    }
 
     #[test]
     fn witnessed_product_matches_plain_product() {

@@ -22,7 +22,8 @@
 //!   negative cycle are rejected and the previous state is kept.
 //!
 //! The wire format is NDJSON, one request object per line (matching the
-//! `TraceSink` idiom); see [`parse_request`] for the schema. Malformed
+//! `TraceSink` idiom), read with the workspace's one JSON reader
+//! ([`qcc_congest::json`]); see [`parse_request`] for the schema. Malformed
 //! lines become `{"ok":false,...}` error responses, never panics.
 
 use crate::apsp_paths::apsp_with_paths_traced;
@@ -30,6 +31,7 @@ use crate::driver::{apsp_driver, DriverConfig};
 use crate::params::Params;
 use crate::step3::SearchBackend;
 use crate::ApspError;
+use qcc_congest::json::{self, Value};
 use qcc_congest::TraceSink;
 use qcc_graph::{
     delta_repair_candidate, floyd_warshall, has_negative_cycle, min_plus_fixpoint_certificate,
@@ -734,7 +736,7 @@ pub fn render_error(id: Option<i64>, msg: &str) -> String {
         let _ = write!(s, ",\"id\":{id}");
     }
     s.push_str(",\"error\":\"");
-    escape_into(&mut s, msg);
+    json::escape_into(&mut s, msg);
     s.push_str("\"}");
     s
 }
@@ -750,241 +752,41 @@ fn push_weight(s: &mut String, w: ExtWeight) {
     }
 }
 
-fn escape_into(s: &mut String, raw: &str) {
-    for ch in raw.chars() {
-        match ch {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
-            }
-            c => s.push(c),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Request parsing: a minimal JSON reader (std-only, integers + strings +
-// arrays + objects — exactly what the request schema needs).
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(i64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(text: &'a str) -> Self {
-        Reader {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\r' || b == b'\n' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(x) if x == b => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "expected '{}' at byte {}, found {}",
-                b as char,
-                self.pos,
-                other.map_or("end of line".to_string(), |c| format!("'{}'", c as char))
-            )),
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            None => Err("unexpected end of line".into()),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(format!("unexpected character '{}'", c as char)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
+/// Rejects, in document order, the first number of a request that is not
+/// an `i64` integer: ids, indices and weights are all integers.
+fn check_integers(value: &Value) -> Result<(), String> {
+    match value {
+        Value::Number(text) if value.as_i64().is_none() => Err(if text.contains(['.', 'e', 'E']) {
+            "only integers are accepted".into()
         } else {
-            Err(format!("malformed literal (expected {word})"))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if matches!(self.bytes.get(self.pos), Some(b'.' | b'e' | b'E')) {
-            return Err("only integers are accepted".into());
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "bad utf-8")?;
-        text.parse::<i64>()
-            .map(Json::Num)
-            .map_err(|_| format!("number out of range: {text}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        _ => return Err("bad escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the full scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "bad utf-8 in string")?;
-                    let ch = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err("expected ',' or ']' in array".into()),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err("expected ',' or '}' in object".into()),
-            }
-        }
+            format!("number out of range: {text}")
+        }),
+        Value::Array(items) => items.iter().try_for_each(check_integers),
+        Value::Object(fields) => fields.iter().try_for_each(|(_, v)| check_integers(v)),
+        _ => Ok(()),
     }
 }
 
-fn obj_get<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn as_index(fields: &[(String, Json)], key: &str) -> Result<usize, String> {
-    match obj_get(fields, key) {
-        Some(Json::Num(x)) if *x >= 0 => Ok(*x as usize),
-        Some(Json::Num(x)) => Err(format!("\"{key}\" must be nonnegative, got {x}")),
-        Some(_) => Err(format!("\"{key}\" must be an integer")),
+fn as_index(object: &Value, key: &str) -> Result<usize, String> {
+    match object.get(key).map(Value::as_i64) {
+        Some(Some(x)) if x >= 0 => Ok(x as usize),
+        Some(Some(x)) => Err(format!("\"{key}\" must be nonnegative, got {x}")),
+        Some(None) => Err(format!("\"{key}\" must be an integer")),
         None => Err(format!("missing field \"{key}\"")),
     }
 }
 
-fn as_id(fields: &[(String, Json)]) -> Result<Option<i64>, String> {
-    match obj_get(fields, "id") {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Num(x)) => Ok(Some(*x)),
-        Some(_) => Err("\"id\" must be an integer".into()),
+fn as_id(object: &Value) -> Result<Option<i64>, String> {
+    match object.get("id") {
+        None | Some(Value::Null) => Ok(None),
+        Some(v) => v
+            .as_i64()
+            .map(Some)
+            .ok_or_else(|| "\"id\" must be an integer".into()),
     }
 }
 
-fn check_keys(fields: &[(String, Json)], allowed: &[&str]) -> Result<(), String> {
+fn check_keys(fields: &[(String, Value)], allowed: &[&str]) -> Result<(), String> {
     for (k, _) in fields {
         if !allowed.contains(&k.as_str()) {
             return Err(format!(
@@ -1014,26 +816,25 @@ fn check_keys(fields: &[(String, Json)], allowed: &[&str]) -> Result<(), String>
 /// A human-readable message describing the malformed line; the serve loop
 /// turns it into an `{"ok":false,...}` response.
 pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
-    let mut reader = Reader::new(line);
-    let json = reader.value()?;
-    reader.skip_ws();
-    if reader.pos != reader.bytes.len() {
+    let (request, rest) = json::parse(line).map_err(|e| e.message)?;
+    check_integers(&request)?;
+    if !rest.is_empty() {
         return Err("trailing characters after the request object".into());
     }
-    let Json::Obj(fields) = json else {
+    let Value::Object(fields) = &request else {
         return Err("request must be a JSON object".into());
     };
-    let op = match obj_get(&fields, "op") {
-        Some(Json::Str(s)) => s.as_str(),
+    let op = match request.get("op") {
+        Some(Value::String(s)) => s.as_str(),
         Some(_) => return Err("\"op\" must be a string".into()),
         None => return Err("missing field \"op\"".into()),
     };
     match op {
         "dist" | "path" => {
-            check_keys(&fields, &["op", "id", "u", "v"])?;
-            let id = as_id(&fields)?;
-            let u = as_index(&fields, "u")?;
-            let v = as_index(&fields, "v")?;
+            check_keys(fields, &["op", "id", "u", "v"])?;
+            let id = as_id(&request)?;
+            let u = as_index(&request, "u")?;
+            let v = as_index(&request, "v")?;
             Ok(if op == "dist" {
                 ServeRequest::Dist { id, u, v }
             } else {
@@ -1041,9 +842,9 @@ pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
             })
         }
         "update" => {
-            check_keys(&fields, &["op", "id", "changes"])?;
-            let id = as_id(&fields)?;
-            let Some(Json::Arr(items)) = obj_get(&fields, "changes") else {
+            check_keys(fields, &["op", "id", "changes"])?;
+            let id = as_id(&request)?;
+            let Some(Value::Array(items)) = request.get("changes") else {
                 return Err("\"changes\" must be an array of edge objects".into());
             };
             if items.is_empty() {
@@ -1051,31 +852,30 @@ pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
             }
             let mut changes = Vec::with_capacity(items.len());
             for item in items {
-                let Json::Obj(f) = item else {
+                let Value::Object(f) = item else {
                     return Err("each change must be an object".into());
                 };
                 check_keys(f, &["u", "v", "weight"])?;
-                let u = as_index(f, "u")?;
-                let v = as_index(f, "v")?;
-                let weight = match obj_get(f, "weight") {
-                    None | Some(Json::Null) => None,
-                    Some(Json::Num(x)) => Some(*x),
-                    Some(_) => return Err("\"weight\" must be an integer or null".into()),
+                let u = as_index(item, "u")?;
+                let v = as_index(item, "v")?;
+                let weight = match item.get("weight") {
+                    None | Some(Value::Null) => None,
+                    Some(w) => Some(w.as_i64().ok_or("\"weight\" must be an integer or null")?),
                 };
                 changes.push(EdgeChange { u, v, weight });
             }
             Ok(ServeRequest::Update { id, changes })
         }
         "stats" => {
-            check_keys(&fields, &["op", "id"])?;
+            check_keys(fields, &["op", "id"])?;
             Ok(ServeRequest::Stats {
-                id: as_id(&fields)?,
+                id: as_id(&request)?,
             })
         }
         "shutdown" => {
-            check_keys(&fields, &["op", "id"])?;
+            check_keys(fields, &["op", "id"])?;
             Ok(ServeRequest::Shutdown {
-                id: as_id(&fields)?,
+                id: as_id(&request)?,
             })
         }
         other => Err(format!("unknown op: \"{other}\"")),
@@ -1163,6 +963,12 @@ mod tests {
             let err = parse_request(line).unwrap_err();
             assert!(err.contains(needle), "{line:?}: {err}");
         }
+    }
+
+    #[test]
+    fn deeply_nested_requests_are_rejected_not_overflowed() {
+        let err = parse_request(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nested deeper"), "{err}");
     }
 
     #[test]
@@ -1371,7 +1177,7 @@ mod tests {
         assert!(line.contains("\"mode\":\"full\""), "{line}");
         assert!(line.contains("\"verified\":null"), "{line}");
         // The banner itself must parse as a JSON object.
-        assert!(Reader::new(&line).value().is_ok());
+        assert!(json::parse(&line).is_ok());
     }
 
     #[test]
@@ -1379,7 +1185,7 @@ mod tests {
         let line = render_error(Some(3), "bad \"quote\" and \\ backslash\n");
         assert!(line.contains("\\\"quote\\\""), "{line}");
         assert!(line.contains("\\\\ backslash\\n"), "{line}");
-        assert!(Reader::new(&line).value().is_ok(), "{line}");
+        assert!(json::parse(&line).is_ok(), "{line}");
     }
 
     #[test]

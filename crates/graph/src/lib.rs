@@ -60,9 +60,9 @@ pub use generators::{
     planted_disjoint_triangles, random_nonneg_digraph, random_reweighted_digraph, random_ugraph,
 };
 pub use matrix::{
-    distance_power, distance_power_with_threads, distance_product, distance_product_reference,
-    distance_product_with_threads, min_plus_flat_into, tropical_decode, SquareMatrix, WeightMatrix,
-    MIN_PLUS_TILE, TROPICAL_FINITE_MAX, TROPICAL_NONE,
+    distance_power, distance_power_with_threads, distance_product, distance_product_with_threads,
+    min_plus_flat_into, tropical_decode, SquareMatrix, WeightMatrix, MIN_PLUS_TILE,
+    TROPICAL_FINITE_MAX, TROPICAL_NONE,
 };
 pub use partition::{
     ceil_fourth_root, ceil_sqrt, Labeling, PaperPartitions, Partition, SearchLabeling,

@@ -7,18 +7,14 @@
 //! (Proposition 3). This module provides the local implementations the
 //! distributed algorithms are verified against.
 //!
-//! Two implementations are kept deliberately:
-//!
-//! * [`distance_product_reference`] — the textbook `i, k, j` triple loop,
-//!   small enough to audit by eye; the property tests treat it as ground
-//!   truth.
-//! * [`distance_product`] / [`distance_product_with_threads`] — a
-//!   cache-blocked (tiled) kernel with row-band parallelism over
-//!   `std::thread::scope` workers (worker count from `QCC_THREADS`, see
-//!   [`qcc_perf::resolve_threads`]). Min over `k` is order-independent on
-//!   plain values, so the tiled schedule is **bit-identical** to the
-//!   reference for every input, which `tests/proptests.rs` asserts across
-//!   random matrices including `±∞` and negative weights.
+//! [`distance_product`] / [`distance_product_with_threads`] is a
+//! cache-blocked (tiled) kernel with row-band parallelism over
+//! `std::thread::scope` workers (worker count from `QCC_THREADS`, see
+//! [`qcc_perf::resolve_threads`]). Min over `k` is order-independent on
+//! plain values, so the tiled schedule is **bit-identical** to the
+//! textbook `i, k, j` triple loop for every input; `tests/proptests.rs`
+//! keeps that loop as its ground truth and asserts the identity across
+//! random matrices including `±∞` and negative weights.
 
 use crate::weight::ExtWeight;
 use std::fmt;
@@ -273,44 +269,11 @@ pub(crate) fn tropical_encode(m: &WeightMatrix) -> Option<Vec<i64>> {
     Some(coded)
 }
 
-/// Reference distance product `A ⋆ B` (Definition 2):
-/// `C[i,j] = min_k (A[i,k] + B[k,j])`.
-///
-/// The textbook `i, k, j` triple loop in `O(n³)` time — ground truth for
-/// both the distributed algorithms and the tiled kernel of
-/// [`distance_product`].
-///
-/// # Panics
-///
-/// Panics if the dimensions differ.
-pub fn distance_product_reference(a: &WeightMatrix, b: &WeightMatrix) -> WeightMatrix {
-    assert_eq!(a.n(), b.n(), "distance product requires equal dimensions");
-    let n = a.n();
-    let mut c = WeightMatrix::filled(n, ExtWeight::PosInf);
-    for i in 0..n {
-        for k in 0..n {
-            let aik = a[(i, k)];
-            if aik == ExtWeight::PosInf {
-                continue;
-            }
-            let brow = b.row(k);
-            let crow = c.row_mut(i);
-            for j in 0..n {
-                let cand = aik + brow[j];
-                if cand < crow[j] {
-                    crow[j] = cand;
-                }
-            }
-        }
-    }
-    c
-}
-
 /// Computes rows `rows` of `A ⋆ B` into `c_rows` (row-major, pre-filled
 /// with `+∞`) with `MIN_PLUS_TILE`-blocked loops.
 ///
 /// Min over `k` is order- and grouping-independent, so the tiled schedule
-/// produces exactly the entries of [`distance_product_reference`].
+/// produces exactly the entries of the textbook triple loop.
 fn min_plus_rows(
     a: &WeightMatrix,
     b: &WeightMatrix,
@@ -429,8 +392,8 @@ pub fn distance_product_with_threads(
 ///
 /// Runs the tiled parallel kernel with the ambient worker count
 /// (`QCC_THREADS`, else available parallelism — see
-/// [`qcc_perf::resolve_threads`]). Identical output to
-/// [`distance_product_reference`] for every input.
+/// [`qcc_perf::resolve_threads`]). Identical output to the textbook
+/// `i, k, j` triple loop for every input.
 ///
 /// # Panics
 ///
@@ -585,35 +548,6 @@ mod tests {
         b[(1, 0)] = w(12);
         assert_eq!(a.max_finite_magnitude_with(&b), 12);
         assert_eq!(b.max_finite_magnitude_with(&a), 12);
-    }
-
-    #[test]
-    fn tiled_kernel_matches_reference_across_tile_boundaries() {
-        // n > MIN_PLUS_TILE exercises multi-tile k/j loops and, under
-        // multiple workers, multi-band rows.
-        let n = MIN_PLUS_TILE + 17;
-        let a = WeightMatrix::from_fn(n, |i, j| {
-            if (i * 31 + j * 7) % 5 == 0 {
-                ExtWeight::PosInf
-            } else {
-                w((i as i64) - 2 * j as i64)
-            }
-        });
-        let b = WeightMatrix::from_fn(n, |i, j| {
-            if (i + 3 * j) % 7 == 0 {
-                ExtWeight::PosInf
-            } else {
-                w((3 * j) as i64 - i as i64)
-            }
-        });
-        let expected = distance_product_reference(&a, &b);
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(
-                distance_product_with_threads(&a, &b, threads),
-                expected,
-                "{threads} threads"
-            );
-        }
     }
 
     #[test]

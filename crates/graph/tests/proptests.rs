@@ -3,10 +3,34 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use qcc_graph::{
-    bellman_ford, distance_power, distance_product, distance_product_reference,
-    distance_product_with_threads, floyd_warshall, johnson, DiGraph, ExtWeight, PaperPartitions,
-    Partition, UGraph, WeightMatrix,
+    bellman_ford, distance_power, distance_product, distance_product_with_threads, floyd_warshall,
+    johnson, DiGraph, ExtWeight, PaperPartitions, Partition, UGraph, WeightMatrix, MIN_PLUS_TILE,
 };
+
+/// Reference distance product `A ⋆ B` (Definition 2):
+/// `C[i,j] = min_k (A[i,k] + B[k,j])`, the textbook `i, k, j` triple loop
+/// in `O(n³)` time: small enough to audit by eye, and the ground truth the
+/// tiled kernel of `distance_product` is checked against.
+fn distance_product_reference(a: &WeightMatrix, b: &WeightMatrix) -> WeightMatrix {
+    assert_eq!(a.n(), b.n(), "distance product requires equal dimensions");
+    let n = a.n();
+    let mut c = WeightMatrix::filled(n, ExtWeight::PosInf);
+    for i in 0..n {
+        for k in 0..n {
+            let aik = a[(i, k)];
+            if aik == ExtWeight::PosInf {
+                continue;
+            }
+            for j in 0..n {
+                let cand = aik + b[(k, j)];
+                if cand < c[(i, j)] {
+                    c[(i, j)] = cand;
+                }
+            }
+        }
+    }
+    c
+}
 
 fn arb_weight() -> impl Strategy<Value = ExtWeight> {
     prop_oneof![
@@ -207,6 +231,35 @@ proptest! {
         for threads in [1usize, 2, 3, 5] {
             prop_assert_eq!(&distance_product_with_threads(&a, &b, threads), &reference);
         }
+    }
+}
+
+#[test]
+fn tiled_kernel_matches_reference_across_tile_boundaries() {
+    // n > MIN_PLUS_TILE exercises multi-tile k/j loops and, under
+    // multiple workers, multi-band rows.
+    let n = MIN_PLUS_TILE + 17;
+    let a = WeightMatrix::from_fn(n, |i, j| {
+        if (i * 31 + j * 7) % 5 == 0 {
+            ExtWeight::PosInf
+        } else {
+            ExtWeight::from((i as i64) - 2 * j as i64)
+        }
+    });
+    let b = WeightMatrix::from_fn(n, |i, j| {
+        if (i + 3 * j) % 7 == 0 {
+            ExtWeight::PosInf
+        } else {
+            ExtWeight::from((3 * j) as i64 - i as i64)
+        }
+    });
+    let expected = distance_product_reference(&a, &b);
+    for threads in [1, 2, 4, 7] {
+        assert_eq!(
+            distance_product_with_threads(&a, &b, threads),
+            expected,
+            "{threads} threads"
+        );
     }
 }
 

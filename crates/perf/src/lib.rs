@@ -3,7 +3,7 @@
 //! Std-only threading primitives shared by every crate in the workspace:
 //! worker-count resolution (the `QCC_THREADS` environment variable, an
 //! explicit per-call override, or the machine's available parallelism) and
-//! two `std::thread::scope`-based fan-out helpers with deterministic,
+//! `std::thread::scope`-based fan-out helpers with deterministic,
 //! contiguous work splitting.
 //!
 //! ## Determinism contract
@@ -99,31 +99,6 @@ pub fn band_ranges(total: usize, parts: usize) -> Vec<Range<usize>> {
         start += len;
     }
     out
-}
-
-/// Runs `f` on contiguous index bands of `0..total` across `threads`
-/// scoped workers. `f` receives each band's range; it must only touch
-/// state it can share immutably (use [`map_bands`] or split mutable slices
-/// at the call site for writes).
-///
-/// Runs inline (no spawn) when `threads == 1` or the work is too small.
-pub fn for_each_band<F>(total: usize, threads: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let bands = plan(total, threads);
-    if bands.len() <= 1 {
-        if total > 0 {
-            f(0..total);
-        }
-        return;
-    }
-    thread::scope(|scope| {
-        for band in bands {
-            let f = &f;
-            scope.spawn(move || f(band));
-        }
-    });
 }
 
 /// Maps `f` over contiguous bands of `0..total` in parallel and returns
@@ -222,7 +197,6 @@ fn plan(total: usize, threads: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn explicit_override_wins() {
@@ -269,15 +243,6 @@ mod tests {
         let par = map_indexed(113, 5, |i| i * i);
         let seq: Vec<usize> = (0..113).map(|i| i * i).collect();
         assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn for_each_band_visits_everything() {
-        let count = AtomicUsize::new(0);
-        for_each_band(1000, 8, |band| {
-            count.fetch_add(band.len(), Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 1000);
     }
 
     #[test]
