@@ -5,8 +5,8 @@
 
 use qcc_apsp::gather::{gather_weights, GatheredWeights};
 use qcc_apsp::{Instance, PairSet, Params};
-use qcc_congest::{Clique, ReliableConfig};
-use qcc_graph::random_ugraph;
+use qcc_congest::{Clique, FaultPlan, ReliableConfig};
+use qcc_graph::{random_ugraph, UGraph, TROPICAL_FINITE_MAX};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -213,4 +213,77 @@ fn batch_answers_agree_with_scalar_answers() {
             "label {label} pair ({u}, {v}) f_uv {f_uv}"
         );
     }
+}
+
+/// Checks the census of every `(label, pair)` against the scalar
+/// [`GatheredWeights::min_plus`]: `check_negative` is asked just below and
+/// at the scalar minimum, which pins the census value exactly, and with
+/// the largest weight when no apex pair exists.
+fn assert_census_matches_scalar(gathered: &GatheredWeights, inst: &Instance<'_>) {
+    for label in 0..inst.triples.labeling().label_count() {
+        let (bu, bv, _bw) = inst.triples.decode(label);
+        for u in inst.parts.coarse.block(bu) {
+            for v in inst.parts.coarse.block(bv) {
+                let scalar = gathered.min_plus(inst, label, u, v).unwrap();
+                let probes = match scalar {
+                    Some(m) => [(-m - 1, true), (-m, false)],
+                    None => [(-i64::MAX, false), (0, false)],
+                };
+                for (f_uv, expected) in probes {
+                    assert_eq!(
+                        gathered
+                            .check_negative_cached(inst, label, u, v, f_uv)
+                            .unwrap(),
+                        expected,
+                        "label {label} pair ({u}, {v}) f_uv {f_uv}: scalar {scalar:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn census_matches_scalar_on_tables_with_lost_rows() {
+    let mut rng = StdRng::seed_from_u64(75);
+    let g = random_ugraph(16, 0.6, 6, &mut rng);
+    let s = PairSet::all_pairs(16);
+    let inst = Instance::new(&g, &s, Params::scaled());
+    let mut net = Clique::new(16).unwrap();
+    // Drops without the envelope: the gather is materialized and the
+    // rows it loses stay missing from the tables.
+    net.set_fault_plan(FaultPlan::parse("drop=0.3,seed=5").unwrap());
+    let gathered = gather_weights(&inst, &mut net).unwrap();
+    assert!(net.fault_counts().drops > 0, "rows were lost");
+    let missing = (0..inst.triples.labeling().label_count()).any(|label| {
+        let (bu, _bv, bw) = inst.triples.decode(label);
+        inst.parts.coarse.block(bu).any(|u| {
+            inst.parts
+                .fine
+                .block(bw)
+                .any(|w| gathered.f_uw(&inst, label, u, w) != g.weight(u, w).finite())
+        })
+    });
+    assert!(missing, "some table misses a weight the graph has");
+    assert_census_matches_scalar(&gathered, &inst);
+}
+
+#[test]
+fn census_matches_scalar_above_the_flat_kernel_range() {
+    let mut rng = StdRng::seed_from_u64(76);
+    let small = random_ugraph(16, 0.6, 6, &mut rng);
+    // Weights of magnitude up to 6 · 2^58 > TROPICAL_FINITE_MAX = 2^59:
+    // every label's census falls back to the scalar scan.
+    let mut g = UGraph::new(16);
+    for (u, v, w) in small.edges() {
+        g.add_edge(u, v, w << 58);
+    }
+    assert!(g
+        .edges()
+        .any(|(_, _, w)| w.unsigned_abs() > TROPICAL_FINITE_MAX as u64));
+    let s = PairSet::all_pairs(16);
+    let inst = Instance::new(&g, &s, Params::scaled());
+    let mut net = Clique::new(16).unwrap();
+    let gathered = gather_weights(&inst, &mut net).unwrap();
+    assert_census_matches_scalar(&gathered, &inst);
 }
