@@ -281,15 +281,14 @@ fn evaluate_with_cap(
     }
     let boxes = net.exchange(sends)?;
 
-    // Copy nodes answer from their gathered tables, through the oracle
-    // census cache: repeats of a (triple, pair) probe are O(1).
+    // Copy nodes answer from their gathered tables' census.
     net.begin_phase(&format!("step3/alpha{}/eval-answers", actx.alpha));
     let mut replies: Vec<Envelope<Wire<(usize, bool)>>> = Vec::with_capacity(queries.len());
     for host in NodeId::all(n) {
         for (asker, msg) in boxes.of(host) {
             let (idx, triple_label, u, v, f_uv) = msg.value;
             let answer = gathered
-                .check_negative_cached(inst, triple_label, u, v, f_uv)
+                .check_negative(inst, triple_label, u, v, f_uv)
                 .map_err(|e| EvalJointError::Internal(e.to_string()))?;
             replies.push(Envelope::new(
                 host,
@@ -325,8 +324,8 @@ fn evaluate_with_cap(
 ///
 /// One pass over the (cap-checked) queries resolves each to its copy node,
 /// tallies it on its link — every query wire is `pb + wb` bits, every reply
-/// `pb + 1` on the reverse link — and answers it locally through a
-/// streaming census probe; the legs are then charged via
+/// `pb + 1` on the reverse link — and answers it locally from the
+/// gathered census; the legs are then charged via
 /// [`Clique::charge_exchange_tally`], which records rounds, totals, maxima,
 /// and trace events byte-identical to the materialized exchanges over the
 /// same traffic. Since the materialized path scatters replies back by query
@@ -351,7 +350,6 @@ fn evaluate_bulk(
     let route_of = &actx.search_route;
     let mut links = LinkTally::new(inst.n());
     let mut answers = Vec::with_capacity(queries.len());
-    let mut probe = gathered.census_probe(inst);
     for q in queries {
         let key = q.search_label * fine + q.target;
         let pos = counts[key] as usize;
@@ -367,12 +365,11 @@ fn evaluate_bulk(
         })?;
         links.add(src_node as usize, dst.index(), 1);
         answers.push(
-            probe
-                .check(triple_label, q.pair.u, q.pair.v, q.pair.weight)
+            gathered
+                .check_negative(inst, triple_label, q.pair.u, q.pair.v, q.pair.weight)
                 .map_err(|e| EvalJointError::Internal(e.to_string()))?,
         );
     }
-    drop(probe);
     net.charge_exchange_tally(&links, pb + wb, Leg::Forward);
     net.begin_phase(&format!("step3/alpha{}/eval-answers", actx.alpha));
     net.charge_exchange_tally(&links, pb + 1, Leg::Reverse);

@@ -20,42 +20,49 @@ use crate::instance::Instance;
 use crate::wire::{weight_bits, Wire};
 use crate::ApspError;
 use qcc_congest::{Clique, CongestError, Envelope, NodeId};
-use std::cell::{OnceCell, RefCell};
+use std::cell::OnceCell;
+use std::ops::Range;
 
-/// Sentinel: the cell was computed and no apex edge pair exists.
+/// Census sentinel: the cell has no apex edge pair.
 const NO_APEX: i64 = i64::MAX - 1;
 
-/// Memo table for the oracle census: per triple label, the min-plus value
-/// of every pair in its block pair, computed on first query and reused
-/// until the gathered tables change.
-///
-/// Step 3 asks the same `(label, u, v)` question once per Grover iteration
-/// per repetition — millions of times on the E1 workload — while the answer
-/// only depends on the Step-1 tables. The cache turns the `O(|w|)` apex
-/// scan into an `O(1)` lookup for every repeat, and the `version` stamp
-/// invalidates it wholesale whenever a table entry is updated.
-#[derive(Clone, Debug, Default)]
-struct CensusCache {
-    /// The [`GatheredWeights::version`] the tables were computed against.
-    version: u64,
-    /// `tables[label][i * |v| + l]`: min-plus of the oriented pair
-    /// `(u_i, v_l)`, sentinel-coded; each label's table is built whole, by
-    /// one batched flat min-plus product, on its first query.
-    tables: Vec<Vec<i64>>,
-    /// Per-label block-pair bounds, so the hot lookup orients a pair with
-    /// four compares instead of re-deriving the blocks from the label.
-    geom: Vec<LabelGeom>,
-    hits: u64,
-    misses: u64,
+/// The blocks of one triple label `(bu, bv, bw)`: its coarse `u`- and
+/// `v`-blocks and its fine apex block.
+struct Blocks {
+    bu: usize,
+    bv: usize,
+    u: Range<usize>,
+    v: Range<usize>,
+    w: Range<usize>,
 }
 
-/// The coarse block-pair bounds of one triple label.
-#[derive(Clone, Copy, Debug, Default)]
-struct LabelGeom {
-    u_start: u32,
-    u_end: u32,
-    v_start: u32,
-    v_end: u32,
+impl Blocks {
+    fn of(inst: &Instance<'_>, label: usize) -> Self {
+        let (bu, bv, bw) = inst.triples.decode(label);
+        Blocks {
+            bu,
+            bv,
+            u: inst.parts.coarse.block(bu),
+            v: inst.parts.coarse.block(bv),
+            w: inst.parts.fine.block(bw),
+        }
+    }
+
+    /// Orients the unordered pair `{u, v}` to the triple's (u-side, v-side).
+    fn orient(&self, u: usize, v: usize) -> Result<(usize, usize), ApspError> {
+        if self.u.contains(&u) && self.v.contains(&v) {
+            Ok((u, v))
+        } else if self.u.contains(&v) && self.v.contains(&u) {
+            Ok((v, u))
+        } else {
+            Err(ApspError::Internal {
+                context: format!(
+                    "pair ({u}, {v}) does not belong to block pair ({}, {})",
+                    self.bu, self.bv
+                ),
+            })
+        }
+    }
 }
 
 /// The weight tables one triple `(u, v, w)` loads in Step 1.
@@ -68,67 +75,69 @@ struct LabelTables {
 }
 
 impl LabelTables {
-    /// All-absent tables sized for `label`'s blocks.
-    fn empty(inst: &Instance<'_>, label: usize) -> Self {
-        let (bu, bv, bw) = inst.triples.decode(label);
-        let wlen = inst.parts.fine.block(bw).len();
+    /// All-absent tables sized for the blocks.
+    fn empty(b: &Blocks) -> Self {
         LabelTables {
-            uw: vec![None; inst.parts.coarse.block(bu).len() * wlen],
-            wv: vec![None; wlen * inst.parts.coarse.block(bv).len()],
+            uw: vec![None; b.u.len() * b.w.len()],
+            wv: vec![None; b.w.len() * b.v.len()],
         }
     }
 
-    /// The tables a transparent gather delivers to `label`: the graph's
-    /// weights, row for row.
-    fn from_graph(inst: &Instance<'_>, label: usize) -> Self {
-        let (bu, bv, bw) = inst.triples.decode(label);
-        let wblock = inst.parts.fine.block(bw);
-        let mut t = Self::empty(inst, label);
-        for (i, a) in inst.parts.coarse.block(bu).enumerate() {
-            let row = &mut t.uw[i * wblock.len()..(i + 1) * wblock.len()];
-            for (cell, w) in row.iter_mut().zip(wblock.clone()) {
-                *cell = inst.graph.weight(a, w).finite();
-            }
+    /// The tables a transparent gather delivers: the graph's weights, row
+    /// for row.
+    fn from_graph(inst: &Instance<'_>, b: &Blocks) -> Self {
+        let f = |x: usize, y: usize| inst.graph.weight(x, y).finite();
+        let (u, v, w) = (b.u.clone(), b.v.clone(), b.w.clone());
+        LabelTables {
+            uw: u.flat_map(|a| w.clone().map(move |x| f(a, x))).collect(),
+            wv: w
+                .clone()
+                .flat_map(|x| v.clone().map(move |c| f(x, c)))
+                .collect(),
         }
-        let vblock = inst.parts.coarse.block(bv);
-        let vlen = vblock.len();
-        for (j, w) in wblock.enumerate() {
-            let row = &mut t.wv[j * vlen..(j + 1) * vlen];
-            for (cell, b) in row.iter_mut().zip(vblock.clone()) {
-                *cell = inst.graph.weight(w, b).finite();
-            }
-        }
-        t
+    }
+
+    /// `min_{w ∈ w, w ∉ {su, sv}} (f(su, w) + f(w, sv))` over existing apex
+    /// edges for the oriented pair `(su, sv)`: an endpoint is not its own
+    /// apex.
+    fn apex_min(&self, b: &Blocks, su: usize, sv: usize) -> Option<i64> {
+        let (i, l) = (su - b.u.start, sv - b.v.start);
+        b.w.clone()
+            .enumerate()
+            .filter(|&(_, w)| w != su && w != sv)
+            .filter_map(|(j, _)| Some(self.uw[i * b.w.len() + j]? + self.wv[j * b.v.len() + l]?))
+            .min()
     }
 }
 
 /// The per-triple weight tables loaded in Step 1.
+///
+/// The tables never change once the gather ends, so each label's census —
+/// the min-plus value of every pair of its block pair — is built once, on
+/// the label's first [`GatheredWeights::check_negative`], and kept.
 #[derive(Clone, Debug)]
 pub struct GatheredWeights {
     /// One cell per triple label. A materialized gather fills every cell
     /// from the inboxes; after a transparent gather the cells start empty
     /// and each is filled from the graph on its label's first read.
     tables: Vec<OnceCell<LabelTables>>,
-    /// Bumped on every table mutation; the census cache checks it.
-    version: u64,
-    /// Lazily filled oracle-census memo (interior mutability so lookups
-    /// stay `&self`, like the uncached ones).
-    cache: RefCell<CensusCache>,
+    /// `census[label][i * |v| + l]`: the min-plus value of the oriented
+    /// pair `(u_i, v_l)`, [`NO_APEX`] when no apex pair exists.
+    census: Vec<OnceCell<Vec<i64>>>,
 }
 
 impl GatheredWeights {
+    fn new(tables: Vec<OnceCell<LabelTables>>) -> Self {
+        let census = std::iter::repeat_with(OnceCell::new)
+            .take(tables.len())
+            .collect();
+        GatheredWeights { tables, census }
+    }
+
     /// The tables of `label`, filled from the graph on first read if the
     /// gather left them empty.
     fn label_tables(&self, inst: &Instance<'_>, label: usize) -> &LabelTables {
-        self.tables[label].get_or_init(|| LabelTables::from_graph(inst, label))
-    }
-
-    /// [`GatheredWeights::label_tables`] for a mutation.
-    fn label_tables_mut(&mut self, inst: &Instance<'_>, label: usize) -> &mut LabelTables {
-        self.label_tables(inst, label);
-        self.tables[label]
-            .get_mut()
-            .expect("filled by label_tables")
+        self.tables[label].get_or_init(|| LabelTables::from_graph(inst, &Blocks::of(inst, label)))
     }
 
     /// How many labels' tables are filled.
@@ -144,13 +153,9 @@ impl GatheredWeights {
     /// Panics if `u` is not in the triple's `u`-block or `w` not in its
     /// fine block.
     pub fn f_uw(&self, inst: &Instance<'_>, label: usize, u: usize, w: usize) -> Option<i64> {
-        let (bu, _bv, bw) = inst.triples.decode(label);
-        let ublock = inst.parts.coarse.block(bu);
-        let wblock = inst.parts.fine.block(bw);
-        assert!(ublock.contains(&u) && wblock.contains(&w));
-        let i = u - ublock.start;
-        let j = w - wblock.start;
-        self.label_tables(inst, label).uw[i * wblock.len() + j]
+        let b = Blocks::of(inst, label);
+        assert!(b.u.contains(&u) && b.w.contains(&w));
+        self.label_tables(inst, label).uw[(u - b.u.start) * b.w.len() + w - b.w.start]
     }
 
     /// Looks up `f(w, v)` in the tables of `label`.
@@ -160,17 +165,14 @@ impl GatheredWeights {
     /// Panics if `v` is not in the triple's `v`-block or `w` not in its
     /// fine block.
     pub fn f_wv(&self, inst: &Instance<'_>, label: usize, w: usize, v: usize) -> Option<i64> {
-        let (_bu, bv, bw) = inst.triples.decode(label);
-        let vblock = inst.parts.coarse.block(bv);
-        let wblock = inst.parts.fine.block(bw);
-        assert!(vblock.contains(&v) && wblock.contains(&w));
-        let j = w - wblock.start;
-        let l = v - vblock.start;
-        self.label_tables(inst, label).wv[j * vblock.len() + l]
+        let b = Blocks::of(inst, label);
+        assert!(b.v.contains(&v) && b.w.contains(&w));
+        self.label_tables(inst, label).wv[(w - b.w.start) * b.v.len() + v - b.v.start]
     }
 
     /// `min_{w ∈ w} (f(u, w) + f(w, v))` over existing apex edges, using
-    /// only the tables gathered at `label`.
+    /// only the tables gathered at `label`: the scan the census is built
+    /// from.
     ///
     /// # Errors
     ///
@@ -184,42 +186,14 @@ impl GatheredWeights {
         u: usize,
         v: usize,
     ) -> Result<Option<i64>, ApspError> {
-        let (bu, bv, bw) = inst.triples.decode(label);
-        let ublock = inst.parts.coarse.block(bu);
-        let vblock = inst.parts.coarse.block(bv);
-        // Orient the unordered pair to the triple's (u-side, v-side).
-        let (su, sv) = if ublock.contains(&u) && vblock.contains(&v) {
-            (u, v)
-        } else if ublock.contains(&v) && vblock.contains(&u) {
-            (v, u)
-        } else {
-            return Err(ApspError::Internal {
-                context: format!("pair ({u}, {v}) does not belong to block pair ({bu}, {bv})"),
-            });
-        };
-        let wblock = inst.parts.fine.block(bw);
-        let i = su - ublock.start;
-        let l = sv - vblock.start;
-        let wlen = wblock.len();
-        let t = self.label_tables(inst, label);
-        let mut best: Option<i64> = None;
-        for j in 0..wlen {
-            // Skip the degenerate "apexes" equal to an endpoint.
-            let w = wblock.start + j;
-            if w == su || w == sv {
-                continue;
-            }
-            if let (Some(a), Some(b)) = (t.uw[i * wlen + j], t.wv[j * vblock.len() + l]) {
-                let sum = a + b;
-                best = Some(best.map_or(sum, |cur: i64| cur.min(sum)));
-            }
-        }
-        Ok(best)
+        let b = Blocks::of(inst, label);
+        let (su, sv) = b.orient(u, v)?;
+        Ok(self.label_tables(inst, label).apex_min(&b, su, sv))
     }
 
     /// The Step-3 checking predicate: does some apex in the triple's fine
     /// block complete a negative triangle with the edge `{u, v}` of weight
-    /// `f_uv`?
+    /// `f_uv`? Answered from the label's census, built on its first query.
     ///
     /// Note: the paper's Inequality (2) prints `min ≤ f(u, v)`, but
     /// Definition 1 requires `f(u,v) + f(u,w) + f(w,v) < 0`, i.e.
@@ -229,8 +203,7 @@ impl GatheredWeights {
     ///
     /// # Errors
     ///
-    /// Propagates [`ApspError::Internal`] from [`GatheredWeights::min_plus`]
-    /// when the pair does not belong to the triple's block pair.
+    /// Same as [`GatheredWeights::min_plus`].
     pub fn check_negative(
         &self,
         inst: &Instance<'_>,
@@ -239,190 +212,32 @@ impl GatheredWeights {
         v: usize,
         f_uv: i64,
     ) -> Result<bool, ApspError> {
-        Ok(match self.min_plus(inst, label, u, v)? {
-            Some(min_sum) => min_sum < -f_uv,
-            None => false,
-        })
+        let b = Blocks::of(inst, label);
+        let (su, sv) = b.orient(u, v)?;
+        let census = self.census[label].get_or_init(|| self.build_census(inst, label, &b));
+        let min_sum = census[(su - b.u.start) * b.v.len() + sv - b.v.start];
+        Ok(min_sum != NO_APEX && min_sum < -f_uv)
     }
 
-    /// [`GatheredWeights::min_plus`] through the oracle-census cache: the
-    /// first query of a pair pays the apex scan, repeats are `O(1)`.
-    /// The cache self-invalidates when [`GatheredWeights::version`] moved.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GatheredWeights::min_plus`].
-    pub fn min_plus_cached(
-        &self,
-        inst: &Instance<'_>,
-        label: usize,
-        u: usize,
-        v: usize,
-    ) -> Result<Option<i64>, ApspError> {
-        let mut cache = self.cache.borrow_mut();
-        self.cache_prologue(inst, &mut cache);
-        let g = cache.geom[label];
-        let (u32_, v32_) = (u as u32, v as u32);
-        let (su, sv) =
-            if (g.u_start..g.u_end).contains(&u32_) && (g.v_start..g.v_end).contains(&v32_) {
-                (u32_, v32_)
-            } else if (g.u_start..g.u_end).contains(&v32_) && (g.v_start..g.v_end).contains(&u32_) {
-                (v32_, u32_)
-            } else {
-                // Foreign pair: defer to the uncached path for its error.
-                drop(cache);
-                return self.min_plus(inst, label, u, v);
-            };
-        let vlen = (g.v_end - g.v_start) as usize;
-        let cell = (su - g.u_start) as usize * vlen + (sv - g.v_start) as usize;
-        if cache.tables[label].is_empty() {
-            // First query of this label since the last invalidation: answer
-            // the whole block pair at once with the batched flat kernel.
-            cache.misses += 1;
-            cache.tables[label] = self.build_census_table(inst, label, g)?;
-        } else {
-            cache.hits += 1;
-        }
-        let entry = cache.tables[label][cell];
-        Ok(if entry == NO_APEX { None } else { Some(entry) })
-    }
-
-    /// Brings the census cache in sync with the current table version:
-    /// drops stale tables, sizes the per-label slots, and builds the label
-    /// geometry index on first use.
-    fn cache_prologue(&self, inst: &Instance<'_>, cache: &mut CensusCache) {
-        if cache.version != self.version {
-            cache.tables.clear();
-            cache.version = self.version;
-        }
-        if cache.tables.is_empty() {
-            cache.tables.resize(self.tables.len(), Vec::new());
-        }
-        if cache.geom.len() != self.tables.len() {
-            cache.geom = (0..self.tables.len())
-                .map(|l| {
-                    let (bu, bv, _bw) = inst.triples.decode(l);
-                    let ublock = inst.parts.coarse.block(bu);
-                    let vblock = inst.parts.coarse.block(bv);
-                    LabelGeom {
-                        u_start: ublock.start as u32,
-                        u_end: ublock.end as u32,
-                        v_start: vblock.start as u32,
-                        v_end: vblock.end as u32,
-                    }
-                })
-                .collect();
-        }
-    }
-
-    /// Batched [`GatheredWeights::check_negative_cached`]: answers every
-    /// `(label, u, v, f_uv)` item into `out`, borrowing the census cache
-    /// once for the whole batch instead of once per query. Cache hit/miss
-    /// accounting is per item, identical to the scalar path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GatheredWeights::check_negative`] — the first failing item
-    /// aborts the batch.
-    pub fn check_negative_cached_batch(
-        &self,
-        inst: &Instance<'_>,
-        items: impl Iterator<Item = (usize, usize, usize, i64)>,
-        out: &mut Vec<bool>,
-    ) -> Result<(), ApspError> {
-        let mut cache = self.cache.borrow_mut();
-        self.cache_prologue(inst, &mut cache);
-        // Hits are tallied locally and flushed at every exit: the common
-        // path then avoids a read-modify-write per item.
-        let mut pending_hits: u64 = 0;
-        for (label, u, v, f_uv) in items {
-            let g = cache.geom[label];
-            let (u32_, v32_) = (u as u32, v as u32);
-            let (su, sv) = if (g.u_start..g.u_end).contains(&u32_)
-                && (g.v_start..g.v_end).contains(&v32_)
-            {
-                (u32_, v32_)
-            } else if (g.u_start..g.u_end).contains(&v32_) && (g.v_start..g.v_end).contains(&u32_) {
-                (v32_, u32_)
-            } else {
-                // Foreign pair: defer to the uncached path for its error,
-                // releasing the cache borrow around the call.
-                cache.hits += pending_hits;
-                pending_hits = 0;
-                drop(cache);
-                out.push(self.check_negative(inst, label, u, v, f_uv)?);
-                cache = self.cache.borrow_mut();
-                continue;
-            };
-            let vlen = (g.v_end - g.v_start) as usize;
-            let cell = (su - g.u_start) as usize * vlen + (sv - g.v_start) as usize;
-            let cached = {
-                let table = &cache.tables[label];
-                if table.is_empty() {
-                    None
-                } else {
-                    pending_hits += 1;
-                    Some(table[cell])
-                }
-            };
-            let entry = match cached {
-                Some(entry) => entry,
-                None => {
-                    cache.misses += 1;
-                    let table = match self.build_census_table(inst, label, g) {
-                        Ok(table) => table,
-                        Err(e) => {
-                            cache.hits += pending_hits;
-                            return Err(e);
-                        }
-                    };
-                    cache.tables[label] = table;
-                    cache.tables[label][cell]
-                }
-            };
-            out.push(entry != NO_APEX && entry < -f_uv);
-        }
-        cache.hits += pending_hits;
-        Ok(())
-    }
-
-    /// Opens an incremental census probe: the cache is borrowed and synced
-    /// once, and every [`CensusProbe::check`] is then a plain table lookup.
-    /// The streaming form of [`GatheredWeights::check_negative_cached_batch`]
-    /// for callers that interleave lookups with other per-query work.
-    pub(crate) fn census_probe<'g, 'i, 'd>(
-        &'g self,
-        inst: &'i Instance<'d>,
-    ) -> CensusProbe<'g, 'i, 'd> {
-        let mut cache = self.cache.borrow_mut();
-        self.cache_prologue(inst, &mut cache);
-        CensusProbe {
-            owner: self,
-            inst,
-            cache: Some(cache),
-            pending_hits: 0,
-        }
-    }
-
-    /// Computes the full min-plus census table of `label` — every oriented
-    /// pair of its block pair — as one rectangular flat min-plus product
+    /// Computes the census of `label` — every oriented pair of its block
+    /// pair — as one rectangular flat min-plus product
     /// ([`qcc_graph::min_plus_flat_into`]) over the sentinel-coded `uw` and
     /// `wv` tables, then patches the few cells whose endpoints sit inside
     /// the fine block (the kernel knows no "skip the endpoint apexes" rule)
-    /// with the scalar path. Entries outside the kernel's exact magnitude
-    /// domain force a whole-table scalar fallback, so the table always
+    /// with the scalar scan. Entries outside the kernel's exact magnitude
+    /// domain force a whole-table scalar scan, so the census always
     /// matches [`GatheredWeights::min_plus`] cell for cell.
-    fn build_census_table(
-        &self,
-        inst: &Instance<'_>,
-        label: usize,
-        g: LabelGeom,
-    ) -> Result<Vec<i64>, ApspError> {
-        let (_bu, _bv, bw) = inst.triples.decode(label);
-        let wblock = inst.parts.fine.block(bw);
-        let ulen = (g.u_end - g.u_start) as usize;
-        let vlen = (g.v_end - g.v_start) as usize;
-        let wlen = wblock.len();
+    fn build_census(&self, inst: &Instance<'_>, label: usize, b: &Blocks) -> Vec<i64> {
+        let t = self.label_tables(inst, label);
+        let (ulen, vlen) = (b.u.len(), b.v.len());
+        let scalar = |cell: usize| {
+            let m = t.apex_min(b, b.u.start + cell / vlen, b.v.start + cell % vlen);
+            debug_assert!(
+                m.unwrap_or(0) < NO_APEX,
+                "min-plus value hits the census sentinel"
+            );
+            m.unwrap_or(NO_APEX)
+        };
         let encode = |t: &[Option<i64>]| -> Option<Vec<i64>> {
             t.iter()
                 .map(|w| match *w {
@@ -432,208 +247,23 @@ impl GatheredWeights {
                 })
                 .collect()
         };
-        let scalar = |i: usize, l: usize| -> Result<i64, ApspError> {
-            let su = g.u_start as usize + i;
-            let sv = g.v_start as usize + l;
-            Ok(match self.min_plus(inst, label, su, sv)? {
-                None => NO_APEX,
-                Some(x) => {
-                    debug_assert!(x < NO_APEX, "min-plus value collides with a cache sentinel");
-                    x
-                }
-            })
+        let (Some(a), Some(c)) = (encode(&t.uw), encode(&t.wv)) else {
+            return (0..ulen * vlen).map(scalar).collect();
         };
-        let t = self.label_tables(inst, label);
-        let (Some(a), Some(b)) = (encode(&t.uw), encode(&t.wv)) else {
-            let mut table = vec![NO_APEX; ulen * vlen];
-            for i in 0..ulen {
-                for l in 0..vlen {
-                    table[i * vlen + l] = scalar(i, l)?;
-                }
-            }
-            return Ok(table);
-        };
-        let mut coded = vec![qcc_graph::TROPICAL_NONE; ulen * vlen];
-        qcc_graph::min_plus_flat_into(&a, &b, ulen, wlen, vlen, &mut coded);
-        let mut table: Vec<i64> = coded
-            .into_iter()
-            .map(|v| match qcc_graph::tropical_decode(v) {
-                None => NO_APEX,
-                Some(x) => x,
-            })
-            .collect();
-        // The kernel counted every apex; cells whose own endpoints lie in
-        // the fine block must exclude them (a vertex is not its own apex).
-        for i in 0..ulen {
-            if wblock.contains(&(g.u_start as usize + i)) {
-                for l in 0..vlen {
-                    table[i * vlen + l] = scalar(i, l)?;
-                }
-            }
-        }
-        for l in 0..vlen {
-            if wblock.contains(&(g.v_start as usize + l)) {
-                for i in 0..ulen {
-                    table[i * vlen + l] = scalar(i, l)?;
-                }
-            }
-        }
-        Ok(table)
-    }
-
-    /// [`GatheredWeights::check_negative`] through the oracle-census cache.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GatheredWeights::check_negative`].
-    pub fn check_negative_cached(
-        &self,
-        inst: &Instance<'_>,
-        label: usize,
-        u: usize,
-        v: usize,
-        f_uv: i64,
-    ) -> Result<bool, ApspError> {
-        Ok(match self.min_plus_cached(inst, label, u, v)? {
-            Some(min_sum) => min_sum < -f_uv,
-            None => false,
-        })
-    }
-
-    /// Overwrites `f(u, w)` in the tables of `label` (filling them first if
-    /// they were never read), invalidating the oracle-census cache (the
-    /// solution sets may have changed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is not in the triple's `u`-block or `w` not in its
-    /// fine block.
-    pub fn set_uw_entry(
-        &mut self,
-        inst: &Instance<'_>,
-        label: usize,
-        u: usize,
-        w: usize,
-        weight: Option<i64>,
-    ) {
-        let (bu, _bv, bw) = inst.triples.decode(label);
-        let ublock = inst.parts.coarse.block(bu);
-        let wblock = inst.parts.fine.block(bw);
-        assert!(ublock.contains(&u) && wblock.contains(&w));
-        let i = u - ublock.start;
-        let j = w - wblock.start;
-        self.label_tables_mut(inst, label).uw[i * wblock.len() + j] = weight;
-        self.version += 1;
-    }
-
-    /// Overwrites `f(w, v)` in the tables of `label` (filling them first if
-    /// they were never read), invalidating the oracle-census cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not in the triple's `v`-block or `w` not in its
-    /// fine block.
-    pub fn set_wv_entry(
-        &mut self,
-        inst: &Instance<'_>,
-        label: usize,
-        w: usize,
-        v: usize,
-        weight: Option<i64>,
-    ) {
-        let (_bu, bv, bw) = inst.triples.decode(label);
-        let vblock = inst.parts.coarse.block(bv);
-        let wblock = inst.parts.fine.block(bw);
-        assert!(vblock.contains(&v) && wblock.contains(&w));
-        let j = w - wblock.start;
-        let l = v - vblock.start;
-        self.label_tables_mut(inst, label).wv[j * vblock.len() + l] = weight;
-        self.version += 1;
-    }
-
-    /// The mutation counter the census cache is keyed on.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// `(hits, misses)` of the oracle-census cache so far.
-    pub fn census_cache_stats(&self) -> (u64, u64) {
-        let cache = self.cache.borrow();
-        (cache.hits, cache.misses)
-    }
-}
-
-/// A streaming census cursor over a borrowed, pre-synced cache — see
-/// [`GatheredWeights::census_probe`]. Hit accounting is batched locally and
-/// flushed on drop (and at every internal borrow release), so the hot path
-/// avoids a read-modify-write per lookup.
-pub(crate) struct CensusProbe<'g, 'i, 'd> {
-    owner: &'g GatheredWeights,
-    inst: &'i Instance<'d>,
-    cache: Option<std::cell::RefMut<'g, CensusCache>>,
-    pending_hits: u64,
-}
-
-impl CensusProbe<'_, '_, '_> {
-    /// [`GatheredWeights::check_negative_cached`] against the held cache.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GatheredWeights::check_negative`].
-    pub(crate) fn check(
-        &mut self,
-        label: usize,
-        u: usize,
-        v: usize,
-        f_uv: i64,
-    ) -> Result<bool, ApspError> {
-        let cache = self.cache.as_mut().expect("probe cache is always held");
-        let g = cache.geom[label];
-        let (u32_, v32_) = (u as u32, v as u32);
-        let (su, sv) =
-            if (g.u_start..g.u_end).contains(&u32_) && (g.v_start..g.v_end).contains(&v32_) {
-                (u32_, v32_)
-            } else if (g.u_start..g.u_end).contains(&v32_) && (g.v_start..g.v_end).contains(&u32_) {
-                (v32_, u32_)
+        let mut census = vec![qcc_graph::TROPICAL_NONE; ulen * vlen];
+        qcc_graph::min_plus_flat_into(&a, &c, ulen, b.w.len(), vlen, &mut census);
+        for (cell, entry) in census.iter_mut().enumerate() {
+            // The kernel counted every apex; cells whose own endpoints lie
+            // in the fine block must exclude them.
+            *entry = if b.w.contains(&(b.u.start + cell / vlen))
+                || b.w.contains(&(b.v.start + cell % vlen))
+            {
+                scalar(cell)
             } else {
-                // Foreign pair: defer to the uncached path for its error,
-                // releasing the cache borrow around the call.
-                cache.hits += self.pending_hits;
-                self.pending_hits = 0;
-                self.cache = None;
-                let result = self.owner.check_negative(self.inst, label, u, v, f_uv);
-                self.cache = Some(self.owner.cache.borrow_mut());
-                return result;
+                qcc_graph::tropical_decode(*entry).unwrap_or(NO_APEX)
             };
-        let vlen = (g.v_end - g.v_start) as usize;
-        let cell = (su - g.u_start) as usize * vlen + (sv - g.v_start) as usize;
-        let cached = {
-            let table = &cache.tables[label];
-            if table.is_empty() {
-                None
-            } else {
-                self.pending_hits += 1;
-                Some(table[cell])
-            }
-        };
-        let entry = match cached {
-            Some(entry) => entry,
-            None => {
-                cache.misses += 1;
-                let table = self.owner.build_census_table(self.inst, label, g)?;
-                cache.tables[label] = table;
-                cache.tables[label][cell]
-            }
-        };
-        Ok(entry != NO_APEX && entry < -f_uv)
-    }
-}
-
-impl Drop for CensusProbe<'_, '_, '_> {
-    fn drop(&mut self) {
-        if let Some(cache) = self.cache.as_mut() {
-            cache.hits += self.pending_hits;
         }
+        census
     }
 }
 
@@ -691,13 +321,11 @@ pub fn gather_weights(
         }
         net.route(sends)?;
         let label_count = inst.triples.labeling().label_count();
-        return Ok(GatheredWeights {
-            tables: std::iter::repeat_with(OnceCell::new)
+        return Ok(GatheredWeights::new(
+            std::iter::repeat_with(OnceCell::new)
                 .take(label_count)
                 .collect(),
-            version: 0,
-            cache: RefCell::new(CensusCache::default()),
-        });
+        ));
     }
 
     // Owner `a` sends, for each triple whose u-side (resp. v-side) block
@@ -734,35 +362,29 @@ pub fn gather_weights(
     let boxes = net.route(sends)?;
 
     let mut tables: Vec<LabelTables> = (0..inst.triples.labeling().label_count())
-        .map(|label| LabelTables::empty(inst, label))
+        .map(|label| LabelTables::empty(&Blocks::of(inst, label)))
         .collect();
     for host in NodeId::all(n) {
         for (_src, msg) in boxes.of(host) {
             let (label, side, vertex, row) = &msg.value;
-            let (bu, bv, bw) = inst.triples.decode(*label);
             debug_assert_eq!(inst.triples.labeling().node_of(*label), host.index());
-            let wlen = inst.parts.fine.block(bw).len();
+            let b = Blocks::of(inst, *label);
             let t = &mut tables[*label];
             if *side == 0 {
-                let i = vertex - inst.parts.coarse.block(bu).start;
-                for (j, w) in row.iter().enumerate() {
-                    t.uw[i * wlen + j] = *w;
-                }
+                let i = vertex - b.u.start;
+                t.uw[i * b.w.len()..(i + 1) * b.w.len()].copy_from_slice(row);
             } else {
-                let l = vertex - inst.parts.coarse.block(bv).start;
-                let vlen = inst.parts.coarse.block(bv).len();
+                let l = vertex - b.v.start;
                 for (j, w) in row.iter().enumerate() {
-                    t.wv[j * vlen + l] = *w;
+                    t.wv[j * b.v.len() + l] = *w;
                 }
             }
         }
     }
 
-    Ok(GatheredWeights {
-        tables: tables.into_iter().map(OnceCell::from).collect(),
-        version: 0,
-        cache: RefCell::new(CensusCache::default()),
-    })
+    Ok(GatheredWeights::new(
+        tables.into_iter().map(OnceCell::from).collect(),
+    ))
 }
 
 #[cfg(test)]
