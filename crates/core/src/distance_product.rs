@@ -22,6 +22,11 @@ use qcc_congest::{Clique, NetConfig, TraceSink};
 use qcc_graph::{build_tripartite, SquareMatrix, WeightMatrix};
 use rand::Rng;
 
+/// The largest finite magnitude `M` a distance product accepts: its
+/// binary search spans the `4M + 3` thresholds `−2M − 1 ..= 2M + 2`, and
+/// that span must fit an `i64`.
+pub const MAX_PRODUCT_MAGNITUDE: u64 = (i64::MAX as u64 - 3) / 4;
+
 /// Result of a distributed distance product.
 #[derive(Clone, Debug)]
 pub struct DistanceProductReport {
@@ -49,6 +54,8 @@ impl DistanceProductReport {
 /// # Errors
 ///
 /// * [`ApspError::DimensionMismatch`] if `A` and `B` differ in size.
+/// * [`ApspError::WeightOverflow`] if an entry's magnitude exceeds
+///   [`MAX_PRODUCT_MAGNITUDE`], before the search starts.
 /// * Propagated errors from the `FindEdges` runs.
 ///
 /// # Examples
@@ -116,7 +123,11 @@ pub fn distributed_distance_product_configured<R: Rng>(
             find_edges_calls: 0,
         });
     }
-    let m = a.max_finite_magnitude_with(b) as i64;
+    let magnitude = a.max_finite_magnitude_with(b);
+    if magnitude > MAX_PRODUCT_MAGNITUDE {
+        return Err(ApspError::WeightOverflow { magnitude });
+    }
+    let m = magnitude as i64;
 
     // Per-entry binary search state over candidate thresholds t:
     // invariant: C[i,j] < lo is false, C[i,j] < hi is true — where

@@ -41,6 +41,14 @@ pub enum ApspError {
         /// Total attempts made (including any classical fallback).
         attempts: u32,
     },
+    /// A distance product's entries are too large for its threshold
+    /// search, which spans the `4M + 3` values `−2M − 1 ..= 2M + 2` for the
+    /// largest finite magnitude `M`: the span must fit an `i64`, so `M` may
+    /// be at most [`crate::MAX_PRODUCT_MAGNITUDE`] `= 2^61 − 1`.
+    WeightOverflow {
+        /// The largest finite magnitude among the product's entries.
+        magnitude: u64,
+    },
     /// An error that interrupted a run after rounds had already been
     /// charged. Wrapping preserves the cost of the failed work so callers
     /// (the driver, the CLI) can account for it honestly.
@@ -122,6 +130,11 @@ impl fmt::Display for ApspError {
                     "no APSP attempt passed verification after {attempts} attempts"
                 )
             }
+            ApspError::WeightOverflow { magnitude } => write!(
+                f,
+                "distance product weights of magnitude {magnitude} exceed its limit {}",
+                crate::MAX_PRODUCT_MAGNITUDE
+            ),
             ApspError::Faulted { rounds, source } => {
                 write!(f, "{source} (after charging {rounds} rounds)")
             }

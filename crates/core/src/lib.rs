@@ -75,6 +75,7 @@ pub use wire::{pair_bits, weight_bits, Wire};
 pub mod distance_product;
 pub use distance_product::{
     distributed_distance_product, distributed_distance_product_configured, DistanceProductReport,
+    MAX_PRODUCT_MAGNITUDE,
 };
 
 pub mod apsp;

@@ -70,13 +70,15 @@ pub fn distance_product_with_witness(a: &WeightMatrix, b: &WeightMatrix) -> Witn
 /// scaled matrices carries a witness in its remainder mod `n+1`.
 ///
 /// Used by the distributed implementation, which can then reuse the plain
-/// (witness-free) product machinery end to end.
+/// (witness-free) product machinery end to end. A scaled entry that leaves
+/// the `i64` range saturates instead of wrapping, so its magnitude stays
+/// above any bound the product checks.
 pub fn scale_for_witness(a: &WeightMatrix, b: &WeightMatrix) -> (WeightMatrix, WeightMatrix) {
     assert_eq!(a.n(), b.n());
     let n = a.n();
     let s = (n + 1) as i64;
     let scale = |w: ExtWeight, add: i64| match w {
-        ExtWeight::Finite(x) => ExtWeight::Finite(x * s + add),
+        ExtWeight::Finite(x) => ExtWeight::Finite(x.saturating_mul(s).saturating_add(add)),
         other => other,
     };
     let a2 = WeightMatrix::from_fn(n, |i, k| scale(a[(i, k)], 0));

@@ -118,14 +118,16 @@ pub fn build_tripartite(
     assert_eq!(a.n(), d.n());
     let n = a.n();
     let layout = TripartiteLayout::new(n);
-    // Surrogate for -inf: beyond any achievable finite triangle sum.
+    // Surrogate for -inf: beyond any achievable finite triangle sum. It
+    // saturates rather than overflow on the largest magnitudes, which only
+    // the -inf entries themselves read.
     let max_mag = a.max_finite_magnitude_with(b).max(
         d.entries()
             .map(|(_, _, &x)| x.unsigned_abs())
             .max()
             .unwrap_or(0),
     ) as i64;
-    let neg_surrogate = -(3 * max_mag + 1);
+    let neg_surrogate = -max_mag.saturating_mul(3).saturating_add(1);
     let finite = |w: ExtWeight| -> Option<i64> {
         match w {
             ExtWeight::Finite(x) => Some(x),

@@ -2,11 +2,11 @@
 //! promises, oversized payloads, and abort paths.
 
 use qcc::algo::{
-    compute_pairs, find_edges, promise_violation, reference_find_edges, ApspError, PairSet, Params,
-    SearchBackend,
+    apsp, apsp_with_paths, compute_pairs, find_edges, promise_violation, reference_find_edges,
+    ApspAlgorithm, ApspError, PairSet, Params, SearchBackend, MAX_PRODUCT_MAGNITUDE,
 };
 use qcc::congest::{Clique, CongestError, Envelope, NodeId, RawBits};
-use qcc::graph::{book_graph, generators, UGraph};
+use qcc::graph::{book_graph, floyd_warshall, generators, DiGraph, UGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -160,4 +160,85 @@ fn weights_at_the_representational_edge() {
     )
     .unwrap();
     assert_eq!(report.found, reference_find_edges(&g, &s));
+}
+
+/// A 5-vertex digraph whose largest distance-matrix magnitude is `w` in
+/// every squaring: the detours `0 → 1 → 2 → 3` only shrink it.
+fn heavy_arc_graph(w: i64) -> DiGraph {
+    let mut g = DiGraph::new(5);
+    g.add_arc(0, 1, w);
+    g.add_arc(1, 2, -5);
+    g.add_arc(2, 3, 1);
+    g
+}
+
+/// The root cause of a pipeline error, through its `Faulted` wrapper.
+fn root(err: ApspError) -> ApspError {
+    match err {
+        ApspError::Faulted { source, .. } => *source,
+        other => other,
+    }
+}
+
+#[test]
+fn distance_products_are_exact_up_to_their_magnitude_bound() {
+    // The threshold search spans 4M + 3 values: M = 2^61 − 1 is the last
+    // magnitude whose span fits an i64.
+    let limit = MAX_PRODUCT_MAGNITUDE as i64;
+    assert_eq!(limit, (1 << 61) - 1);
+    let g = heavy_arc_graph(limit);
+    let expected = floyd_warshall(&g.adjacency_matrix()).unwrap();
+    for algorithm in [
+        ApspAlgorithm::QuantumTriangle,
+        ApspAlgorithm::ClassicalTriangle,
+    ] {
+        let mut rng = StdRng::seed_from_u64(407);
+        let report = apsp(&g, Params::paper(), algorithm, &mut rng).unwrap();
+        assert_eq!(report.distances, expected, "{algorithm:?}");
+    }
+    // One more is rejected before any round is charged, and retrying
+    // cannot help.
+    let g = heavy_arc_graph(limit + 1);
+    for algorithm in [
+        ApspAlgorithm::QuantumTriangle,
+        ApspAlgorithm::ClassicalTriangle,
+    ] {
+        let mut rng = StdRng::seed_from_u64(407);
+        let err = apsp(&g, Params::paper(), algorithm, &mut rng).unwrap_err();
+        assert!(!err.is_retryable(), "{algorithm:?}: {err}");
+        assert_eq!(err.rounds_charged(), 0);
+        assert_eq!(
+            root(err),
+            ApspError::WeightOverflow {
+                magnitude: MAX_PRODUCT_MAGNITUDE + 1
+            }
+        );
+    }
+}
+
+#[test]
+fn witnessed_products_are_exact_up_to_their_scaled_magnitude_bound() {
+    // Witness scaling multiplies every weight by n + 1 = 6 before the
+    // product, so the bound falls to ⌊(2^61 − 1) / 6⌋.
+    let last = (MAX_PRODUCT_MAGNITUDE / 6) as i64;
+    let g = heavy_arc_graph(last);
+    let expected = floyd_warshall(&g.adjacency_matrix()).unwrap();
+    let mut rng = StdRng::seed_from_u64(408);
+    let report = apsp_with_paths(&g, Params::paper(), SearchBackend::Classical, &mut rng).unwrap();
+    assert_eq!(report.oracle.distances(), &expected);
+    assert_eq!(report.oracle.path(0, 3), Some(vec![0, 1, 2, 3]));
+    for w in [last + 1, 1 << 61] {
+        let mut rng = StdRng::seed_from_u64(408);
+        let err = apsp_with_paths(
+            &heavy_arc_graph(w),
+            Params::paper(),
+            SearchBackend::Classical,
+            &mut rng,
+        )
+        .unwrap_err();
+        assert!(!err.is_retryable(), "{err}");
+        assert!(
+            matches!(root(err), ApspError::WeightOverflow { magnitude } if magnitude > MAX_PRODUCT_MAGNITUDE)
+        );
+    }
 }
