@@ -326,12 +326,16 @@ impl FaultState {
     }
 
     /// Marks nodes whose crash round has been reached; returns how many
-    /// crashed just now (each is recorded as one `crash` fault).
+    /// crashed just now (each is recorded as one `crash` fault). A crash of
+    /// a node the network lacks never fires, like a `link` entry naming
+    /// one.
     pub(crate) fn update_crashes(&mut self, rounds_so_far: u64) -> u64 {
         let mut newly = 0;
         for &(node, round) in &self.plan.crashes {
             if rounds_so_far >= round {
-                let slot = &mut self.crashed[node.index()];
+                let Some(slot) = self.crashed.get_mut(node.index()) else {
+                    continue;
+                };
                 if !*slot {
                     *slot = true;
                     self.any_crashed = true;

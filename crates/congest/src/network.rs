@@ -1260,6 +1260,22 @@ mod tests {
     }
 
     #[test]
+    fn faults_naming_missing_nodes_never_fire() {
+        // Node 9 is not in a 4-node network: its crash and its link never
+        // fire, and every message arrives.
+        let n = 4;
+        let mut c = net(n);
+        c.set_fault_plan(FaultPlan {
+            crashes: vec![(NodeId::new(9), 0)],
+            link_drop: vec![((NodeId::new(0), NodeId::new(9)), 1.0)],
+            ..FaultPlan::default()
+        });
+        let inboxes = c.exchange(all_to_successor(n)).unwrap();
+        assert_eq!(inboxes.message_count(), n);
+        assert_eq!(c.fault_counts().total(), 0);
+    }
+
+    #[test]
     fn route_applies_fates_per_message() {
         let n = 8;
         let mut c = net(n);

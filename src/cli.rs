@@ -198,7 +198,7 @@ degrading to the verified classical scan.
 --faults SPEC injects seeded, deterministic network faults and arms the
 ack/retransmit envelope. SPEC is comma-separated key=value items:
 drop=R, corrupt=R, dup=R (rates in [0,1]), seed=S, crash=NODE@ROUND,
-link=SRC>DST:RATE. --verify runs the self-verifying Las-Vegas driver
+link=SRC>DST:RATE (nodes below --n). --verify runs the self-verifying Las-Vegas driver
 (retry up to --max-retries times, then degrade to the classical
 semiring fallback).
 
@@ -346,14 +346,26 @@ fn parse_algorithm(flags: &Flags) -> Result<ApspAlgorithm, CliError> {
     }
 }
 
-/// Parses `--faults` into a [`FaultPlan`], if given.
-fn parse_fault_plan(flags: &Flags) -> Result<Option<FaultPlan>, CliError> {
-    match flags.get("--faults") {
-        None => Ok(None),
-        Some(spec) => FaultPlan::parse(spec)
-            .map(Some)
-            .map_err(|e| CliError(format!("invalid --faults spec: {e}"))),
+/// Parses `--faults` into a [`FaultPlan`], if given, for a network of `n`
+/// nodes: a crash or link naming a node outside it is an error.
+fn parse_fault_plan(flags: &Flags, n: usize) -> Result<Option<FaultPlan>, CliError> {
+    let Some(spec) = flags.get("--faults") else {
+        return Ok(None);
+    };
+    let plan =
+        FaultPlan::parse(spec).map_err(|e| CliError(format!("invalid --faults spec: {e}")))?;
+    let mut nodes = (plan.crashes.iter().map(|&(node, _)| node)).chain(
+        plan.link_drop
+            .iter()
+            .flat_map(|&((src, dst), _)| [src, dst]),
+    );
+    if let Some(node) = nodes.find(|node| node.index() >= n) {
+        return Err(CliError(format!(
+            "invalid --faults spec: node {} is outside the network of --n {n} nodes",
+            node.index()
+        )));
     }
+    Ok(Some(plan))
 }
 
 /// Parses a command line (without the program name).
@@ -414,7 +426,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             )?;
             flags.reject_positionals(command)?;
             let algorithm = parse_algorithm(&flags)?;
-            let faults = parse_fault_plan(&flags)?;
+            let n = flags.num("--n", 8)?;
+            let faults = parse_fault_plan(&flags, n)?;
             let transport = match flags.get("--transport") {
                 None => TransportKind::Clique,
                 Some(t) => TransportKind::parse(t).map_err(CliError)?,
@@ -431,7 +444,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 ));
             }
             Ok(Command::Apsp {
-                n: flags.num("--n", 8)?,
+                n,
                 seed: flags.num("--seed", 7)?,
                 algorithm,
                 w_max: flags.num("--wmax", 8)?,
@@ -467,7 +480,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let flags = collect_flags(command, rest, &allowed, &["--verify"])?;
             flags.reject_positionals(command)?;
             let algorithm = parse_algorithm(&flags)?;
-            let faults = parse_fault_plan(&flags)?;
+            let n: usize = flags.num("--n", 12)?;
+            if n == 0 {
+                return Err(CliError("--n must be at least 1".into()));
+            }
+            let faults = parse_fault_plan(&flags, n)?;
             let backend = match flags.get("--backend") {
                 None | Some("quantum") => ExtremumBackend::Quantum,
                 Some("scan") => ExtremumBackend::ClassicalScan,
@@ -478,10 +495,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 return Err(CliError(format!(
                     "--density must be in [0, 1], got {density}"
                 )));
-            }
-            let n: usize = flags.num("--n", 12)?;
-            if n == 0 {
-                return Err(CliError("--n must be at least 1".into()));
             }
             Ok(Command::Distance {
                 param,
@@ -554,13 +567,14 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             )?;
             flags.reject_positionals(command)?;
             let algorithm = parse_algorithm(&flags)?;
-            let faults = parse_fault_plan(&flags)?;
+            let n = flags.num("--n", 8)?;
+            let faults = parse_fault_plan(&flags, n)?;
             let row_cache: Option<usize> = flags.opt_num("--row-cache")?;
             if row_cache == Some(0) {
                 return Err(CliError("--row-cache must be at least 1".into()));
             }
             Ok(Command::Serve {
-                n: flags.num("--n", 8)?,
+                n,
                 seed: flags.num("--seed", 7)?,
                 algorithm,
                 w_max: flags.num("--wmax", 8)?,
@@ -1287,6 +1301,26 @@ mod tests {
         assert!(e.0.contains("yes"), "{e}");
         // Switches cannot repeat either.
         assert!(parse(&argv("apsp --verify --verify")).is_err());
+    }
+
+    #[test]
+    fn out_of_range_fault_nodes_are_rejected() {
+        // A crash or link naming a node outside the network is rejected
+        // with the node named, on every command that takes --faults.
+        for (line, node) in [
+            ("apsp --n 4 --faults crash=9@0 --verify", 9),
+            ("apsp --n 4 --transport gossip --faults crash=4@0", 4),
+            ("apsp --n 4 --faults link=0>9:0.5", 9),
+            ("diameter --n 4 --faults drop=0.1,link=5>0:0.5", 5),
+            ("serve --n 4 --faults crash=7@3", 7),
+        ] {
+            let e = parse(&argv(line)).unwrap_err();
+            assert!(
+                e.0.contains(&format!("node {node} is outside the network")),
+                "{line}: {e}"
+            );
+        }
+        assert!(parse(&argv("apsp --n 4 --faults crash=3@0,link=0>3:0.5")).is_ok());
     }
 
     #[test]
