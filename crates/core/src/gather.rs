@@ -28,6 +28,7 @@ const NO_APEX: i64 = i64::MAX - 1;
 
 /// The blocks of one triple label `(bu, bv, bw)`: its coarse `u`- and
 /// `v`-blocks and its fine apex block.
+#[derive(Clone, Debug)]
 struct Blocks {
     bu: usize,
     bv: usize,
@@ -110,20 +111,29 @@ impl LabelTables {
     }
 }
 
+/// The census of one triple label: the min-plus value of every oriented
+/// pair of its block pair.
+#[derive(Clone, Debug)]
+struct Census {
+    blocks: Blocks,
+    /// `min[i * |v| + l]` for the pair `(u_i, v_l)`, [`NO_APEX`] when no
+    /// apex pair exists.
+    min: Vec<i64>,
+}
+
 /// The per-triple weight tables loaded in Step 1.
 ///
-/// The tables never change once the gather ends, so each label's census —
-/// the min-plus value of every pair of its block pair — is built once, on
-/// the label's first [`GatheredWeights::check_negative`], and kept.
+/// The tables never change once the gather ends, so each label's census is
+/// built once, on the label's first [`GatheredWeights::check_negative`],
+/// and kept.
 #[derive(Clone, Debug)]
 pub struct GatheredWeights {
     /// One cell per triple label. A materialized gather fills every cell
     /// from the inboxes; after a transparent gather the cells start empty
     /// and each is filled from the graph on its label's first read.
     tables: Vec<OnceCell<LabelTables>>,
-    /// `census[label][i * |v| + l]`: the min-plus value of the oriented
-    /// pair `(u_i, v_l)`, [`NO_APEX`] when no apex pair exists.
-    census: Vec<OnceCell<Vec<i64>>>,
+    /// One census per triple label.
+    census: Vec<OnceCell<Census>>,
 }
 
 impl GatheredWeights {
@@ -212,10 +222,10 @@ impl GatheredWeights {
         v: usize,
         f_uv: i64,
     ) -> Result<bool, ApspError> {
-        let b = Blocks::of(inst, label);
+        let Census { blocks: b, min } =
+            self.census[label].get_or_init(|| self.build_census(inst, label));
         let (su, sv) = b.orient(u, v)?;
-        let census = self.census[label].get_or_init(|| self.build_census(inst, label, &b));
-        let min_sum = census[(su - b.u.start) * b.v.len() + sv - b.v.start];
+        let min_sum = min[(su - b.u.start) * b.v.len() + sv - b.v.start];
         Ok(min_sum != NO_APEX && min_sum < -f_uv)
     }
 
@@ -227,11 +237,12 @@ impl GatheredWeights {
     /// with the scalar scan. Entries outside the kernel's exact magnitude
     /// domain force a whole-table scalar scan, so the census always
     /// matches [`GatheredWeights::min_plus`] cell for cell.
-    fn build_census(&self, inst: &Instance<'_>, label: usize, b: &Blocks) -> Vec<i64> {
+    fn build_census(&self, inst: &Instance<'_>, label: usize) -> Census {
+        let b = Blocks::of(inst, label);
         let t = self.label_tables(inst, label);
         let (ulen, vlen) = (b.u.len(), b.v.len());
-        let scalar = |cell: usize| {
-            let m = t.apex_min(b, b.u.start + cell / vlen, b.v.start + cell % vlen);
+        let scalar = |i: usize, l: usize| {
+            let m = t.apex_min(&b, b.u.start + i, b.v.start + l);
             debug_assert!(
                 m.unwrap_or(0) < NO_APEX,
                 "min-plus value hits the census sentinel"
@@ -247,23 +258,28 @@ impl GatheredWeights {
                 })
                 .collect()
         };
-        let (Some(a), Some(c)) = (encode(&t.uw), encode(&t.wv)) else {
-            return (0..ulen * vlen).map(scalar).collect();
+        let min = if let (Some(a), Some(c)) = (encode(&t.uw), encode(&t.wv)) {
+            let mut min = vec![qcc_graph::TROPICAL_NONE; ulen * vlen];
+            qcc_graph::min_plus_flat_into(&a, &c, ulen, b.w.len(), vlen, &mut min);
+            for i in 0..ulen {
+                for l in 0..vlen {
+                    // The kernel counted every apex; a cell whose endpoint
+                    // lies in the fine block must exclude it.
+                    let entry = &mut min[i * vlen + l];
+                    *entry = if b.w.contains(&(b.u.start + i)) || b.w.contains(&(b.v.start + l)) {
+                        scalar(i, l)
+                    } else {
+                        qcc_graph::tropical_decode(*entry).unwrap_or(NO_APEX)
+                    };
+                }
+            }
+            min
+        } else {
+            (0..ulen)
+                .flat_map(|i| (0..vlen).map(move |l| scalar(i, l)))
+                .collect()
         };
-        let mut census = vec![qcc_graph::TROPICAL_NONE; ulen * vlen];
-        qcc_graph::min_plus_flat_into(&a, &c, ulen, b.w.len(), vlen, &mut census);
-        for (cell, entry) in census.iter_mut().enumerate() {
-            // The kernel counted every apex; cells whose own endpoints lie
-            // in the fine block must exclude them.
-            *entry = if b.w.contains(&(b.u.start + cell / vlen))
-                || b.w.contains(&(b.v.start + cell % vlen))
-            {
-                scalar(cell)
-            } else {
-                qcc_graph::tropical_decode(*entry).unwrap_or(NO_APEX)
-            };
-        }
-        census
+        Census { blocks: b, min }
     }
 }
 
