@@ -118,9 +118,9 @@ pub fn build_tripartite(
     assert_eq!(a.n(), d.n());
     let n = a.n();
     let layout = TripartiteLayout::new(n);
-    // Surrogate for -inf: beyond any achievable finite triangle sum. It
-    // saturates rather than overflow on the largest magnitudes, which only
-    // the -inf entries themselves read.
+    // Surrogate for -inf: beyond any achievable finite triangle sum. Near
+    // the distance product's magnitude bound 3·max + 1 leaves i64, so it
+    // saturates; only -inf entries read it.
     let max_mag = a.max_finite_magnitude_with(b).max(
         d.entries()
             .map(|(_, _, &x)| x.unsigned_abs())

@@ -198,9 +198,9 @@ degrading to the verified classical scan.
 --faults SPEC injects seeded, deterministic network faults and arms the
 ack/retransmit envelope. SPEC is comma-separated key=value items:
 drop=R, corrupt=R, dup=R (rates in [0,1]), seed=S, crash=NODE@ROUND,
-link=SRC>DST:RATE (nodes below --n). --verify runs the self-verifying Las-Vegas driver
-(retry up to --max-retries times, then degrade to the classical
-semiring fallback).
+link=SRC>DST:RATE, with every node below --n. --verify runs the
+self-verifying Las-Vegas driver (retry up to --max-retries times, then
+degrade to the classical semiring fallback).
 
 apsp --transport gossip replaces the clique with RLNC-coded gossip over
 a general topology (--topology, default mesh:4): every node broadcasts
@@ -354,12 +354,12 @@ fn parse_fault_plan(flags: &Flags, n: usize) -> Result<Option<FaultPlan>, CliErr
     };
     let plan =
         FaultPlan::parse(spec).map_err(|e| CliError(format!("invalid --faults spec: {e}")))?;
-    let mut nodes = (plan.crashes.iter().map(|&(node, _)| node)).chain(
-        plan.link_drop
-            .iter()
-            .flat_map(|&((src, dst), _)| [src, dst]),
-    );
-    if let Some(node) = nodes.find(|node| node.index() >= n) {
+    let crash_nodes = plan.crashes.iter().map(|&(node, _)| node);
+    let link_nodes = plan
+        .link_drop
+        .iter()
+        .flat_map(|&((src, dst), _)| [src, dst]);
+    if let Some(node) = crash_nodes.chain(link_nodes).find(|node| node.index() >= n) {
         return Err(CliError(format!(
             "invalid --faults spec: node {} is outside the network of --n {n} nodes",
             node.index()
