@@ -35,7 +35,7 @@
 
 use qcc_apsp::{apsp_traced, ApspAlgorithm, Params};
 use qcc_congest::{json, TraceSink};
-use qcc_graph::{floyd_warshall_with_threads, random_reweighted_digraph, WeightMatrix};
+use qcc_graph::{random_reweighted_digraph, ExtWeight, WeightMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -47,7 +47,7 @@ use std::time::Instant;
 const KERNEL_N: usize = 96;
 
 /// What `kernel_ms` times, as recorded in the JSON.
-const KERNEL: &str = "floyd_warshall_with_threads(n = 96, threads = 1), median of 5";
+const KERNEL: &str = "bench_e1's ExtWeight Floyd–Warshall pass (n = 96, one thread), median of 5";
 
 struct E1Result {
     n: usize,
@@ -75,16 +75,71 @@ fn kernel_input() -> WeightMatrix {
     random_reweighted_digraph(KERNEL_N, 0.5, 8, &mut rng).adjacency_matrix()
 }
 
-/// Milliseconds one single-threaded Floyd–Warshall pass over `input`
-/// takes now: the median of five, so that one interrupted pass does not
-/// count.
+/// One Floyd–Warshall pass over [`ExtWeight`] entries, each pivot
+/// relaxing every row against a snapshot of its own row: the library's
+/// single-threaded pass when `BENCH_e1_smoke_ref.json` was recorded. It
+/// is this binary's own copy, so that a faster library kernel does not
+/// move the unit the reps are priced in. Never inlined, so that no
+/// caller's code changes how it compiles.
+#[inline(never)]
+fn kernel_pass(adj: &WeightMatrix) -> WeightMatrix {
+    let n = adj.n();
+    let mut d = adj.clone();
+    let mut pivot = vec![ExtWeight::PosInf; n];
+    for k in 0..n {
+        pivot.copy_from_slice(d.row(k));
+        for row in d.as_mut_slice().chunks_exact_mut(n) {
+            let dik = row[k];
+            if dik == ExtWeight::PosInf {
+                continue;
+            }
+            for (dij, &dkj) in row.iter_mut().zip(&pivot) {
+                let cand = ext_add(dik, dkj);
+                if ext_less(cand, *dij) {
+                    *dij = cand;
+                }
+            }
+        }
+    }
+    d
+}
+
+/// `ExtWeight`'s sum, copied here: the library's own pass inlined it,
+/// and a call across the crate boundary made the pass about 1.7× slower.
+#[inline(always)]
+fn ext_add(a: ExtWeight, b: ExtWeight) -> ExtWeight {
+    use ExtWeight::*;
+    match (a, b) {
+        (PosInf, _) | (_, PosInf) => PosInf,
+        (NegInf, _) | (_, NegInf) => NegInf,
+        (Finite(a), Finite(b)) => match a.checked_add(b) {
+            Some(sum) => Finite(sum),
+            None if a > 0 => PosInf,
+            None => NegInf,
+        },
+    }
+}
+
+/// `ExtWeight`'s order (`a < b`), copied for the same reason.
+#[inline(always)]
+fn ext_less(a: ExtWeight, b: ExtWeight) -> bool {
+    use ExtWeight::*;
+    match (a, b) {
+        (NegInf, NegInf) | (PosInf, PosInf) | (PosInf, _) | (_, NegInf) => false,
+        (NegInf, _) | (_, PosInf) => true,
+        (Finite(a), Finite(b)) => a < b,
+    }
+}
+
+/// Milliseconds one [`kernel_pass`] over `input` takes now: the median
+/// of five, so that one interrupted pass does not count.
 fn kernel_ms(input: &WeightMatrix) -> f64 {
     let mut runs: Vec<f64> = (0..5)
         .map(|_| {
             let t = Instant::now();
-            let closure = floyd_warshall_with_threads(black_box(input), 1);
+            let closure = kernel_pass(black_box(input));
             let ms = t.elapsed().as_secs_f64() * 1e3;
-            black_box(closure).expect("the kernel graph has no negative cycle");
+            black_box(closure);
             ms
         })
         .collect();

@@ -122,9 +122,7 @@ pub fn apsp_configured<R: Rng>(
         ApspAlgorithm::ClassicalTriangle => {
             squaring_apsp(g, params, SearchBackend::Classical, rng, trace, netcfg)
         }
-        ApspAlgorithm::NaiveBroadcast => {
-            crate::baselines::naive_broadcast_apsp(g, params.worker_threads(), trace, netcfg)
-        }
+        ApspAlgorithm::NaiveBroadcast => crate::baselines::naive_broadcast_apsp(g, trace, netcfg),
         ApspAlgorithm::SemiringSquaring => {
             crate::baselines::semiring_apsp(g, params.worker_threads(), trace, netcfg)
         }

@@ -4,18 +4,16 @@ use crate::apsp::{ApspAlgorithm, ApspReport};
 use crate::wire::{weight_bits, Wire};
 use crate::ApspError;
 use qcc_congest::{Clique, NetConfig, NodeId, TraceSink};
-use qcc_graph::{floyd_warshall_with_threads, DiGraph};
+use qcc_graph::{floyd_warshall, DiGraph};
 
 /// Solves APSP by having every node broadcast its full adjacency row and
 /// then running Floyd–Warshall locally.
 ///
 /// Costs `Θ(n · w / B) = Θ(n)` rounds (each node pushes `n` weights of `w`
 /// bits over `B`-bit links): the upper bound every sub-linear algorithm is
-/// compared against. `threads` workers run the local Floyd–Warshall solve
-/// (host wall-clock only; rounds are unaffected). The internal `Clique`
-/// attaches to `trace` (round charges are byte-identical with and without
-/// a sink) and is armed with `netcfg`'s fault plan and reliable-delivery
-/// envelope before the gossip.
+/// compared against. The internal `Clique` attaches to `trace` (round
+/// charges are byte-identical with and without a sink) and is armed with
+/// `netcfg`'s fault plan and reliable-delivery envelope before the gossip.
 ///
 /// # Errors
 ///
@@ -33,13 +31,12 @@ use qcc_graph::{floyd_warshall_with_threads, DiGraph};
 /// let mut g = DiGraph::new(4);
 /// g.add_arc(0, 1, 2);
 /// g.add_arc(1, 2, 3);
-/// let report = naive_broadcast_apsp(&g, 1, None, &NetConfig::default())?;
+/// let report = naive_broadcast_apsp(&g, None, &NetConfig::default())?;
 /// assert_eq!(report.distances[(0, 2)], ExtWeight::from(5));
 /// # Ok::<(), qcc_apsp::ApspError>(())
 /// ```
 pub fn naive_broadcast_apsp(
     g: &DiGraph,
-    threads: usize,
     trace: Option<&TraceSink>,
     netcfg: &NetConfig,
 ) -> Result<ApspReport, ApspError> {
@@ -86,7 +83,7 @@ pub fn naive_broadcast_apsp(
     );
 
     net.close_all_spans();
-    let distances = floyd_warshall_with_threads(&reconstructed.adjacency_matrix(), threads)?;
+    let distances = floyd_warshall(&reconstructed.adjacency_matrix())?;
     Ok(ApspReport {
         distances,
         rounds: net.rounds(),
@@ -106,7 +103,7 @@ mod tests {
     fn matches_floyd_warshall() {
         let mut rng = StdRng::seed_from_u64(121);
         let g = random_reweighted_digraph(12, 0.5, 6, &mut rng);
-        let report = naive_broadcast_apsp(&g, 1, None, &NetConfig::default()).unwrap();
+        let report = naive_broadcast_apsp(&g, None, &NetConfig::default()).unwrap();
         assert_eq!(
             report.distances,
             floyd_warshall(&g.adjacency_matrix()).unwrap()
@@ -119,10 +116,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(122);
         let g16 = random_reweighted_digraph(16, 0.5, 6, &mut rng);
         let g64 = random_reweighted_digraph(64, 0.5, 6, &mut rng);
-        let r16 = naive_broadcast_apsp(&g16, 1, None, &NetConfig::default())
+        let r16 = naive_broadcast_apsp(&g16, None, &NetConfig::default())
             .unwrap()
             .rounds;
-        let r64 = naive_broadcast_apsp(&g64, 1, None, &NetConfig::default())
+        let r64 = naive_broadcast_apsp(&g64, None, &NetConfig::default())
             .unwrap()
             .rounds;
         // 4x the nodes: roughly 4x the rounds (bandwidth grows by log factor)
@@ -135,7 +132,7 @@ mod tests {
         g.add_arc(0, 1, -2);
         g.add_arc(1, 0, 1);
         assert_eq!(
-            naive_broadcast_apsp(&g, 1, None, &NetConfig::default()).unwrap_err(),
+            naive_broadcast_apsp(&g, None, &NetConfig::default()).unwrap_err(),
             ApspError::NegativeCycle
         );
     }

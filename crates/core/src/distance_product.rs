@@ -19,7 +19,7 @@ use crate::problem::PairSet;
 use crate::step3::SearchBackend;
 use crate::ApspError;
 use qcc_congest::{Clique, NetConfig, TraceSink};
-use qcc_graph::{build_tripartite, SquareMatrix, WeightMatrix};
+use qcc_graph::{build_tripartite, ExtWeight, SquareMatrix, WeightMatrix};
 use rand::Rng;
 
 /// The largest finite magnitude `M` a distance product accepts: its
@@ -56,6 +56,8 @@ impl DistanceProductReport {
 /// * [`ApspError::DimensionMismatch`] if `A` and `B` differ in size.
 /// * [`ApspError::WeightOverflow`] if an entry's magnitude exceeds
 ///   [`MAX_PRODUCT_MAGNITUDE`], before the search starts.
+/// * [`ApspError::NegInfEntry`] if an entry of `A` or `B` is `−∞`, before
+///   the search starts.
 /// * Propagated errors from the `FindEdges` runs.
 ///
 /// # Examples
@@ -117,7 +119,7 @@ pub fn distributed_distance_product_configured<R: Rng>(
     let n = a.n();
     if n == 0 {
         return Ok(DistanceProductReport {
-            product: WeightMatrix::filled(0, qcc_graph::ExtWeight::PosInf),
+            product: WeightMatrix::filled(0, ExtWeight::PosInf),
             virtual_rounds: 0,
             simulation_factor: 9,
             find_edges_calls: 0,
@@ -126,6 +128,11 @@ pub fn distributed_distance_product_configured<R: Rng>(
     let magnitude = a.max_finite_magnitude_with(b);
     if magnitude > MAX_PRODUCT_MAGNITUDE {
         return Err(ApspError::WeightOverflow { magnitude });
+    }
+    for (operand, m) in [("A", a), ("B", b)] {
+        if let Some((row, col, _)) = m.entries().find(|&(_, _, &w)| w == ExtWeight::NegInf) {
+            return Err(ApspError::NegInfEntry { operand, row, col });
+        }
     }
     let m = magnitude as i64;
 
@@ -198,9 +205,9 @@ pub fn distributed_distance_product_configured<R: Rng>(
 
     let product = WeightMatrix::from_fn(n, |i, j| {
         if hi[(i, j)] == 2 * m + 2 {
-            qcc_graph::ExtWeight::PosInf
+            ExtWeight::PosInf
         } else {
-            qcc_graph::ExtWeight::from(hi[(i, j)] - 1)
+            ExtWeight::from(hi[(i, j)] - 1)
         }
     });
 

@@ -49,6 +49,17 @@ pub enum ApspError {
         /// The largest finite magnitude among the product's entries.
         magnitude: u64,
     },
+    /// A distance product's operand holds a `−∞` entry, which its
+    /// threshold search cannot express: it would read the search's lower
+    /// end as a finite product entry.
+    NegInfEntry {
+        /// Which operand: `"A"` or `"B"`.
+        operand: &'static str,
+        /// Row of the entry.
+        row: usize,
+        /// Column of the entry.
+        col: usize,
+    },
     /// An error that interrupted a run after rounds had already been
     /// charged. Wrapping preserves the cost of the failed work so callers
     /// (the driver, the CLI) can account for it honestly.
@@ -134,6 +145,10 @@ impl fmt::Display for ApspError {
                 f,
                 "distance product weights of magnitude {magnitude} exceed its limit {}",
                 crate::MAX_PRODUCT_MAGNITUDE
+            ),
+            ApspError::NegInfEntry { operand, row, col } => write!(
+                f,
+                "distance product operand {operand} has a -inf entry at ({row}, {col})"
             ),
             ApspError::Faulted { rounds, source } => {
                 write!(f, "{source} (after charging {rounds} rounds)")

@@ -15,11 +15,10 @@
 //!   ([`sssp_row_with_parents`]), so huge `n` never needs the `O(n²)`
 //!   matrix in memory.
 //! * **Delta repair** — an `update` request with decrease-only edge
-//!   changes is repaired incrementally by **one** min-plus product
-//!   ([`delta_repair_candidate`]) and accepted only when the PR-5 fixpoint
-//!   certificate passes ([`min_plus_fixpoint_certificate`]); any other
-//!   outcome falls back to a full recompute. Updates that would create a
-//!   negative cycle are rejected and the previous state is kept.
+//!   changes is repaired exactly in `O(k·n²)` by relaxing the matrix
+//!   through each changed arc in turn ([`delta_repair`]); increases and
+//!   deletions recompute. Updates that would create a negative cycle are
+//!   rejected and the previous state is kept.
 //!
 //! The wire format is NDJSON, one request object per line (matching the
 //! `TraceSink` idiom), read with the workspace's one JSON reader
@@ -34,8 +33,8 @@ use crate::ApspError;
 use qcc_congest::json::{self, Value};
 use qcc_congest::TraceSink;
 use qcc_graph::{
-    delta_repair_candidate, floyd_warshall, has_negative_cycle, min_plus_fixpoint_certificate,
-    parent_path, sssp_row_with_parents, DiGraph, EdgeDelta, ExtWeight, PathOracle, WeightMatrix,
+    delta_repair, floyd_warshall, has_negative_cycle, parent_path, sssp_row_with_parents, DiGraph,
+    EdgeDelta, ExtWeight, NegativeCycleError, PathOracle, WeightMatrix,
 };
 use rand::Rng;
 use std::collections::HashMap;
@@ -100,7 +99,7 @@ pub struct ServeStats {
     pub row_misses: u64,
     /// Rows evicted by the LRU policy.
     pub row_evictions: u64,
-    /// Updates repaired by one certified min-plus product.
+    /// Updates repaired by relaxing through the changed arcs.
     pub delta_repairs: u64,
     /// Updates that fell back to a full recompute (or, in row mode,
     /// invalidated the cache).
@@ -180,7 +179,7 @@ pub struct BatchOutput {
 /// How an update was absorbed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateMethod {
-    /// One certified min-plus product repaired the matrix.
+    /// Relaxing through the changed arcs repaired the matrix.
     DeltaRepair,
     /// Full recompute (dense mode) or cache invalidation (row mode).
     Recompute,
@@ -480,7 +479,7 @@ impl QueryEngine {
     }
 
     /// Applies edge changes atomically: decrease-only updates in dense
-    /// mode try the one-product certified repair first; everything else
+    /// mode are repaired exactly ([`delta_repair`]); everything else
     /// recomputes (dense) or invalidates the cache (row mode). An update
     /// that would create a negative cycle is rejected with the previous
     /// state fully preserved.
@@ -560,33 +559,27 @@ impl QueryEngine {
         decrease_only: bool,
         deltas: &[EdgeDelta],
     ) -> Result<UpdateMethod, String> {
-        if decrease_only {
-            if let Some(d) = &self.distances {
-                let cand = delta_repair_candidate(d, deltas);
-                let adj = self.graph.adjacency_matrix();
-                if min_plus_fixpoint_certificate(&adj, &cand) {
-                    self.distances = Some(cand);
-                    self.stats.delta_repairs += 1;
-                    return Ok(UpdateMethod::DeltaRepair);
+        let rejected = |_| "update rejected: it would create a negative cycle".to_string();
+        match &self.distances {
+            Some(d) if decrease_only => {
+                self.distances = Some(delta_repair(d, deltas).map_err(rejected)?);
+                self.stats.delta_repairs += 1;
+                Ok(UpdateMethod::DeltaRepair)
+            }
+            Some(_) => {
+                let fw = floyd_warshall(&self.graph.adjacency_matrix()).map_err(rejected)?;
+                self.distances = Some(fw);
+                self.stats.full_recomputes += 1;
+                Ok(UpdateMethod::Recompute)
+            }
+            None => {
+                // Row mode: no matrix to repair; rows are recomputed lazily.
+                if has_negative_cycle(&self.graph) {
+                    return Err(rejected(NegativeCycleError));
                 }
+                self.stats.full_recomputes += 1;
+                Ok(UpdateMethod::Recompute)
             }
-        }
-        if self.distances.is_some() {
-            match floyd_warshall(&self.graph.adjacency_matrix()) {
-                Ok(fw) => {
-                    self.distances = Some(fw);
-                    self.stats.full_recomputes += 1;
-                    Ok(UpdateMethod::Recompute)
-                }
-                Err(_) => Err("update rejected: it would create a negative cycle".into()),
-            }
-        } else {
-            // Row mode: no matrix to repair; rows are recomputed lazily.
-            if has_negative_cycle(&self.graph) {
-                return Err("update rejected: it would create a negative cycle".into());
-            }
-            self.stats.full_recomputes += 1;
-            Ok(UpdateMethod::Recompute)
         }
     }
 
@@ -1026,12 +1019,11 @@ mod tests {
     }
 
     #[test]
-    fn decrease_update_repairs_with_one_certified_product() {
+    fn decrease_update_repairs_through_the_changed_arc() {
         let (mut eng, _) = engine(9, 14, None);
         let (u, v, w) = eng.graph().arcs().next().expect("an arc");
-        // A one-step decrease on an existing arc: repair must certify
-        // (single changed edge ⇒ candidate is exact), unless it creates a
-        // negative cycle — seed 14 does not.
+        // A one-step decrease on an existing arc repairs, unless it
+        // creates a negative cycle — seed 14 does not.
         let method = eng
             .update(&[EdgeChange {
                 u,

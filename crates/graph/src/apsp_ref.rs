@@ -7,12 +7,16 @@
 //! independent cross-check of Floyd–Warshall).
 
 use crate::digraph::DiGraph;
-use crate::matrix::WeightMatrix;
+use crate::matrix::{
+    tropical_decode, tropical_decode_matrix, tropical_encode, WeightMatrix, TROPICAL_FINITE_MAX,
+    TROPICAL_NONE,
+};
 use crate::weight::ExtWeight;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Add;
 
 /// The input graph contains a negative cycle, so shortest distances are
 /// undefined.
@@ -29,8 +33,31 @@ impl Error for NegativeCycleError {}
 
 /// Floyd–Warshall on an adjacency matrix (`A_G[i,i] = 0`).
 ///
-/// Returns the full distance matrix, or an error if a negative cycle is
-/// detected (negative diagonal after relaxation).
+/// Returns the full distance matrix, or an error if the graph has a
+/// negative cycle (a diagonal entry turns negative).
+///
+/// Inputs without a `−∞` entry whose largest finite magnitude `M` obeys
+/// `(n − 1)·M ≤` [`TROPICAL_FINITE_MAX`] run on the sentinel-coded `i64`
+/// lanes of the product kernel ([`TROPICAL_NONE`] for `+∞`); every other
+/// input runs the same relaxation over [`ExtWeight`]. Both give the same
+/// matrix, and the flat pass is exact for these reasons:
+///
+/// * Pivot `k` relaxes row `i` only while `d[i,k]` is finite, and the pass
+///   returns [`NegativeCycleError`] at the first negative diagonal entry.
+///   So every pivot starts with a nonnegative diagonal, under which a
+///   finite entry is the weight of a walk whose cycles are nonnegative:
+///   at least a simple path's `−(n − 1)·M`, at most a simple path's
+///   `(n − 1)·M` (a simple cycle's `n·M` on the diagonal). Within a pivot
+///   no value leaves `±2(n − 1)·M`, and `n·M ≤ 2·TROPICAL_FINITE_MAX`.
+/// * A `+∞` entry lowered through the sentinel stays above
+///   `TROPICAL_NONE − 2(n − 1)·M > 2·TROPICAL_FINITE_MAX` and decodes back
+///   to `+∞` ([`tropical_decode`]); no sum overflows `i64`.
+/// * With `d[k,k] ≥ 0`, row `k` and column `k` are fixed points of pivot
+///   `k`, so relaxing in place sees the values the `ExtWeight` pass reads
+///   from its snapshot of row `k`.
+///
+/// A negative diagonal entry is the weight of a closed walk, so both
+/// passes report an error exactly when the graph has a negative cycle.
 ///
 /// # Examples
 ///
@@ -45,47 +72,74 @@ impl Error for NegativeCycleError {}
 /// # Ok::<(), qcc_graph::NegativeCycleError>(())
 /// ```
 pub fn floyd_warshall(adj: &WeightMatrix) -> Result<WeightMatrix, NegativeCycleError> {
-    floyd_warshall_with_threads(adj, qcc_perf::resolve_threads(None))
+    let n = adj.n();
+    match tropical_encode(adj) {
+        Some(mut d) if within_flat_domain(n, adj.max_finite_magnitude()) => {
+            floyd_warshall_flat(&mut d, n)?;
+            Ok(tropical_decode_matrix(n, &d))
+        }
+        _ => floyd_warshall_ext(adj),
+    }
 }
 
-/// [`floyd_warshall`] with an explicit worker count.
-///
-/// Iteration `k` relaxes every row against a snapshot of pivot row `k`, so
-/// row bands update independently. On inputs without a negative cycle the
-/// pivot row is a fixed point of its own iteration (`d[k,k] = 0`
-/// throughout), making the banded schedule entry-for-entry identical to
-/// the sequential in-place algorithm; with a negative cycle both variants
-/// report [`NegativeCycleError`].
-pub fn floyd_warshall_with_threads(
-    adj: &WeightMatrix,
-    threads: usize,
-) -> Result<WeightMatrix, NegativeCycleError> {
+/// Whether walks of up to `n − 1` arcs of magnitude at most `m` stay
+/// within [`TROPICAL_FINITE_MAX`], the domain of the flat oracles.
+fn within_flat_domain(n: usize, m: u64) -> bool {
+    (n.saturating_sub(1) as u64)
+        .checked_mul(m)
+        .is_some_and(|bound| bound <= TROPICAL_FINITE_MAX as u64)
+}
+
+/// The flat pass of [`floyd_warshall`], in place on coded entries.
+fn floyd_warshall_flat(d: &mut [i64], n: usize) -> Result<(), NegativeCycleError> {
+    if (0..n).any(|i| d[i * n + i] < 0) {
+        return Err(NegativeCycleError);
+    }
+    let mut pivot = vec![TROPICAL_NONE; n];
+    for k in 0..n {
+        pivot.copy_from_slice(&d[k * n..(k + 1) * n]);
+        for (i, row) in d.chunks_exact_mut(n).enumerate() {
+            let dik = row[k];
+            if tropical_decode(dik).is_none() {
+                continue;
+            }
+            for (dij, &dkj) in row.iter_mut().zip(&pivot) {
+                let cand = dik + dkj;
+                if cand < *dij {
+                    *dij = cand;
+                }
+            }
+            if row[i] < 0 {
+                return Err(NegativeCycleError);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The [`ExtWeight`] pass of [`floyd_warshall`]: each pivot relaxes every
+/// row against a snapshot of pivot row `k`.
+fn floyd_warshall_ext(adj: &WeightMatrix) -> Result<WeightMatrix, NegativeCycleError> {
     let n = adj.n();
     let mut d = adj.clone();
     let mut pivot = vec![ExtWeight::PosInf; n];
     for k in 0..n {
         pivot.copy_from_slice(d.row(k));
-        let pivot = &pivot;
-        qcc_perf::for_each_row_band(d.as_mut_slice(), n, threads, |rows, d_rows| {
-            for (bi, _) in rows.enumerate() {
-                let row = &mut d_rows[bi * n..(bi + 1) * n];
-                let dik = row[k];
-                if dik == ExtWeight::PosInf {
-                    continue;
-                }
-                for (dij, &dkj) in row.iter_mut().zip(pivot) {
-                    let cand = dik + dkj;
-                    if cand < *dij {
-                        *dij = cand;
-                    }
+        for row in d.as_mut_slice().chunks_exact_mut(n) {
+            let dik = row[k];
+            if dik == ExtWeight::PosInf {
+                continue;
+            }
+            for (dij, &dkj) in row.iter_mut().zip(&pivot) {
+                let cand = dik + dkj;
+                if cand < *dij {
+                    *dij = cand;
                 }
             }
-        });
-    }
-    for i in 0..n {
-        if d[(i, i)] < ExtWeight::ZERO {
-            return Err(NegativeCycleError);
         }
+    }
+    if (0..n).any(|i| d[(i, i)] < ExtWeight::ZERO) {
+        return Err(NegativeCycleError);
     }
     Ok(d)
 }
@@ -93,36 +147,137 @@ pub fn floyd_warshall_with_threads(
 /// Bellman–Ford single-source shortest paths.
 ///
 /// Returns the distance vector from `src`, or an error if a negative cycle
-/// is reachable from `src`.
+/// is reachable from `src`: the distances of [`sssp_row_with_parents`].
 ///
 /// # Panics
 ///
 /// Panics if `src` is out of range.
 pub fn bellman_ford(g: &DiGraph, src: usize) -> Result<Vec<ExtWeight>, NegativeCycleError> {
+    sssp_row_with_parents(g, src).map(|(dist, _)| dist)
+}
+
+/// Bellman–Ford single-source relaxation with parent tracking.
+///
+/// Returns `(dist, parent)` where `parent[v]` is the predecessor of `v` on
+/// a shortest path from `src` (`None` for `src` itself and for unreachable
+/// vertices). Because parents are only rewritten on *strict* improvement,
+/// the parent pointers form a tree rooted at `src` whenever the graph has
+/// no negative cycle — a cycle of parent pointers would certify a cycle of
+/// total weight `< 0`.
+///
+/// Each pass relaxes the arcs in row-major order until a pass changes
+/// nothing (at most `n − 1` passes); after `n − 1` passes that all changed
+/// something, an arc that still relaxes proves a negative cycle. A pass
+/// skips the arcs of a tail whose distance has not fallen since they were
+/// last relaxed: none of them can relax, so every other arc sees the same
+/// values as in a full pass. On graphs whose largest arc magnitude `M`
+/// obeys `(n − 1)·M ≤` [`TROPICAL_FINITE_MAX`] the distances live on `i64`
+/// lanes ([`TROPICAL_NONE`] for `+∞`); other graphs run the same loop over
+/// [`ExtWeight`], whose sums saturate. Every value is the weight of a walk
+/// from `src`, which without a reachable negative cycle is at least a
+/// simple path's `−(n − 1)·M`: the `i64` loop reports the cycle as soon as
+/// a value drops below that, so no sum leaves `±n·M`.
+///
+/// # Errors
+///
+/// [`NegativeCycleError`] if a negative cycle is reachable from `src`.
+///
+/// # Panics
+///
+/// Panics if `src` is out of range.
+pub fn sssp_row_with_parents(
+    g: &DiGraph,
+    src: usize,
+) -> Result<(Vec<ExtWeight>, Vec<Option<usize>>), NegativeCycleError> {
     let n = g.n();
-    assert!(src < n);
-    let mut dist = vec![ExtWeight::PosInf; n];
-    dist[src] = ExtWeight::ZERO;
-    let arcs: Vec<_> = g.arcs().collect();
+    assert!(src < n, "source out of range");
+    let weights = g.weights();
+    let m = g.weight_magnitude();
+    if !within_flat_domain(n, m) {
+        let lanes = (ExtWeight::ZERO, ExtWeight::PosInf);
+        return relax_from(n, src, |u| weights.row(u), lanes, |_| false);
+    }
+    let coded: Vec<i64> = weights
+        .as_slice()
+        .iter()
+        .map(|w| w.finite().unwrap_or(NO_ARC))
+        .collect();
+    let floor = -((n as i64 - 1) * m as i64);
+    let (dist, parent) = relax_from(
+        n,
+        src,
+        |u| &coded[u * n..(u + 1) * n],
+        (0, TROPICAL_NONE),
+        |d| d < floor,
+    )?;
+    let dist = dist
+        .into_iter()
+        .map(|d| match d {
+            TROPICAL_NONE => ExtWeight::PosInf,
+            d => ExtWeight::Finite(d),
+        })
+        .collect();
+    Ok((dist, parent))
+}
+
+/// The weight of an absent arc (or of the diagonal) on the `i64` lanes of
+/// [`sssp_row_with_parents`]: any distance plus it lies above
+/// [`TROPICAL_NONE`], so such an entry never relaxes, and below `i64::MAX`.
+const NO_ARC: i64 = TROPICAL_NONE + 2 * TROPICAL_FINITE_MAX;
+
+/// The relaxation loop of [`sssp_row_with_parents`] on one lane type:
+/// `row(u)` is row `u` of the weight table, `(zero, none)` are the lanes'
+/// `0` and `+∞`, and `below_floor` flags a value that no walk without a
+/// negative cycle reaches.
+fn relax_from<'a, T: Copy + PartialOrd + Add<Output = T> + 'a>(
+    n: usize,
+    src: usize,
+    row: impl Fn(usize) -> &'a [T],
+    (zero, none): (T, T),
+    below_floor: impl Fn(T) -> bool,
+) -> Result<(Vec<T>, Vec<Option<usize>>), NegativeCycleError> {
+    let mut dist = vec![none; n];
+    let mut parent: Vec<Option<usize>> = vec![None; n];
+    // Tails whose distance fell since their arcs were last relaxed.
+    let mut stale = vec![false; n];
+    dist[src] = zero;
+    stale[src] = true;
+    let mut settled = false;
     for _ in 0..n.saturating_sub(1) {
-        let mut changed = false;
-        for &(u, v, w) in &arcs {
-            let cand = dist[u] + ExtWeight::from(w);
-            if cand < dist[v] {
-                dist[v] = cand;
-                changed = true;
+        settled = true;
+        for u in 0..n {
+            if !stale[u] {
+                continue;
+            }
+            stale[u] = false;
+            let du = dist[u];
+            for (v, &w) in row(u).iter().enumerate() {
+                let cand = du + w;
+                if cand < dist[v] {
+                    if below_floor(cand) {
+                        return Err(NegativeCycleError);
+                    }
+                    dist[v] = cand;
+                    parent[v] = Some(u);
+                    stale[v] = true;
+                    settled = false;
+                }
             }
         }
-        if !changed {
+        if settled {
             break;
         }
     }
-    for &(u, v, w) in &arcs {
-        if dist[u] + ExtWeight::from(w) < dist[v] {
-            return Err(NegativeCycleError);
-        }
+    let relaxes = |u: usize| {
+        row(u)
+            .iter()
+            .enumerate()
+            .any(|(v, &w)| dist[u] + w < dist[v])
+    };
+    if !settled && (0..n).any(|u| stale[u] && relaxes(u)) {
+        return Err(NegativeCycleError);
     }
-    Ok(dist)
+    Ok((dist, parent))
 }
 
 /// Dijkstra on nonnegative arc weights.
@@ -300,16 +455,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         // 40 vertices: above the spawn threshold, several bands per run
         let g = random_reweighted_digraph(40, 0.2, 9, &mut rng);
-        let adj = g.adjacency_matrix();
-        let fw1 = floyd_warshall_with_threads(&adj, 1).unwrap();
         let jo1 = johnson_with_threads(&g, 1).unwrap();
-        assert_eq!(fw1, jo1);
+        assert_eq!(floyd_warshall(&g.adjacency_matrix()).unwrap(), jo1);
         for threads in [2, 3, 8] {
-            assert_eq!(
-                floyd_warshall_with_threads(&adj, threads).unwrap(),
-                fw1,
-                "fw {threads}"
-            );
             assert_eq!(
                 johnson_with_threads(&g, threads).unwrap(),
                 jo1,

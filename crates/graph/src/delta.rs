@@ -1,46 +1,45 @@
-//! Incremental distance-matrix repair and single-source row recomputation.
+//! Incremental distance-matrix repair and the local fixpoint certificate.
 //!
 //! Local (non-distributed) machinery behind the APSP serving hot path:
 //!
-//! * [`sssp_row_with_parents`] — Bellman–Ford with parent tracking, the
-//!   per-source relaxation that recomputes one evicted row of the distance
-//!   matrix without holding the full `O(n²)` table resident;
-//! * [`delta_repair_candidate`] — one-product incremental repair for
-//!   edge-weight changes: route every pair through each changed edge via a
-//!   single rectangular min-plus product over the flat `i64` kernel
-//!   ([`min_plus_flat_into`]);
+//! * [`delta_repair`] — exact repair after arc decreases (insertions
+//!   included): every pair is relaxed through each changed arc in turn,
+//!   `O(k·n²)` for `k` arcs;
+//! * [`parent_path`] — the route that the parent pointers of
+//!   [`crate::sssp_row_with_parents`] (the single-source relaxation that
+//!   recomputes one evicted row) encode;
 //! * [`min_plus_fixpoint_certificate`] — the Las-Vegas driver's
-//!   certificate (zero diagonal, `D ≤ A₀`, `D ⊗ D = D`) evaluated locally.
+//!   certificate (zero diagonal, `D ≤ A₀`, `D ⊗ D = D`) evaluated locally,
+//!   which gossip APSP runs on its local solve.
 //!
-//! ## Why the certificate decides repairs exactly
+//! ## Why one relaxation per arc is exact
 //!
-//! For **decrease-only** updates the candidate
-//! `C[i,j] = min(D[i,j], min_e (D[i,u_e] + w_e + D[v_e,j]))` is a minimum
-//! over weights of real walks in the updated graph, hence an
-//! *overestimate* of its true distances. The certificate rejects every
-//! overestimate except the distances themselves (conditions 2–3 force
-//! `C ≤ dist` by induction on path length), so for such candidates
-//! "certificate passes" ⟺ "repair is exact": shortest paths crossing one
-//! changed edge are covered by the single product; paths that need several
-//! changed edges leave `C` too large, condition 3 fails, and the caller
-//! falls back to a full recompute. A weight *increase* can make the stale
-//! `D` an **underestimate**, which the certificate cannot detect (see
-//! `underestimates_slip_past_the_certificate`), so callers must route
-//! non-decrease updates straight to the full recompute.
+//! Let `D` be the distance matrix of a graph without a negative cycle, and
+//! lower the arc `(u, v)` to `w`. A negative cycle of the new graph must
+//! use the arc, and the lightest cycle through it weighs `D[v,u] + w`, so
+//! the new graph has one exactly when `D[v,u] + w < 0`. Otherwise a
+//! shortest simple path crosses the arc at most once: either it avoids the
+//! arc and weighs at least `D[i,j]`, or it is a path to `u`, the arc, and a
+//! path from `v`, weighing at least `D[i,u] + w + D[v,j]`. Both terms are
+//! weights of walks in the new graph, so
+//! `D'[i,j] = min(D[i,j], D[i,u] + w + D[v,j])` is exact. Row `v` and
+//! column `u` are fixed points of this step (`D[v,u] + w ≥ 0`), so it can
+//! run in place. Several arcs are applied one after another, each on the
+//! exact matrix its predecessors left; a decrease never removes a negative
+//! cycle, so rejecting at the first arc that closes one is exact too. A
+//! weight *increase* can leave stale entries too small, which no local
+//! relaxation detects, so callers route increases and deletions to a full
+//! recompute.
 
 use crate::apsp_ref::{bellman_ford, NegativeCycleError};
 use crate::digraph::DiGraph;
-use crate::matrix::{
-    distance_product, min_plus_flat_into, tropical_decode, tropical_encode, WeightMatrix,
-    TROPICAL_FINITE_MAX, TROPICAL_NONE,
-};
+use crate::matrix::{distance_product, WeightMatrix};
 use crate::weight::ExtWeight;
 
 /// One edge-weight change: the arc `(u, v)` now weighs `weight`.
 ///
 /// A non-finite `weight` means the arc carries no usable route
-/// (`PosInf` = deleted); such deltas contribute nothing to a repair
-/// candidate.
+/// (`PosInf` = deleted); such deltas contribute nothing to a repair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EdgeDelta {
     /// Tail vertex.
@@ -49,54 +48,6 @@ pub struct EdgeDelta {
     pub v: usize,
     /// The new weight of the arc.
     pub weight: ExtWeight,
-}
-
-/// Bellman–Ford single-source relaxation with parent tracking.
-///
-/// Returns `(dist, parent)` where `parent[v]` is the predecessor of `v` on
-/// a shortest path from `src` (`None` for `src` itself and for unreachable
-/// vertices). Because parents are only rewritten on *strict* improvement,
-/// the parent pointers form a tree rooted at `src` whenever the graph has
-/// no negative cycle — a cycle of parent pointers would certify a cycle of
-/// total weight `< 0`.
-///
-/// # Errors
-///
-/// [`NegativeCycleError`] if a negative cycle is reachable from `src`.
-///
-/// # Panics
-///
-/// Panics if `src` is out of range.
-pub fn sssp_row_with_parents(
-    g: &DiGraph,
-    src: usize,
-) -> Result<(Vec<ExtWeight>, Vec<Option<usize>>), NegativeCycleError> {
-    let n = g.n();
-    assert!(src < n, "source out of range");
-    let mut dist = vec![ExtWeight::PosInf; n];
-    let mut parent: Vec<Option<usize>> = vec![None; n];
-    dist[src] = ExtWeight::ZERO;
-    let arcs: Vec<(usize, usize, i64)> = g.arcs().collect();
-    for _ in 0..n.saturating_sub(1) {
-        let mut changed = false;
-        for &(u, v, w) in &arcs {
-            let cand = dist[u] + ExtWeight::from(w);
-            if cand < dist[v] {
-                dist[v] = cand;
-                parent[v] = Some(u);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    for &(u, v, w) in &arcs {
-        if dist[u] + ExtWeight::from(w) < dist[v] {
-            return Err(NegativeCycleError);
-        }
-    }
-    Ok((dist, parent))
 }
 
 /// Walks `parents` back from `dst` to `src` and returns the shortest path
@@ -120,93 +71,58 @@ pub fn parent_path(src: usize, dst: usize, parents: &[Option<usize>]) -> Option<
     Some(path)
 }
 
-/// The repair candidate for edge-weight deltas applied to a distance
-/// matrix `d`:
+/// The distance matrix after the arcs of `deltas` were lowered, one after
+/// another in order: `d` must be the exact distance matrix of a graph
+/// without a negative cycle, and each delta a decrease of its arc (from
+/// `+∞` for a new arc) relative to the graph its predecessors left.
 ///
-/// `C[i,j] = min(D[i,j], min_e (D[i,u_e] + w_e + D[v_e,j]))`
+/// Each arc `(u, v)` of weight `w` relaxes every pair through it,
+/// `D[i,j] = min(D[i,j], D[i,u] + w + D[v,j])`, which is exact for a
+/// decrease (see the module docs); `k` arcs cost `O(k·n²)`. Deltas with a
+/// non-finite weight are skipped. Sums use [`ExtWeight`] addition, so they
+/// saturate instead of overflowing.
 ///
-/// — every pair re-routed through each changed edge, computed as **one**
-/// rectangular min-plus product `L (n×k) ⋆ R (k×n)` accumulated into a
-/// copy of `D` over the flat `i64` kernel (with an [`ExtWeight`] fallback
-/// when magnitudes leave the kernel's exact domain). For decrease-only
-/// updates the result is an overestimate of the updated graph's distances
-/// and [`min_plus_fixpoint_certificate`] decides exactness; see the module
-/// docs.
+/// # Errors
+///
+/// [`NegativeCycleError`] when an arc closes a negative cycle
+/// (`D[v,u] + w < 0` on the matrix its predecessors left).
 ///
 /// # Panics
 ///
 /// Panics if a delta endpoint is out of range.
-pub fn delta_repair_candidate(d: &WeightMatrix, deltas: &[EdgeDelta]) -> WeightMatrix {
+pub fn delta_repair(
+    d: &WeightMatrix,
+    deltas: &[EdgeDelta],
+) -> Result<WeightMatrix, NegativeCycleError> {
     let n = d.n();
-    let live: Vec<&EdgeDelta> = deltas.iter().filter(|e| e.weight.is_finite()).collect();
-    for e in &live {
-        assert!(e.u < n && e.v < n, "delta endpoint out of range");
-    }
-    let k = live.len();
-    if k == 0 {
-        return d.clone();
-    }
-    if let Some(coded) = tropical_encode(d) {
-        if let Some(l) = encode_left(d, &live) {
-            let mut r = Vec::with_capacity(k * n);
-            for e in &live {
-                r.extend_from_slice(&coded[e.v * n..(e.v + 1) * n]);
-            }
-            // Accumulate into a copy of D: entries only ever improve.
-            let mut cand = coded;
-            min_plus_flat_into(&l, &r, n, k, n, &mut cand);
-            let mut out = WeightMatrix::filled(n, ExtWeight::PosInf);
-            for (dst, &v) in out.as_mut_slice().iter_mut().zip(&cand) {
-                if let Some(x) = tropical_decode(v) {
-                    *dst = ExtWeight::Finite(x);
-                }
-            }
-            return out;
-        }
-    }
-    // ExtWeight fallback for inputs outside the flat kernel's domain.
     let mut out = d.clone();
-    for e in &live {
-        for i in 0..n {
-            let head = d[(i, e.u)] + e.weight;
+    let mut via = vec![ExtWeight::PosInf; n];
+    for e in deltas.iter().filter(|e| e.weight.is_finite()) {
+        assert!(e.u < n && e.v < n, "delta endpoint out of range");
+        if out[(e.v, e.u)] + e.weight < ExtWeight::ZERO {
+            return Err(NegativeCycleError);
+        }
+        via.copy_from_slice(out.row(e.v));
+        for row in out.as_mut_slice().chunks_exact_mut(n) {
+            let head = row[e.u] + e.weight;
             if head == ExtWeight::PosInf {
                 continue;
             }
-            let drow = d.row(e.v);
-            let orow = out.row_mut(i);
-            for (o, &dvj) in orow.iter_mut().zip(drow) {
+            for (dij, &dvj) in row.iter_mut().zip(&via) {
                 let cand = head + dvj;
-                if cand < *o {
-                    *o = cand;
+                if cand < *dij {
+                    *dij = cand;
                 }
             }
         }
     }
-    out
-}
-
-/// Sentinel-codes the left factor `L[i,e] = D[i,u_e] + w_e`, or `None`
-/// when an entry leaves the flat kernel's exact domain.
-fn encode_left(d: &WeightMatrix, live: &[&EdgeDelta]) -> Option<Vec<i64>> {
-    let n = d.n();
-    let mut l = Vec::with_capacity(n * live.len());
-    for i in 0..n {
-        for e in live {
-            match d[(i, e.u)] + e.weight {
-                ExtWeight::PosInf => l.push(TROPICAL_NONE),
-                ExtWeight::Finite(x) if x.unsigned_abs() <= TROPICAL_FINITE_MAX as u64 => {
-                    l.push(x);
-                }
-                _ => return None,
-            }
-        }
-    }
-    Some(l)
+    Ok(out)
 }
 
 /// The certificate's local conditions: zero diagonal and `D ≤ A₀`
 /// pointwise (`adj` is the adjacency matrix with zero diagonal). Shared
-/// by the distributed Las-Vegas driver and the local repair check.
+/// by the distributed Las-Vegas driver and
+/// [`min_plus_fixpoint_certificate`].
 pub fn certificate_local_ok(adj: &WeightMatrix, d: &WeightMatrix) -> bool {
     let n = adj.n();
     if d.n() != n {
@@ -233,8 +149,8 @@ pub fn min_plus_fixpoint_certificate(adj: &WeightMatrix, d: &WeightMatrix) -> bo
 
 /// Whether the graph contains a negative cycle anywhere, via one
 /// Bellman–Ford run from a virtual source with zero-weight arcs to every
-/// vertex (the Johnson augmentation) — `O(nm)` time and `O(n)` memory, no
-/// `O(n²)` matrix required.
+/// vertex (the Johnson augmentation) — `O(nm)` time and no distance
+/// matrix.
 pub fn has_negative_cycle(g: &DiGraph) -> bool {
     let n = g.n();
     let mut aug = DiGraph::new(n + 1);
@@ -250,8 +166,9 @@ pub fn has_negative_cycle(g: &DiGraph) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apsp_ref::floyd_warshall;
+    use crate::apsp_ref::{floyd_warshall, sssp_row_with_parents};
     use crate::generators::random_reweighted_digraph;
+    use crate::matrix::TROPICAL_FINITE_MAX;
     use crate::paths::path_weight;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -260,24 +177,19 @@ mod tests {
         ExtWeight::from(x)
     }
 
-    /// Textbook reference for the repair candidate.
-    fn candidate_reference(d: &WeightMatrix, deltas: &[EdgeDelta]) -> WeightMatrix {
-        let n = d.n();
-        let mut out = d.clone();
+    fn delta(u: usize, v: usize, weight: ExtWeight) -> EdgeDelta {
+        EdgeDelta { u, v, weight }
+    }
+
+    /// Applies `deltas` to `g` and returns what a full recompute gives.
+    fn recomputed(g: &DiGraph, deltas: &[EdgeDelta]) -> Result<WeightMatrix, NegativeCycleError> {
+        let mut g = g.clone();
         for e in deltas {
-            if !e.weight.is_finite() {
-                continue;
-            }
-            for i in 0..n {
-                for j in 0..n {
-                    let cand = d[(i, e.u)] + e.weight + d[(e.v, j)];
-                    if cand < out[(i, j)] {
-                        out[(i, j)] = cand;
-                    }
-                }
+            if let ExtWeight::Finite(x) = e.weight {
+                g.add_arc(e.u, e.v, x);
             }
         }
-        out
+        floyd_warshall(&g.adjacency_matrix())
     }
 
     #[test]
@@ -325,64 +237,103 @@ mod tests {
     }
 
     #[test]
-    fn single_edge_decrease_repairs_exactly_and_certifies() {
+    fn single_arc_decrease_repairs_exactly() {
         let mut rng = StdRng::seed_from_u64(602);
-        let mut repaired = 0;
-        for _ in 0..8 {
-            let mut g = random_reweighted_digraph(9, 0.5, 10, &mut rng);
+        let (mut repaired, mut rejected) = (0, 0);
+        for _ in 0..16 {
+            let g = random_reweighted_digraph(9, 0.5, 10, &mut rng);
             let d = floyd_warshall(&g.adjacency_matrix()).unwrap();
-            let Some((u, v, old)) = g.arcs().next() else {
-                continue;
-            };
-            g.add_arc(u, v, old - 1);
-            if has_negative_cycle(&g) {
-                continue;
+            for (u, v, old) in g.arcs().take(4) {
+                let deltas = [delta(u, v, w(old - 3))];
+                let got = delta_repair(&d, &deltas);
+                assert_eq!(got, recomputed(&g, &deltas), "({u},{v})");
+                if got.is_ok() {
+                    repaired += 1;
+                } else {
+                    rejected += 1;
+                }
             }
-            let cand = delta_repair_candidate(
-                &d,
-                &[EdgeDelta {
-                    u,
-                    v,
-                    weight: w(old - 1),
-                }],
-            );
-            let adj = g.adjacency_matrix();
-            assert!(min_plus_fixpoint_certificate(&adj, &cand));
-            assert_eq!(cand, floyd_warshall(&adj).unwrap());
-            repaired += 1;
         }
-        assert!(repaired > 0, "no instance exercised the repair");
+        assert!(repaired > 0 && rejected > 0, "{repaired} / {rejected}");
     }
 
     #[test]
-    fn multi_edge_repair_needing_two_new_edges_fails_the_certificate() {
+    fn two_new_arcs_chain_in_one_repair() {
         // Empty 3-graph; both arcs of the path 0 → 1 → 2 arrive in one
-        // update. One product cannot route 0 → 2 through both, so the
-        // candidate overestimates and idempotency must catch it.
-        let g_old = DiGraph::new(3);
-        let d = floyd_warshall(&g_old.adjacency_matrix()).unwrap();
-        let deltas = [
-            EdgeDelta {
-                u: 0,
-                v: 1,
-                weight: w(2),
-            },
-            EdgeDelta {
-                u: 1,
-                v: 2,
-                weight: w(3),
-            },
-        ];
-        let cand = delta_repair_candidate(&d, &deltas);
-        assert_eq!(cand[(0, 1)], w(2));
-        assert_eq!(cand[(0, 2)], ExtWeight::PosInf, "one product cannot chain");
-        let mut g_new = DiGraph::new(3);
-        g_new.add_arc(0, 1, 2);
-        g_new.add_arc(1, 2, 3);
-        assert!(!min_plus_fixpoint_certificate(
-            &g_new.adjacency_matrix(),
-            &cand
-        ));
+        // update. The second arc relaxes through the first one's result.
+        let d = floyd_warshall(&DiGraph::new(3).adjacency_matrix()).unwrap();
+        let got = delta_repair(&d, &[delta(0, 1, w(2)), delta(1, 2, w(3))]).unwrap();
+        assert_eq!(got[(0, 1)], w(2));
+        assert_eq!(got[(0, 2)], w(5));
+        assert_eq!(got[(2, 0)], ExtWeight::PosInf);
+    }
+
+    #[test]
+    fn repair_matches_floyd_warshall_on_random_inputs() {
+        let mut rng = StdRng::seed_from_u64(604);
+        for trial in 0..12 {
+            let g = random_reweighted_digraph(11, 0.4, 9, &mut rng);
+            let d = floyd_warshall(&g.adjacency_matrix()).unwrap();
+            // Two lowered or inserted arcs, then an inert deletion.
+            let deltas: Vec<EdgeDelta> = [
+                (trial % 11, (trial + 3) % 11),
+                ((trial + 5) % 11, (trial + 1) % 11),
+            ]
+            .into_iter()
+            .map(|(u, v)| delta(u, v, g.weight(u, v).min_with(w(4)) + w(-2)))
+            .chain([delta(1, 2, ExtWeight::PosInf)])
+            .collect();
+            assert_eq!(
+                delta_repair(&d, &deltas),
+                recomputed(&g, &deltas),
+                "trial {trial}"
+            );
+        }
+    }
+
+    #[test]
+    fn repair_is_exact_beyond_the_flat_domain() {
+        // 0 → 1 weighs more than the flat kernels take; lowering 1 → 2
+        // must still route 0 → 2 through it exactly.
+        let big = TROPICAL_FINITE_MAX + 10;
+        let mut g = DiGraph::new(3);
+        g.add_arc(0, 1, big);
+        g.add_arc(1, 2, 5);
+        let d = floyd_warshall(&g.adjacency_matrix()).unwrap();
+        let deltas = [delta(1, 2, w(3))];
+        let got = delta_repair(&d, &deltas).unwrap();
+        assert_eq!(got[(0, 2)], w(big + 3));
+        assert_eq!(Ok(got), recomputed(&g, &deltas));
+    }
+
+    #[test]
+    fn no_live_deltas_returns_the_input() {
+        let d = WeightMatrix::distance_identity(4);
+        assert_eq!(
+            delta_repair(&d, &[delta(0, 1, ExtWeight::PosInf)]),
+            Ok(d.clone())
+        );
+        assert_eq!(delta_repair(&d, &[]), Ok(d));
+    }
+
+    #[test]
+    fn closing_a_negative_cycle_is_rejected() {
+        let mut g = DiGraph::new(3);
+        g.add_arc(0, 1, 2);
+        g.add_arc(1, 2, 2);
+        let d = floyd_warshall(&g.adjacency_matrix()).unwrap();
+        // 2 → 0 at −4 closes a zero-weight cycle, at −5 a negative one.
+        assert!(delta_repair(&d, &[delta(2, 0, w(-4))]).is_ok());
+        assert_eq!(
+            delta_repair(&d, &[delta(2, 0, w(-5))]),
+            Err(NegativeCycleError)
+        );
+        // Neither arc alone closes a cycle; the second one, after the
+        // first, does.
+        assert_eq!(
+            delta_repair(&d, &[delta(2, 0, w(-3)), delta(1, 2, w(0))]),
+            Err(NegativeCycleError)
+        );
     }
 
     #[test]
@@ -415,80 +366,12 @@ mod tests {
     fn underestimates_slip_past_the_certificate() {
         // The documented blind spot: on the arcless 2-graph the matrix
         // with D[0,1] = -5 is idempotent, ≤ A₀ and zero-diagonal, yet -5
-        // underestimates the true +∞. This is why callers must restrict
-        // repair to decrease-only updates (whose candidates are
-        // overestimates by construction).
+        // underestimates the true +∞. This is why callers may only hand
+        // it matrices that are overestimates by construction.
         let g = DiGraph::new(2);
         let mut d = WeightMatrix::distance_identity(2);
         d[(0, 1)] = w(-5);
         assert!(min_plus_fixpoint_certificate(&g.adjacency_matrix(), &d));
-    }
-
-    #[test]
-    fn repair_candidate_matches_reference_on_random_inputs() {
-        let mut rng = StdRng::seed_from_u64(604);
-        for trial in 0..6 {
-            let g = random_reweighted_digraph(11, 0.4, 9, &mut rng);
-            let d = floyd_warshall(&g.adjacency_matrix()).unwrap();
-            let deltas = [
-                EdgeDelta {
-                    u: trial % 11,
-                    v: (trial + 3) % 11,
-                    weight: w(-2),
-                },
-                EdgeDelta {
-                    u: (trial + 5) % 11,
-                    v: (trial + 1) % 11,
-                    weight: w(4),
-                },
-                EdgeDelta {
-                    u: 1,
-                    v: 2,
-                    weight: ExtWeight::PosInf, // inert
-                },
-            ];
-            assert_eq!(
-                delta_repair_candidate(&d, &deltas),
-                candidate_reference(&d, &deltas),
-                "trial {trial}"
-            );
-        }
-    }
-
-    #[test]
-    fn repair_candidate_falls_back_outside_the_flat_domain() {
-        // Magnitudes beyond TROPICAL_FINITE_MAX force the ExtWeight path;
-        // the result must still match the reference.
-        let big = TROPICAL_FINITE_MAX + 10;
-        let mut d = WeightMatrix::distance_identity(3);
-        d[(0, 1)] = w(big);
-        d[(1, 2)] = w(5);
-        let deltas = [EdgeDelta {
-            u: 1,
-            v: 2,
-            weight: w(3),
-        }];
-        assert_eq!(
-            delta_repair_candidate(&d, &deltas),
-            candidate_reference(&d, &deltas)
-        );
-    }
-
-    #[test]
-    fn no_live_deltas_returns_the_input() {
-        let d = WeightMatrix::distance_identity(4);
-        assert_eq!(
-            delta_repair_candidate(
-                &d,
-                &[EdgeDelta {
-                    u: 0,
-                    v: 1,
-                    weight: ExtWeight::PosInf,
-                }]
-            ),
-            d
-        );
-        assert_eq!(delta_repair_candidate(&d, &[]), d);
     }
 
     #[test]

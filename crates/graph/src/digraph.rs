@@ -83,6 +83,11 @@ impl DiGraph {
         })
     }
 
+    /// The weight table: `+∞` for absent arcs and on the diagonal.
+    pub(crate) fn weights(&self) -> &WeightMatrix {
+        &self.weights
+    }
+
     /// The out-neighborhood row of vertex `u`: `(v, weight)` pairs.
     pub fn out_neighbors(&self, u: usize) -> impl Iterator<Item = (usize, i64)> + '_ {
         self.weights

@@ -47,12 +47,12 @@ mod ugraph;
 mod weight;
 
 pub use apsp_ref::{
-    bellman_ford, dijkstra, floyd_warshall, floyd_warshall_with_threads, johnson,
-    johnson_with_threads, NegativeCycleError,
+    bellman_ford, dijkstra, floyd_warshall, johnson, johnson_with_threads, sssp_row_with_parents,
+    NegativeCycleError,
 };
 pub use delta::{
-    certificate_local_ok, delta_repair_candidate, has_negative_cycle,
-    min_plus_fixpoint_certificate, parent_path, sssp_row_with_parents, EdgeDelta,
+    certificate_local_ok, delta_repair, has_negative_cycle, min_plus_fixpoint_certificate,
+    parent_path, EdgeDelta,
 };
 pub use digraph::DiGraph;
 pub use generators::{

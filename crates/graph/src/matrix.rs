@@ -269,6 +269,17 @@ pub(crate) fn tropical_encode(m: &WeightMatrix) -> Option<Vec<i64>> {
     Some(coded)
 }
 
+/// Decodes a sentinel-coded `n × n` matrix per [`tropical_decode`].
+pub(crate) fn tropical_decode_matrix(n: usize, coded: &[i64]) -> WeightMatrix {
+    let mut m = WeightMatrix::filled(n, ExtWeight::PosInf);
+    for (dst, &v) in m.as_mut_slice().iter_mut().zip(coded) {
+        if let Some(x) = tropical_decode(v) {
+            *dst = ExtWeight::Finite(x);
+        }
+    }
+    m
+}
+
 /// Computes rows `rows` of `A ⋆ B` into `c_rows` (row-major, pre-filled
 /// with `+∞`) with `MIN_PLUS_TILE`-blocked loops.
 ///
@@ -373,13 +384,7 @@ pub fn distance_product_with_threads(
         qcc_perf::for_each_row_band(&mut coded, n, threads, |rows, c_rows| {
             min_plus_flat_rows(&ac, &bc, n, rows, c_rows);
         });
-        let mut c = WeightMatrix::filled(n, ExtWeight::PosInf);
-        for (dst, &v) in c.as_mut_slice().iter_mut().zip(&coded) {
-            if let Some(x) = tropical_decode(v) {
-                *dst = ExtWeight::Finite(x);
-            }
-        }
-        return c;
+        return tropical_decode_matrix(n, &coded);
     }
     let mut c = WeightMatrix::filled(n, ExtWeight::PosInf);
     qcc_perf::for_each_row_band(c.as_mut_slice(), n, threads, |rows, c_rows| {

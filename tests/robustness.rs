@@ -2,11 +2,15 @@
 //! promises, oversized payloads, and abort paths.
 
 use qcc::algo::{
-    apsp, apsp_with_paths, compute_pairs, find_edges, promise_violation, reference_find_edges,
-    ApspAlgorithm, ApspError, PairSet, Params, SearchBackend, MAX_PRODUCT_MAGNITUDE,
+    apsp, apsp_with_paths, compute_pairs, distributed_distance_product, find_edges,
+    promise_violation, reference_find_edges, ApspAlgorithm, ApspError, PairSet, Params,
+    SearchBackend, MAX_PRODUCT_MAGNITUDE,
 };
 use qcc::congest::{Clique, CongestError, Envelope, NodeId, RawBits};
-use qcc::graph::{book_graph, floyd_warshall, generators, DiGraph, UGraph};
+use qcc::graph::{
+    book_graph, distance_product, floyd_warshall, generators, DiGraph, ExtWeight, UGraph,
+    WeightMatrix,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -239,6 +243,36 @@ fn witnessed_products_are_exact_up_to_their_scaled_magnitude_bound() {
         assert!(!err.is_retryable(), "{err}");
         assert!(
             matches!(root(err), ApspError::WeightOverflow { magnitude } if magnitude > MAX_PRODUCT_MAGNITUDE)
+        );
+    }
+}
+
+#[test]
+fn negative_infinite_product_entries_are_rejected() {
+    // With A[0][1] = −∞ every entry of row 0 of A ⋆ B is −∞, which the
+    // threshold search cannot express: it used to answer the finite
+    // [-9, -9, -9] with Ok.
+    let mut a = WeightMatrix::from_fn(3, |i, j| ExtWeight::from(i as i64 - j as i64));
+    a[(0, 1)] = ExtWeight::NegInf;
+    let b = WeightMatrix::from_fn(3, |i, j| ExtWeight::from(2 * j as i64 - i as i64));
+    assert!(distance_product(&a, &b)
+        .row(0)
+        .iter()
+        .all(|&w| w == ExtWeight::NegInf));
+    for (x, y, operand) in [(&a, &b, "A"), (&b, &a, "B")] {
+        let mut rng = StdRng::seed_from_u64(5);
+        let err =
+            distributed_distance_product(x, y, Params::paper(), SearchBackend::Classical, &mut rng)
+                .unwrap_err();
+        assert!(!err.is_retryable(), "{err}");
+        assert_eq!(err.rounds_charged(), 0);
+        assert_eq!(
+            err,
+            ApspError::NegInfEntry {
+                operand,
+                row: 0,
+                col: 1
+            }
         );
     }
 }
