@@ -1042,6 +1042,41 @@ mod tests {
     }
 
     #[test]
+    fn chained_new_arcs_repair_in_one_update() {
+        // Two new arcs whose shortest routes use both: the one-product
+        // candidate could not chain them and the engine used to recompute.
+        let mut g = DiGraph::new(4);
+        g.add_arc(2, 3, 1);
+        let oracle = PathOracle::build(&g.adjacency_matrix());
+        let mut eng = QueryEngine::from_tables(g, oracle, None);
+        let changes = [
+            EdgeChange {
+                u: 0,
+                v: 1,
+                weight: Some(2),
+            },
+            EdgeChange {
+                u: 1,
+                v: 2,
+                weight: Some(-1),
+            },
+        ];
+        assert_eq!(eng.update(&changes).unwrap(), UpdateMethod::DeltaRepair);
+        assert_eq!(eng.stats().full_recomputes, 0);
+        assert_eq!(eng.dist(0, 3).unwrap(), ExtWeight::from(2));
+        let fw = floyd_warshall(&eng.graph().adjacency_matrix()).unwrap();
+        for a in 0..4 {
+            for b in 0..4 {
+                assert_eq!(eng.dist(a, b).unwrap(), fw[(a, b)], "({a},{b})");
+            }
+        }
+        assert_eq!(
+            eng.path(0, 3).unwrap(),
+            Some((ExtWeight::from(2), vec![0, 1, 2, 3]))
+        );
+    }
+
+    #[test]
     fn increase_and_removal_take_the_recompute_path() {
         let (mut eng, _) = engine(9, 15, None);
         let (u, v, w) = eng.graph().arcs().next().expect("an arc");
