@@ -1,12 +1,15 @@
 //! Command-line front-end (argument parsing and dispatch for `qcc`).
 //!
 //! Kept dependency-free: a small hand-rolled `--flag value` parser feeding
-//! typed commands. Every subcommand declares the exact flag set it accepts
-//! and anything else — a misspelled flag, a stray positional, a repeated
-//! flag — is rejected with an error naming the offender, so typos like
-//! `--wamx` fail loudly instead of silently running with defaults. The
-//! binary in `src/bin/qcc.rs` is a thin wrapper so the parsing and dispatch
-//! logic stays unit-testable.
+//! typed commands. One table, `FLAG_TABLE`, lists the exact flag set of
+//! every subcommand, and anything else — a misspelled flag, a stray
+//! positional, a repeated flag — is rejected with an error naming the
+//! offender, so typos like `--wamx` fail loudly instead of silently running
+//! with defaults. The solving commands (`apsp`, `diameter`/`radius`/`ecc`,
+//! `serve`) share one [`Solve`] for their common flags, which also builds
+//! their instance and their Las-Vegas driver. The binary in
+//! `src/bin/qcc.rs` is a thin wrapper so the parsing and dispatch logic
+//! stays unit-testable.
 
 use crate::algo::{
     apsp_driver, apsp_traced, apsp_with_paths_traced, compute_pairs, distance_params, gossip_apsp,
@@ -17,31 +20,47 @@ use crate::algo::{
 use crate::congest::{
     parse_trace, Clique, FaultPlan, NetConfig, TopologySpec, TraceSink, TraceSummary,
 };
+use crate::graph::generators::random_reweighted_digraph;
+use crate::graph::{DiGraph, WeightMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::error::Error;
 use std::fmt;
+use std::io::Write;
+
+/// The flags the solving commands share: the seeded instance, the APSP
+/// algorithm, and the Las-Vegas driver's fault plan, verification and
+/// retry budget.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Solve {
+    /// Vertex count.
+    pub n: usize,
+    /// RNG seed.
+    pub seed: u64,
+    /// Algorithm for the APSP run (the distance-matrix stage of
+    /// `diameter`/`radius`/`ecc`, the initial load of `serve`).
+    pub algorithm: ApspAlgorithm,
+    /// Maximum weight magnitude.
+    pub w_max: u64,
+    /// NDJSON trace output file.
+    pub trace: Option<String>,
+    /// Seeded fault plan to inject (arms the reliable envelope).
+    pub faults: Option<FaultPlan>,
+    /// Verify the output with the Las-Vegas driver's certificate (and, for
+    /// `diameter`/`radius`, the claimed extremum with a distributed
+    /// witness check).
+    pub verify: bool,
+    /// Driver retry budget (extra attempts after the first).
+    pub max_retries: u32,
+}
 
 /// A parsed CLI invocation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
     /// Run APSP on a random instance and report rounds.
     Apsp {
-        /// Vertex count.
-        n: usize,
-        /// RNG seed.
-        seed: u64,
-        /// Algorithm selection.
-        algorithm: ApspAlgorithm,
-        /// Maximum weight magnitude.
-        w_max: u64,
-        /// NDJSON trace output file.
-        trace: Option<String>,
-        /// Seeded fault plan to inject (arms the reliable envelope).
-        faults: Option<FaultPlan>,
-        /// Verify the output with the Las-Vegas driver's certificate.
-        verify: bool,
-        /// Driver retry budget (extra attempts after the first).
-        max_retries: u32,
+        /// Instance, algorithm and driver settings.
+        solve: Solve,
         /// Communication substrate: the Lenzen clique or coded gossip.
         transport: TransportKind,
         /// Topology for the gossip transport (requires `--transport
@@ -53,27 +72,12 @@ pub enum Command {
     Distance {
         /// Which parameter to compute.
         param: DistanceParam,
-        /// Vertex count.
-        n: usize,
-        /// RNG seed.
-        seed: u64,
-        /// Algorithm for the distance-matrix stage.
-        algorithm: ApspAlgorithm,
-        /// Maximum weight magnitude.
-        w_max: u64,
+        /// Instance, distance-matrix algorithm and driver settings.
+        solve: Solve,
         /// Arc density of the random instance (low values disconnect it).
         density: f64,
         /// Quantum Dürr–Høyer search or classical gather-and-scan.
         backend: ExtremumBackend,
-        /// NDJSON trace output file.
-        trace: Option<String>,
-        /// Seeded fault plan to inject (arms the reliable envelope).
-        faults: Option<FaultPlan>,
-        /// Verify distances (driver certificate) and the claimed extremum
-        /// (distributed witness check).
-        verify: bool,
-        /// Driver retry budget (extra attempts after the first).
-        max_retries: u32,
     },
     /// Run `FindEdgesWithPromise` on a planted instance.
     FindEdges {
@@ -108,25 +112,11 @@ pub enum Command {
     },
     /// Compute APSP once, then answer NDJSON queries on stdin.
     Serve {
-        /// Vertex count.
-        n: usize,
-        /// RNG seed.
-        seed: u64,
-        /// Algorithm for the initial APSP run.
-        algorithm: ApspAlgorithm,
-        /// Maximum weight magnitude.
-        w_max: u64,
+        /// Instance, algorithm and driver settings of the initial run.
+        solve: Solve,
         /// Keep at most this many per-source rows resident (LRU) instead
         /// of the full matrix.
         row_cache: Option<usize>,
-        /// NDJSON trace output file for the initial run.
-        trace: Option<String>,
-        /// Seeded fault plan to inject (arms the reliable envelope).
-        faults: Option<FaultPlan>,
-        /// Verify the initial run with the Las-Vegas driver's certificate.
-        verify: bool,
-        /// Driver retry budget (extra attempts after the first).
-        max_retries: u32,
     },
     /// Render an NDJSON trace file as a span tree.
     TraceSummary {
@@ -151,7 +141,7 @@ impl fmt::Display for CliError {
     }
 }
 
-impl std::error::Error for CliError {}
+impl Error for CliError {}
 
 /// Usage text shown by `qcc help`.
 pub const USAGE: &str = "\
@@ -227,6 +217,38 @@ EXIT CODES:
     4  the answer came from the classical fallback (degraded)
 ";
 
+/// Every subcommand's value flags, then its switches: the only flags
+/// `collect_flags` accepts, in the order an unknown-flag error lists them.
+const FLAG_TABLE: [(&str, &str, &str); 9] = [
+    (
+        "apsp",
+        "--n --seed --algorithm --wmax --trace --faults --max-retries --transport --topology",
+        "--verify",
+    ),
+    ("diameter", DISTANCE_FLAGS, "--verify"),
+    ("radius", DISTANCE_FLAGS, "--verify"),
+    // `ecc` gathers the full vector; there is no extremum search to pick
+    // a backend for.
+    (
+        "ecc",
+        "--n --seed --algorithm --wmax --density --trace --faults --max-retries",
+        "--verify",
+    ),
+    ("find-edges", "--n --seed --backend --trace", ""),
+    ("paths", "--n --seed --trace", ""),
+    ("gamma", "--n --seed --bits --trace", ""),
+    (
+        "serve",
+        "--n --seed --algorithm --wmax --row-cache --trace --faults --max-retries",
+        "--verify",
+    ),
+    ("trace-summary", "--expect-rounds --max-depth", ""),
+];
+
+/// The value flags of `diameter` and `radius`.
+const DISTANCE_FLAGS: &str =
+    "--n --seed --algorithm --wmax --density --trace --faults --max-retries --backend";
+
 /// Flags and positionals of one subcommand, validated against its
 /// declared flag set.
 struct Flags {
@@ -242,52 +264,44 @@ struct Flags {
 fn collect_flags(
     command: &str,
     args: &[String],
-    allowed: &[&str],
-    switches: &[&str],
+    allowed: &str,
+    switches: &str,
 ) -> Result<Flags, CliError> {
-    let mut values: Vec<(String, String)> = Vec::new();
-    let mut seen_switches: Vec<String> = Vec::new();
-    let mut positionals = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a.starts_with("--") {
-            if switches.contains(&a.as_str()) {
-                if seen_switches.iter().any(|s| s == a) {
-                    return Err(CliError(format!("flag {a} given more than once")));
-                }
-                seen_switches.push(a.clone());
-                i += 1;
-                continue;
-            }
-            if !allowed.contains(&a.as_str()) {
-                let mut all: Vec<&str> = allowed.to_vec();
-                all.extend_from_slice(switches);
-                return Err(CliError(format!(
-                    "unknown flag for `{command}`: {a} (allowed: {})",
-                    all.join(", ")
-                )));
-            }
-            if values.iter().any(|(k, _)| k == a) {
-                return Err(CliError(format!("flag {a} given more than once")));
-            }
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    values.push((a.clone(), v.clone()));
-                    i += 2;
-                }
-                _ => return Err(CliError(format!("flag {a} needs a value"))),
-            }
-        } else {
-            positionals.push(a.clone());
-            i += 1;
+    let mut flags = Flags {
+        values: Vec::new(),
+        switches: Vec::new(),
+        positionals: Vec::new(),
+    };
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        if !a.starts_with("--") {
+            flags.positionals.push(a.clone());
+            continue;
+        }
+        let switch = switches.split_whitespace().any(|s| s == a);
+        if !switch && !allowed.split_whitespace().any(|s| s == a) {
+            let all: Vec<&str> = allowed
+                .split_whitespace()
+                .chain(switches.split_whitespace())
+                .collect();
+            return Err(CliError(format!(
+                "unknown flag for `{command}`: {a} (allowed: {})",
+                all.join(", ")
+            )));
+        }
+        if flags.switch(a) || flags.get(a).is_some() {
+            return Err(CliError(format!("flag {a} given more than once")));
+        }
+        if switch {
+            flags.switches.push(a.clone());
+            continue;
+        }
+        match args.next() {
+            Some(v) if !v.starts_with("--") => flags.values.push((a.clone(), v.clone())),
+            _ => return Err(CliError(format!("flag {a} needs a value"))),
         }
     }
-    Ok(Flags {
-        values,
-        switches: seen_switches,
-        positionals,
-    })
+    Ok(flags)
 }
 
 impl Flags {
@@ -299,12 +313,7 @@ impl Flags {
     }
 
     fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
-        match self.get(name) {
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError(format!("invalid value for {name}: {v}"))),
-            None => Ok(default),
-        }
+        Ok(self.opt_num(name)?.unwrap_or(default))
     }
 
     fn opt_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
@@ -323,15 +332,6 @@ impl Flags {
 
     fn trace(&self) -> Option<String> {
         self.get("--trace").map(String::from)
-    }
-
-    fn reject_positionals(&self, command: &str) -> Result<(), CliError> {
-        match self.positionals.first() {
-            Some(p) => Err(CliError(format!(
-                "unexpected argument for `{command}`: {p}"
-            ))),
-            None => Ok(()),
-        }
     }
 }
 
@@ -368,6 +368,72 @@ fn parse_fault_plan(flags: &Flags, n: usize) -> Result<Option<FaultPlan>, CliErr
     Ok(Some(plan))
 }
 
+impl Solve {
+    /// Reads the shared flags with `--n` defaulting to `default_n`, and
+    /// the subcommand's own flags through `own`. `own` runs after the
+    /// fault plan and before the seed, so a command line with two bad
+    /// flags names the same one whatever the subcommand.
+    fn parse<T>(
+        flags: &Flags,
+        default_n: usize,
+        nonempty: bool,
+        own: impl FnOnce(&Flags) -> Result<T, CliError>,
+    ) -> Result<(Solve, T), CliError> {
+        let algorithm = parse_algorithm(flags)?;
+        let n = flags.num("--n", default_n)?;
+        if nonempty && n == 0 {
+            return Err(CliError("--n must be at least 1".into()));
+        }
+        let faults = parse_fault_plan(flags, n)?;
+        let own = own(flags)?;
+        let solve = Solve {
+            n,
+            seed: flags.num("--seed", 7)?,
+            algorithm,
+            w_max: flags.num("--wmax", 8)?,
+            trace: flags.trace(),
+            faults,
+            verify: flags.switch("--verify"),
+            max_retries: flags.num("--max-retries", 3)?,
+        };
+        Ok((solve, own))
+    }
+
+    /// The seeded generator and the random instance drawn from it at
+    /// arc density `density`.
+    fn instance(&self, density: f64) -> (StdRng, DiGraph) {
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let g = random_reweighted_digraph(self.n, density, self.w_max, &mut rng);
+        (rng, g)
+    }
+
+    /// Whether the run goes through the Las-Vegas driver: fault injection
+    /// and verification only compose there.
+    fn driven(&self) -> bool {
+        self.faults.is_some() || self.verify
+    }
+
+    /// The network every attempt builds: faulty with `--faults`.
+    fn net(&self) -> NetConfig {
+        self.faults
+            .clone()
+            .map(NetConfig::faulty)
+            .unwrap_or_default()
+    }
+
+    /// The Las-Vegas driver of this run.
+    fn driver(&self) -> DriverConfig {
+        DriverConfig {
+            algorithm: self.algorithm,
+            params: Params::paper(),
+            max_retries: self.max_retries,
+            verify: self.verify,
+            fallback: FallbackPolicy::Semiring,
+            net: self.net(),
+        }
+    }
+}
+
 /// Parses a command line (without the program name).
 ///
 /// # Errors
@@ -378,21 +444,23 @@ fn parse_fault_plan(flags: &Flags, n: usize) -> Result<Option<FaultPlan>, CliErr
 /// # Examples
 ///
 /// ```
-/// use qcc::cli::{parse, Command};
+/// use qcc::cli::{parse, Command, Solve};
 /// use qcc::algo::ApspAlgorithm;
 ///
 /// let cmd = parse(&["apsp".into(), "--n".into(), "12".into()]).unwrap();
 /// assert_eq!(
 ///     cmd,
 ///     Command::Apsp {
-///         n: 12,
-///         seed: 7,
-///         algorithm: ApspAlgorithm::QuantumTriangle,
-///         w_max: 8,
-///         trace: None,
-///         faults: None,
-///         verify: false,
-///         max_retries: 3,
+///         solve: Solve {
+///             n: 12,
+///             seed: 7,
+///             algorithm: ApspAlgorithm::QuantumTriangle,
+///             w_max: 8,
+///             trace: None,
+///             faults: None,
+///             verify: false,
+///             max_retries: 3,
+///         },
 ///         transport: qcc::algo::TransportKind::Clique,
 ///         topology: None,
 ///     }
@@ -401,211 +469,123 @@ fn parse_fault_plan(flags: &Flags, n: usize) -> Result<Option<FaultPlan>, CliErr
 /// assert!(parse(&["apsp".into(), "--wamx".into(), "99".into()]).is_err());
 /// ```
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    let Some(command) = args.first() else {
+    let Some(command) = args.first().map(String::as_str) else {
         return Ok(Command::Help);
     };
-    let rest = &args[1..];
-    match command.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
+    if matches!(command, "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let Some(&(_, allowed, switches)) = FLAG_TABLE.iter().find(|(name, ..)| *name == command)
+    else {
+        return Err(CliError(format!(
+            "unknown command: {command} (try `qcc help`)"
+        )));
+    };
+    let flags = collect_flags(command, &args[1..], allowed, switches)?;
+    // Only `trace-summary` takes a positional: its trace file.
+    let file = match (command, flags.positionals.as_slice()) {
+        ("trace-summary", [f]) => f.clone(),
+        ("trace-summary", []) => {
+            return Err(CliError("trace-summary needs a trace file argument".into()))
+        }
+        (_, []) => String::new(),
+        ("trace-summary", [_, extra, ..]) | (_, [extra, ..]) => {
+            return Err(CliError(format!(
+                "unexpected argument for `{command}`: {extra}"
+            )))
+        }
+    };
+    Ok(match command {
         "apsp" => {
-            let flags = collect_flags(
-                command,
-                rest,
-                &[
-                    "--n",
-                    "--seed",
-                    "--algorithm",
-                    "--wmax",
-                    "--trace",
-                    "--faults",
-                    "--max-retries",
-                    "--transport",
-                    "--topology",
-                ],
-                &["--verify"],
-            )?;
-            flags.reject_positionals(command)?;
-            let algorithm = parse_algorithm(&flags)?;
-            let n = flags.num("--n", 8)?;
-            let faults = parse_fault_plan(&flags, n)?;
-            let transport = match flags.get("--transport") {
-                None => TransportKind::Clique,
-                Some(t) => TransportKind::parse(t).map_err(CliError)?,
-            };
-            let topology = match flags.get("--topology") {
-                None => None,
-                Some(t) => Some(TopologySpec::parse(t).map_err(CliError)?),
-            };
-            if topology.is_some() && transport != TransportKind::Gossip {
-                return Err(CliError(
-                    "--topology requires --transport gossip (the clique has no choice \
-                     of topology)"
-                        .into(),
-                ));
-            }
-            Ok(Command::Apsp {
-                n,
-                seed: flags.num("--seed", 7)?,
-                algorithm,
-                w_max: flags.num("--wmax", 8)?,
-                trace: flags.trace(),
-                faults,
-                verify: flags.switch("--verify"),
-                max_retries: flags.num("--max-retries", 3)?,
+            let (solve, (transport, topology)) = Solve::parse(&flags, 8, false, |flags| {
+                let transport = match flags.get("--transport") {
+                    None => TransportKind::Clique,
+                    Some(t) => TransportKind::parse(t).map_err(CliError)?,
+                };
+                let topology = flags.get("--topology").map(TopologySpec::parse);
+                let topology = topology.transpose().map_err(CliError)?;
+                if topology.is_some() && transport != TransportKind::Gossip {
+                    return Err(CliError(
+                        "--topology requires --transport gossip (the clique has no choice \
+                         of topology)"
+                            .into(),
+                    ));
+                }
+                Ok((transport, topology))
+            })?;
+            Command::Apsp {
+                solve,
                 transport,
                 topology,
-            })
+            }
         }
         "diameter" | "radius" | "ecc" => {
-            let param = match command.as_str() {
+            let param = match command {
                 "diameter" => DistanceParam::Diameter,
                 "radius" => DistanceParam::Radius,
                 _ => DistanceParam::Eccentricities,
             };
-            // `ecc` gathers the full vector; there is no extremum search
-            // to pick a backend for.
-            let mut allowed = vec![
-                "--n",
-                "--seed",
-                "--algorithm",
-                "--wmax",
-                "--density",
-                "--trace",
-                "--faults",
-                "--max-retries",
-            ];
-            if param != DistanceParam::Eccentricities {
-                allowed.push("--backend");
-            }
-            let flags = collect_flags(command, rest, &allowed, &["--verify"])?;
-            flags.reject_positionals(command)?;
-            let algorithm = parse_algorithm(&flags)?;
-            let n: usize = flags.num("--n", 12)?;
-            if n == 0 {
-                return Err(CliError("--n must be at least 1".into()));
-            }
-            let faults = parse_fault_plan(&flags, n)?;
-            let backend = match flags.get("--backend") {
-                None | Some("quantum") => ExtremumBackend::Quantum,
-                Some("scan") => ExtremumBackend::ClassicalScan,
-                Some(other) => return Err(CliError(format!("unknown backend: {other}"))),
-            };
-            let density: f64 = flags.num("--density", 0.5)?;
-            if !(0.0..=1.0).contains(&density) {
-                return Err(CliError(format!(
-                    "--density must be in [0, 1], got {density}"
-                )));
-            }
-            Ok(Command::Distance {
+            let (solve, (backend, density)) = Solve::parse(&flags, 12, true, |flags| {
+                let backend = match flags.get("--backend") {
+                    None | Some("quantum") => ExtremumBackend::Quantum,
+                    Some("scan") => ExtremumBackend::ClassicalScan,
+                    Some(other) => return Err(CliError(format!("unknown backend: {other}"))),
+                };
+                let density: f64 = flags.num("--density", 0.5)?;
+                if !(0.0..=1.0).contains(&density) {
+                    return Err(CliError(format!(
+                        "--density must be in [0, 1], got {density}"
+                    )));
+                }
+                Ok((backend, density))
+            })?;
+            Command::Distance {
                 param,
-                n,
-                seed: flags.num("--seed", 7)?,
-                algorithm,
-                w_max: flags.num("--wmax", 8)?,
+                solve,
                 density,
                 backend,
-                trace: flags.trace(),
-                faults,
-                verify: flags.switch("--verify"),
-                max_retries: flags.num("--max-retries", 3)?,
-            })
+            }
         }
         "find-edges" => {
-            let flags = collect_flags(
-                command,
-                rest,
-                &["--n", "--seed", "--backend", "--trace"],
-                &[],
-            )?;
-            flags.reject_positionals(command)?;
             let backend = match flags.get("--backend") {
                 None | Some("quantum") => SearchBackend::Quantum,
                 Some("classical") => SearchBackend::Classical,
                 Some(other) => return Err(CliError(format!("unknown backend: {other}"))),
             };
-            Ok(Command::FindEdges {
+            Command::FindEdges {
                 n: flags.num("--n", 16)?,
                 seed: flags.num("--seed", 7)?,
                 backend,
                 trace: flags.trace(),
-            })
-        }
-        "paths" => {
-            let flags = collect_flags(command, rest, &["--n", "--seed", "--trace"], &[])?;
-            flags.reject_positionals(command)?;
-            Ok(Command::Paths {
-                n: flags.num("--n", 8)?,
-                seed: flags.num("--seed", 7)?,
-                trace: flags.trace(),
-            })
-        }
-        "gamma" => {
-            let flags = collect_flags(command, rest, &["--n", "--seed", "--bits", "--trace"], &[])?;
-            flags.reject_positionals(command)?;
-            Ok(Command::Gamma {
-                n: flags.num("--n", 16)?,
-                seed: flags.num("--seed", 7)?,
-                bits: flags.num("--bits", 9)?,
-                trace: flags.trace(),
-            })
-        }
-        "serve" => {
-            let flags = collect_flags(
-                command,
-                rest,
-                &[
-                    "--n",
-                    "--seed",
-                    "--algorithm",
-                    "--wmax",
-                    "--row-cache",
-                    "--trace",
-                    "--faults",
-                    "--max-retries",
-                ],
-                &["--verify"],
-            )?;
-            flags.reject_positionals(command)?;
-            let algorithm = parse_algorithm(&flags)?;
-            let n = flags.num("--n", 8)?;
-            let faults = parse_fault_plan(&flags, n)?;
-            let row_cache: Option<usize> = flags.opt_num("--row-cache")?;
-            if row_cache == Some(0) {
-                return Err(CliError("--row-cache must be at least 1".into()));
             }
-            Ok(Command::Serve {
-                n,
-                seed: flags.num("--seed", 7)?,
-                algorithm,
-                w_max: flags.num("--wmax", 8)?,
-                row_cache,
-                trace: flags.trace(),
-                faults,
-                verify: flags.switch("--verify"),
-                max_retries: flags.num("--max-retries", 3)?,
-            })
         }
-        "trace-summary" => {
-            let flags = collect_flags(command, rest, &["--expect-rounds", "--max-depth"], &[])?;
-            let file = match flags.positionals.as_slice() {
-                [f] => f.clone(),
-                [] => return Err(CliError("trace-summary needs a trace file argument".into())),
-                [_, extra, ..] => {
-                    return Err(CliError(format!(
-                        "unexpected argument for `{command}`: {extra}"
-                    )))
+        "paths" => Command::Paths {
+            n: flags.num("--n", 8)?,
+            seed: flags.num("--seed", 7)?,
+            trace: flags.trace(),
+        },
+        "gamma" => Command::Gamma {
+            n: flags.num("--n", 16)?,
+            seed: flags.num("--seed", 7)?,
+            bits: flags.num("--bits", 9)?,
+            trace: flags.trace(),
+        },
+        "serve" => {
+            let (solve, row_cache) = Solve::parse(&flags, 8, false, |flags| {
+                let row_cache: Option<usize> = flags.opt_num("--row-cache")?;
+                if row_cache == Some(0) {
+                    return Err(CliError("--row-cache must be at least 1".into()));
                 }
-            };
-            Ok(Command::TraceSummary {
-                file,
-                expect_rounds: flags.opt_num("--expect-rounds")?,
-                max_depth: flags.num("--max-depth", usize::MAX)?,
-            })
+                Ok(row_cache)
+            })?;
+            Command::Serve { solve, row_cache }
         }
-        other => Err(CliError(format!(
-            "unknown command: {other} (try `qcc help`)"
-        ))),
-    }
+        _ => Command::TraceSummary {
+            file,
+            expect_rounds: flags.opt_num("--expect-rounds")?,
+            max_depth: flags.num("--max-depth", usize::MAX)?,
+        },
+    })
 }
 
 /// Creates the NDJSON sink for `--trace FILE`, if requested.
@@ -618,11 +598,59 @@ fn open_sink(path: Option<&String>) -> Result<Option<TraceSink>, CliError> {
     }
 }
 
-fn flush_sink(sink: Option<&TraceSink>) -> Result<(), Box<dyn std::error::Error>> {
+fn flush_sink(sink: Option<&TraceSink>) -> Result<(), Box<dyn Error>> {
     if let Some(sink) = sink {
         sink.flush()?;
     }
     Ok(())
+}
+
+/// A clique of `n` nodes that traces to `--trace FILE`, if given, under
+/// one open root span.
+fn traced_clique(
+    n: usize,
+    trace: Option<&String>,
+    root: &str,
+) -> Result<(Clique, Option<TraceSink>), Box<dyn Error>> {
+    let mut net = Clique::new(n)?;
+    let sink = open_sink(trace)?;
+    if let Some(sink) = &sink {
+        net.set_trace_sink(sink.clone());
+    }
+    net.push_span(root);
+    Ok((net, sink))
+}
+
+/// Passes a run's answer through, except that a driver which exhausted
+/// its retries without a verified answer prints the exit-3 line for `run`
+/// (say, "serve") and yields `None`.
+fn settle<T>(
+    result: Result<T, ApspError>,
+    run: &str,
+    out: &mut dyn Write,
+) -> Result<Option<T>, Box<dyn Error>> {
+    match result {
+        Ok(answer) => Ok(Some(answer)),
+        Err(ApspError::VerificationFailed { attempts }) => {
+            writeln!(
+                out,
+                "{run}: {attempts} attempt(s) exhausted without a verified answer"
+            )?;
+            Ok(None)
+        }
+        Err(e) => Err(Box::new(e)),
+    }
+}
+
+/// Writes how many of the matrix's ordered pairs are at finite distance.
+fn write_reachable(out: &mut dyn Write, distances: &WeightMatrix) -> std::io::Result<()> {
+    let finite = distances
+        .as_slice()
+        .iter()
+        .filter(|w| w.is_finite())
+        .count();
+    let n = distances.n();
+    writeln!(out, "{finite}/{} pairs reachable", n * n)
 }
 
 /// How a successfully-parsed command finished, mapped to the process
@@ -673,82 +701,57 @@ impl RunStatus {
 /// Propagates algorithm errors and I/O errors. Driver outcomes that are
 /// not hard errors (verification exhaustion, fallback degradation) are
 /// reported through the returned [`RunStatus`] instead.
-pub fn run(
-    cmd: &Command,
-    out: &mut dyn std::io::Write,
-) -> Result<RunStatus, Box<dyn std::error::Error>> {
-    match *cmd {
+pub fn run(cmd: &Command, out: &mut dyn Write) -> Result<RunStatus, Box<dyn Error>> {
+    match cmd {
         Command::Help => {
             write!(out, "{USAGE}")?;
         }
         Command::Apsp {
-            n,
-            seed,
-            algorithm,
-            w_max,
-            ref trace,
-            ref faults,
-            verify,
-            max_retries,
+            solve,
             transport,
-            ref topology,
+            topology,
         } => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let g = crate::graph::generators::random_reweighted_digraph(n, 0.5, w_max, &mut rng);
-            let sink = open_sink(trace.as_ref())?;
-            if transport == TransportKind::Gossip {
+            let Solve {
+                n, seed, algorithm, ..
+            } = *solve;
+            let (mut rng, g) = solve.instance(0.5);
+            let sink = open_sink(solve.trace.as_ref())?;
+            if *transport == TransportKind::Gossip {
                 let cfg = GossipApspConfig {
                     topology: topology.unwrap_or(TopologySpec::Mesh { degree: 4 }),
-                    max_retries,
-                    // Gossip always certifies: the check is local and free
-                    // of rounds, so there is no cheaper mode to offer.
-                    verify: true,
-                    net: faults.clone().map(NetConfig::faulty).unwrap_or_default(),
+                    max_retries: solve.max_retries,
+                    net: solve.net(),
                     seed,
                     ..GossipApspConfig::default()
                 };
                 let driven = gossip_apsp(&g, &cfg, sink.as_ref());
                 flush_sink(sink.as_ref())?;
-                match driven {
-                    Ok(report) => {
-                        writeln!(
-                            out,
-                            "gossip APSP on n={n} (seed {seed}, topology {}): \
-                             {} rounds total, {} attempt(s), verified: {}",
-                            report.topology,
-                            report.total_rounds,
-                            report.attempts.len(),
-                            report.verified,
-                        )?;
-                        writeln!(
-                            out,
-                            "coded gossip: {} packets sent, {} wasted ({:.1}%), \
-                             {} full nodes",
-                            report.stats.packets_sent,
-                            report.stats.wasted_packets,
-                            100.0 * report.stats.waste_fraction(),
-                            report.stats.full_nodes,
-                        )?;
-                        let finite = report
-                            .distances
-                            .entries()
-                            .filter(|(_, _, w)| w.is_finite())
-                            .count();
-                        writeln!(out, "{finite}/{} pairs reachable", n * n)?;
-                        return Ok(RunStatus::Success);
-                    }
-                    Err(ApspError::VerificationFailed { attempts }) => {
-                        writeln!(
-                            out,
-                            "gossip APSP on n={n} (seed {seed}): {attempts} attempt(s) \
-                             exhausted without a verified answer"
-                        )?;
-                        return Ok(RunStatus::VerificationFailed);
-                    }
-                    Err(e) => return Err(Box::new(e)),
-                }
+                let run = format!("gossip APSP on n={n} (seed {seed})");
+                let Some(report) = settle(driven, &run, out)? else {
+                    return Ok(RunStatus::VerificationFailed);
+                };
+                writeln!(
+                    out,
+                    "gossip APSP on n={n} (seed {seed}, topology {}): \
+                     {} rounds total, {} attempt(s), verified: {}",
+                    report.topology,
+                    report.total_rounds,
+                    report.attempts.len(),
+                    report.verified,
+                )?;
+                writeln!(
+                    out,
+                    "coded gossip: {} packets sent, {} wasted ({:.1}%), \
+                     {} full nodes",
+                    report.stats.packets_sent,
+                    report.stats.wasted_packets,
+                    100.0 * report.stats.waste_fraction(),
+                    report.stats.full_nodes,
+                )?;
+                write_reachable(out, &report.distances)?;
+                return Ok(RunStatus::Success);
             }
-            if faults.is_none() && !verify {
+            if !solve.driven() {
                 let report = apsp_traced(&g, Params::paper(), algorithm, &mut rng, sink.as_ref())?;
                 flush_sink(sink.as_ref())?;
                 writeln!(
@@ -756,99 +759,49 @@ pub fn run(
                     "{algorithm:?} APSP on n={n} (seed {seed}): {} rounds, {} products",
                     report.rounds, report.products
                 )?;
-                let finite = report
-                    .distances
-                    .entries()
-                    .filter(|(_, _, w)| w.is_finite())
-                    .count();
-                writeln!(out, "{finite}/{} pairs reachable", n * n)?;
+                write_reachable(out, &report.distances)?;
                 return Ok(RunStatus::Success);
             }
-            let cfg = DriverConfig {
-                algorithm,
-                params: Params::paper(),
-                max_retries,
-                verify,
-                fallback: FallbackPolicy::Semiring,
-                net: faults.clone().map(NetConfig::faulty).unwrap_or_default(),
-            };
-            let driven = apsp_driver(&g, &cfg, &mut rng, sink.as_ref());
+            let driven = apsp_driver(&g, &solve.driver(), &mut rng, sink.as_ref());
             flush_sink(sink.as_ref())?;
-            match driven {
-                Ok(out_report) => {
-                    writeln!(
-                        out,
-                        "{algorithm:?} APSP on n={n} (seed {seed}): {} rounds total, \
-                         {} attempt(s), verified: {}, fallback: {}",
-                        out_report.total_rounds,
-                        out_report.attempts.len(),
-                        out_report.verified,
-                        out_report.used_fallback
-                    )?;
-                    let finite = out_report
-                        .report
-                        .distances
-                        .entries()
-                        .filter(|(_, _, w)| w.is_finite())
-                        .count();
-                    writeln!(out, "{finite}/{} pairs reachable", n * n)?;
-                    if out_report.used_fallback {
-                        return Ok(RunStatus::DegradedFallback);
-                    }
-                }
-                Err(ApspError::VerificationFailed { attempts }) => {
-                    writeln!(
-                        out,
-                        "{algorithm:?} APSP on n={n} (seed {seed}): \
-                         {attempts} attempt(s) exhausted without a verified answer"
-                    )?;
-                    return Ok(RunStatus::VerificationFailed);
-                }
-                Err(e) => return Err(Box::new(e)),
+            let run = format!("{algorithm:?} APSP on n={n} (seed {seed})");
+            let Some(report) = settle(driven, &run, out)? else {
+                return Ok(RunStatus::VerificationFailed);
+            };
+            writeln!(
+                out,
+                "{run}: {} rounds total, {} attempt(s), verified: {}, fallback: {}",
+                report.total_rounds,
+                report.attempts.len(),
+                report.verified,
+                report.used_fallback
+            )?;
+            write_reachable(out, &report.report.distances)?;
+            if report.used_fallback {
+                return Ok(RunStatus::DegradedFallback);
             }
         }
         Command::Distance {
             param,
-            n,
-            seed,
-            algorithm,
-            w_max,
+            solve,
             density,
             backend,
-            ref trace,
-            ref faults,
-            verify,
-            max_retries,
         } => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let g =
-                crate::graph::generators::random_reweighted_digraph(n, density, w_max, &mut rng);
-            let sink = open_sink(trace.as_ref())?;
+            let Solve {
+                n, seed, algorithm, ..
+            } = *solve;
+            let (mut rng, g) = solve.instance(*density);
+            let sink = open_sink(solve.trace.as_ref())?;
             let cfg = ExtremumConfig {
-                backend,
-                driver: DriverConfig {
-                    algorithm,
-                    max_retries,
-                    verify,
-                    net: faults.clone().map(NetConfig::faulty).unwrap_or_default(),
-                    ..DriverConfig::default()
-                },
-                ..ExtremumConfig::new(param)
+                backend: *backend,
+                driver: solve.driver(),
+                ..ExtremumConfig::new(*param)
             };
             let result = distance_params(&g, &cfg, &mut rng, sink.as_ref());
             flush_sink(sink.as_ref())?;
-            let report = match result {
-                Ok(report) => report,
-                Err(ApspError::VerificationFailed { attempts }) => {
-                    writeln!(
-                        out,
-                        "{} on n={n} (seed {seed}): \
-                         {attempts} attempt(s) exhausted without a verified answer",
-                        param.label()
-                    )?;
-                    return Ok(RunStatus::VerificationFailed);
-                }
-                Err(e) => return Err(Box::new(e)),
+            let run = format!("{} on n={n} (seed {seed})", param.label());
+            let Some(report) = settle(result, &run, out)? else {
+                return Ok(RunStatus::VerificationFailed);
             };
             let search = match param {
                 DistanceParam::Eccentricities => "gather",
@@ -898,7 +851,7 @@ pub fn run(
                 return Ok(RunStatus::DegradedFallback);
             }
         }
-        Command::FindEdges {
+        &Command::FindEdges {
             n,
             seed,
             backend,
@@ -912,12 +865,7 @@ pub fn run(
                 &mut rng,
             );
             let s = PairSet::all_pairs(n);
-            let mut net = Clique::new(n)?;
-            let sink = open_sink(trace.as_ref())?;
-            if let Some(sink) = &sink {
-                net.set_trace_sink(sink.clone());
-            }
-            net.push_span("find-edges");
+            let (mut net, sink) = traced_clique(n, trace.as_ref(), "find-edges")?;
             let report = compute_pairs(&g, &s, Params::paper(), backend, &mut net, &mut rng)?;
             net.close_all_spans();
             flush_sink(sink.as_ref())?;
@@ -929,9 +877,9 @@ pub fn run(
                 report.rounds
             )?;
         }
-        Command::Paths { n, seed, ref trace } => {
+        &Command::Paths { n, seed, ref trace } => {
             let mut rng = StdRng::seed_from_u64(seed);
-            let g = crate::graph::generators::random_reweighted_digraph(n, 0.5, 6, &mut rng);
+            let g = random_reweighted_digraph(n, 0.5, 6, &mut rng);
             let sink = open_sink(trace.as_ref())?;
             let report = apsp_with_paths_traced(
                 &g,
@@ -952,7 +900,7 @@ pub fn run(
                 }
             }
         }
-        Command::Gamma {
+        &Command::Gamma {
             n,
             seed,
             bits,
@@ -965,12 +913,7 @@ pub fn run(
                 writeln!(out, "instance has no edges; nothing to count")?;
                 return Ok(RunStatus::Success);
             }
-            let mut net = Clique::new(n)?;
-            let sink = open_sink(trace.as_ref())?;
-            if let Some(sink) = &sink {
-                net.set_trace_sink(sink.clone());
-            }
-            net.push_span("gamma");
+            let (mut net, sink) = traced_clique(n, trace.as_ref(), "gamma")?;
             let report = quantum_gamma_count(&g, &pairs, bits, 5, &mut net, &mut rng)?;
             net.close_all_spans();
             flush_sink(sink.as_ref())?;
@@ -983,67 +926,29 @@ pub fn run(
                 report.oracle_queries, report.rounds
             )?;
         }
-        Command::Serve {
-            n,
-            seed,
-            algorithm,
-            w_max,
-            row_cache,
-            ref trace,
-            ref faults,
-            verify,
-            max_retries,
-        } => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let g = crate::graph::generators::random_reweighted_digraph(n, 0.5, w_max, &mut rng);
-            let sink = open_sink(trace.as_ref())?;
-            // Fault injection and verification only compose through the
-            // Las-Vegas driver; the witnessed-squaring plan adds explicit
-            // route witnesses when neither is requested.
-            let plan = if faults.is_some() || verify {
-                LoadPlan::Driver(Box::new(DriverConfig {
-                    algorithm,
-                    params: Params::paper(),
-                    max_retries,
-                    verify,
-                    fallback: FallbackPolicy::Semiring,
-                    net: faults.clone().map(NetConfig::faulty).unwrap_or_default(),
-                }))
-            } else {
-                match algorithm {
-                    ApspAlgorithm::QuantumTriangle => LoadPlan::Witnessed {
-                        backend: SearchBackend::Quantum,
-                    },
-                    ApspAlgorithm::ClassicalTriangle => LoadPlan::Witnessed {
-                        backend: SearchBackend::Classical,
-                    },
-                    other => LoadPlan::Driver(Box::new(DriverConfig {
-                        algorithm: other,
-                        params: Params::paper(),
-                        max_retries,
-                        verify: false,
-                        fallback: FallbackPolicy::Semiring,
-                        net: NetConfig::default(),
-                    })),
-                }
+        Command::Serve { solve, row_cache } => {
+            let (mut rng, g) = solve.instance(0.5);
+            let sink = open_sink(solve.trace.as_ref())?;
+            // Without faults or verification the witnessed-squaring plan
+            // adds explicit route witnesses.
+            let plan = match solve.algorithm {
+                ApspAlgorithm::QuantumTriangle if !solve.driven() => LoadPlan::Witnessed {
+                    backend: SearchBackend::Quantum,
+                },
+                ApspAlgorithm::ClassicalTriangle if !solve.driven() => LoadPlan::Witnessed {
+                    backend: SearchBackend::Classical,
+                },
+                _ => LoadPlan::Driver(Box::new(solve.driver())),
             };
             let cfg = EngineConfig {
                 plan,
                 params: Params::paper(),
-                row_cache,
+                row_cache: *row_cache,
             };
             let loaded = QueryEngine::load(g, &cfg, &mut rng, sink.as_ref());
             flush_sink(sink.as_ref())?;
-            let mut engine = match loaded {
-                Ok(engine) => engine,
-                Err(ApspError::VerificationFailed { attempts }) => {
-                    writeln!(
-                        out,
-                        "serve: {attempts} attempt(s) exhausted without a verified answer"
-                    )?;
-                    return Ok(RunStatus::VerificationFailed);
-                }
-                Err(e) => return Err(Box::new(e)),
+            let Some(mut engine) = settle(loaded, "serve", out)? else {
+                return Ok(RunStatus::VerificationFailed);
             };
             let lines = crate::serve::spawn_stdin_reader();
             crate::serve::serve(&mut engine, &lines, out)?;
@@ -1052,7 +957,7 @@ pub fn run(
             }
         }
         Command::TraceSummary {
-            ref file,
+            file,
             expect_rounds,
             max_depth,
         } => {
@@ -1061,8 +966,8 @@ pub fn run(
             let events = parse_trace(&text)?;
             let summary = TraceSummary::from_events(&events)?;
             summary.verify()?;
-            write!(out, "{}", summary.render(max_depth))?;
-            if let Some(expected) = expect_rounds {
+            write!(out, "{}", summary.render(*max_depth))?;
+            if let Some(expected) = *expect_rounds {
                 let got = summary.total_rounds();
                 if got != expected {
                     return Err(Box::new(CliError(format!(
@@ -1084,6 +989,20 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// The shared flags at their defaults, on the given instance.
+    fn solve(n: usize, seed: u64, algorithm: ApspAlgorithm, w_max: u64) -> Solve {
+        Solve {
+            n,
+            seed,
+            algorithm,
+            w_max,
+            trace: None,
+            faults: None,
+            verify: false,
+            max_retries: 3,
+        }
+    }
+
     fn temp_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("qcc-cli-{tag}-{}.ndjson", std::process::id()))
     }
@@ -1101,14 +1020,7 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Apsp {
-                n: 12,
-                seed: 3,
-                algorithm: ApspAlgorithm::SemiringSquaring,
-                w_max: 99,
-                trace: None,
-                faults: None,
-                verify: false,
-                max_retries: 3,
+                solve: solve(12, 3, ApspAlgorithm::SemiringSquaring, 99),
                 transport: TransportKind::Clique,
                 topology: None,
             }
@@ -1122,17 +1034,12 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Apsp {
-                faults,
-                verify,
-                max_retries,
-                ..
-            } => {
-                let plan = faults.expect("fault plan parsed");
+            Command::Apsp { solve, .. } => {
+                let plan = solve.faults.expect("fault plan parsed");
                 assert!((plan.drop_rate - 0.1).abs() < 1e-12);
                 assert_eq!(plan.seed, 3);
-                assert!(verify);
-                assert_eq!(max_retries, 2);
+                assert!(solve.verify);
+                assert_eq!(solve.max_retries, 2);
             }
             other => panic!("unexpected command: {other:?}"),
         }
@@ -1166,14 +1073,10 @@ mod tests {
     fn run_gossip_apsp_smoke() {
         let mut buf = Vec::new();
         let cmd = Command::Apsp {
-            n: 6,
-            seed: 1,
-            algorithm: ApspAlgorithm::NaiveBroadcast,
-            w_max: 5,
-            trace: None,
-            faults: Some(FaultPlan::parse("drop=0.05,seed=2").unwrap()),
-            verify: false,
-            max_retries: 3,
+            solve: Solve {
+                faults: Some(FaultPlan::parse("drop=0.05,seed=2").unwrap()),
+                ..solve(6, 1, ApspAlgorithm::NaiveBroadcast, 5)
+            },
             transport: TransportKind::Gossip,
             topology: Some(TopologySpec::Ring),
         };
@@ -1196,41 +1099,31 @@ mod tests {
             cmd,
             Command::Distance {
                 param: DistanceParam::Diameter,
-                n: 20,
-                seed: 3,
-                algorithm: ApspAlgorithm::NaiveBroadcast,
-                w_max: 9,
+                solve: solve(20, 3, ApspAlgorithm::NaiveBroadcast, 9),
                 density: 0.25,
                 backend: ExtremumBackend::ClassicalScan,
-                trace: None,
-                faults: None,
-                verify: false,
-                max_retries: 3,
             }
         );
         // Defaults: n 12, seed 7, quantum APSP + quantum search.
         match parse(&argv("radius")).unwrap() {
             Command::Distance {
                 param,
-                n,
-                seed,
-                algorithm,
+                solve,
                 backend,
-                verify,
                 ..
             } => {
                 assert_eq!(param, DistanceParam::Radius);
-                assert_eq!((n, seed), (12, 7));
-                assert_eq!(algorithm, ApspAlgorithm::QuantumTriangle);
+                assert_eq!((solve.n, solve.seed), (12, 7));
+                assert_eq!(solve.algorithm, ApspAlgorithm::QuantumTriangle);
                 assert_eq!(backend, ExtremumBackend::Quantum);
-                assert!(!verify);
+                assert!(!solve.verify);
             }
             other => panic!("unexpected command: {other:?}"),
         }
         match parse(&argv("ecc --verify")).unwrap() {
-            Command::Distance { param, verify, .. } => {
+            Command::Distance { param, solve, .. } => {
                 assert_eq!(param, DistanceParam::Eccentricities);
-                assert!(verify);
+                assert!(solve.verify);
             }
             other => panic!("unexpected command: {other:?}"),
         }
@@ -1255,27 +1148,20 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Serve {
-                n: 12,
-                seed: 3,
-                algorithm: ApspAlgorithm::QuantumTriangle,
-                w_max: 8,
+                solve: Solve {
+                    verify: true,
+                    ..solve(12, 3, ApspAlgorithm::QuantumTriangle, 8)
+                },
                 row_cache: Some(4),
-                trace: None,
-                faults: None,
-                verify: true,
-                max_retries: 3,
             }
         );
         // Defaults mirror `apsp`.
         match parse(&argv("serve")).unwrap() {
-            Command::Serve {
-                n,
-                seed,
-                row_cache,
-                verify,
-                ..
-            } => {
-                assert_eq!((n, seed, row_cache, verify), (8, 7, None, false));
+            Command::Serve { solve, row_cache } => {
+                assert_eq!(
+                    (solve.n, solve.seed, row_cache, solve.verify),
+                    (8, 7, None, false)
+                );
             }
             other => panic!("unexpected command: {other:?}"),
         }
@@ -1333,7 +1219,10 @@ mod tests {
         ] {
             let cmd = parse(&argv(line)).unwrap();
             let trace = match cmd {
-                Command::Apsp { trace, .. }
+                Command::Apsp {
+                    solve: Solve { trace, .. },
+                    ..
+                }
                 | Command::FindEdges { trace, .. }
                 | Command::Paths { trace, .. }
                 | Command::Gamma { trace, .. } => trace,
@@ -1399,14 +1288,7 @@ mod tests {
     fn run_apsp_smoke() {
         let mut buf = Vec::new();
         let cmd = Command::Apsp {
-            n: 6,
-            seed: 1,
-            algorithm: ApspAlgorithm::NaiveBroadcast,
-            w_max: 5,
-            trace: None,
-            faults: None,
-            verify: false,
-            max_retries: 3,
+            solve: solve(6, 1, ApspAlgorithm::NaiveBroadcast, 5),
             transport: TransportKind::Clique,
             topology: None,
         };
@@ -1464,16 +1346,9 @@ mod tests {
     fn distance_cmd(param: DistanceParam, n: usize, seed: u64, density: f64) -> Command {
         Command::Distance {
             param,
-            n,
-            seed,
-            algorithm: ApspAlgorithm::NaiveBroadcast,
-            w_max: 5,
+            solve: solve(n, seed, ApspAlgorithm::NaiveBroadcast, 5),
             density,
             backend: ExtremumBackend::Quantum,
-            trace: None,
-            faults: None,
-            verify: false,
-            max_retries: 3,
         }
     }
 
@@ -1519,9 +1394,9 @@ mod tests {
         let path = temp_path("radius-summary");
         let mut buf = Vec::new();
         let mut cmd = distance_cmd(DistanceParam::Radius, 7, 4, 0.6);
-        if let Command::Distance { trace, verify, .. } = &mut cmd {
-            *trace = Some(path.to_string_lossy().into_owned());
-            *verify = true;
+        if let Command::Distance { solve, .. } = &mut cmd {
+            solve.trace = Some(path.to_string_lossy().into_owned());
+            solve.verify = true;
         }
         let status = run(&cmd, &mut buf).unwrap();
         assert_eq!(status, RunStatus::Success);
@@ -1556,9 +1431,9 @@ mod tests {
     fn run_faulty_verified_diameter_reports_success() {
         let mut buf = Vec::new();
         let mut cmd = distance_cmd(DistanceParam::Diameter, 6, 9, 0.6);
-        if let Command::Distance { faults, verify, .. } = &mut cmd {
-            *faults = Some(FaultPlan::parse("drop=0.1,corrupt=0.02,seed=4").unwrap());
-            *verify = true;
+        if let Command::Distance { solve, .. } = &mut cmd {
+            solve.faults = Some(FaultPlan::parse("drop=0.1,corrupt=0.02,seed=4").unwrap());
+            solve.verify = true;
         }
         let status = run(&cmd, &mut buf).unwrap();
         assert_eq!(status, RunStatus::Success);
@@ -1572,14 +1447,12 @@ mod tests {
         let path = temp_path("faulty-verify");
         let mut buf = Vec::new();
         let cmd = Command::Apsp {
-            n: 6,
-            seed: 9,
-            algorithm: ApspAlgorithm::NaiveBroadcast,
-            w_max: 5,
-            trace: Some(path.to_string_lossy().into_owned()),
-            faults: Some(FaultPlan::parse("drop=0.1,corrupt=0.02,seed=4").unwrap()),
-            verify: true,
-            max_retries: 3,
+            solve: Solve {
+                trace: Some(path.to_string_lossy().into_owned()),
+                faults: Some(FaultPlan::parse("drop=0.1,corrupt=0.02,seed=4").unwrap()),
+                verify: true,
+                ..solve(6, 9, ApspAlgorithm::NaiveBroadcast, 5)
+            },
             transport: TransportKind::Clique,
             topology: None,
         };
@@ -1621,14 +1494,12 @@ mod tests {
         // semiring fallback lose it, so the driver can never certify.
         let mut buf = Vec::new();
         let cmd = Command::Apsp {
-            n: 5,
-            seed: 2,
-            algorithm: ApspAlgorithm::NaiveBroadcast,
-            w_max: 5,
-            trace: None,
-            faults: Some(FaultPlan::parse("crash=0@0").unwrap()),
-            verify: true,
-            max_retries: 0,
+            solve: Solve {
+                faults: Some(FaultPlan::parse("crash=0@0").unwrap()),
+                verify: true,
+                max_retries: 0,
+                ..solve(5, 2, ApspAlgorithm::NaiveBroadcast, 5)
+            },
             transport: TransportKind::Clique,
             topology: None,
         };
@@ -1654,14 +1525,10 @@ mod tests {
         let mut buf = Vec::new();
         run(
             &Command::Apsp {
-                n: 6,
-                seed: 5,
-                algorithm: ApspAlgorithm::NaiveBroadcast,
-                w_max: 5,
-                trace: Some(path.to_string_lossy().into_owned()),
-                faults: None,
-                verify: false,
-                max_retries: 3,
+                solve: Solve {
+                    trace: Some(path.to_string_lossy().into_owned()),
+                    ..solve(6, 5, ApspAlgorithm::NaiveBroadcast, 5)
+                },
                 transport: TransportKind::Clique,
                 topology: None,
             },

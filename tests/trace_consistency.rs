@@ -6,7 +6,7 @@
 //! that disagrees with the simulator's own accounting is worse than none.
 
 use qcc::algo::{ApspAlgorithm, SearchBackend, TransportKind};
-use qcc::cli::{run, Command};
+use qcc::cli::{run, Command, Solve};
 use qcc::congest::{parse_trace, TraceSummary};
 use std::path::PathBuf;
 
@@ -58,14 +58,16 @@ fn traced_quantum_apsp_agrees_with_its_report() {
     let path = temp_trace("apsp-quantum");
     assert_trace_matches_stdout(
         &Command::Apsp {
-            n: 5,
-            seed: 11,
-            algorithm: ApspAlgorithm::QuantumTriangle,
-            w_max: 4,
-            trace: Some(path.to_string_lossy().into_owned()),
-            faults: None,
-            verify: false,
-            max_retries: 3,
+            solve: Solve {
+                n: 5,
+                seed: 11,
+                algorithm: ApspAlgorithm::QuantumTriangle,
+                w_max: 4,
+                trace: Some(path.to_string_lossy().into_owned()),
+                faults: None,
+                verify: false,
+                max_retries: 3,
+            },
             transport: TransportKind::Clique,
             topology: None,
         },
@@ -81,14 +83,16 @@ fn traced_gossip_apsp_agrees_with_its_report() {
     let path = temp_trace("apsp-gossip");
     assert_trace_matches_stdout(
         &Command::Apsp {
-            n: 6,
-            seed: 11,
-            algorithm: ApspAlgorithm::NaiveBroadcast,
-            w_max: 4,
-            trace: Some(path.to_string_lossy().into_owned()),
-            faults: Some(qcc::congest::FaultPlan::parse("drop=0.05,seed=3").unwrap()),
-            verify: false,
-            max_retries: 3,
+            solve: Solve {
+                n: 6,
+                seed: 11,
+                algorithm: ApspAlgorithm::NaiveBroadcast,
+                w_max: 4,
+                trace: Some(path.to_string_lossy().into_owned()),
+                faults: Some(qcc::congest::FaultPlan::parse("drop=0.05,seed=3").unwrap()),
+                verify: false,
+                max_retries: 3,
+            },
             transport: TransportKind::Gossip,
             topology: Some(qcc::congest::TopologySpec::Mesh { degree: 4 }),
         },
@@ -101,14 +105,16 @@ fn traced_classical_apsp_agrees_with_its_report() {
     let path = temp_trace("apsp-classical");
     assert_trace_matches_stdout(
         &Command::Apsp {
-            n: 5,
-            seed: 12,
-            algorithm: ApspAlgorithm::ClassicalTriangle,
-            w_max: 4,
-            trace: Some(path.to_string_lossy().into_owned()),
-            faults: None,
-            verify: false,
-            max_retries: 3,
+            solve: Solve {
+                n: 5,
+                seed: 12,
+                algorithm: ApspAlgorithm::ClassicalTriangle,
+                w_max: 4,
+                trace: Some(path.to_string_lossy().into_owned()),
+                faults: None,
+                verify: false,
+                max_retries: 3,
+            },
             transport: TransportKind::Clique,
             topology: None,
         },
@@ -125,14 +131,16 @@ fn traced_baseline_apsp_agrees_with_their_reports() {
         let path = temp_trace(tag);
         assert_trace_matches_stdout(
             &Command::Apsp {
-                n: 8,
-                seed: 13,
-                algorithm,
-                w_max: 6,
-                trace: Some(path.to_string_lossy().into_owned()),
-                faults: None,
-                verify: false,
-                max_retries: 3,
+                solve: Solve {
+                    n: 8,
+                    seed: 13,
+                    algorithm,
+                    w_max: 6,
+                    trace: Some(path.to_string_lossy().into_owned()),
+                    faults: None,
+                    verify: false,
+                    max_retries: 3,
+                },
                 transport: TransportKind::Clique,
                 topology: None,
             },
@@ -189,14 +197,16 @@ fn quantum_trace_has_the_expected_hierarchy() {
     // labelling that motivated the span tree.
     let path = temp_trace("hierarchy");
     let cmd = Command::Apsp {
-        n: 5,
-        seed: 17,
-        algorithm: ApspAlgorithm::QuantumTriangle,
-        w_max: 4,
-        trace: Some(path.to_string_lossy().into_owned()),
-        faults: None,
-        verify: false,
-        max_retries: 3,
+        solve: Solve {
+            n: 5,
+            seed: 17,
+            algorithm: ApspAlgorithm::QuantumTriangle,
+            w_max: 4,
+            trace: Some(path.to_string_lossy().into_owned()),
+            faults: None,
+            verify: false,
+            max_retries: 3,
+        },
         transport: TransportKind::Clique,
         topology: None,
     };
