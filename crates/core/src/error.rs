@@ -60,6 +60,13 @@ pub enum ApspError {
         /// Column of the entry.
         col: usize,
     },
+    /// A quantum-counting phase register outside `1 ..=`
+    /// [`crate::MAX_GAMMA_BITS`] bits: one bit estimates nothing, and every
+    /// extra bit doubles the run's exchanges and outcome table.
+    RegisterBits {
+        /// The requested register width.
+        bits: u32,
+    },
     /// An error that interrupted a run after rounds had already been
     /// charged. Wrapping preserves the cost of the failed work so callers
     /// (the driver, the CLI) can account for it honestly.
@@ -149,6 +156,11 @@ impl fmt::Display for ApspError {
             ApspError::NegInfEntry { operand, row, col } => write!(
                 f,
                 "distance product operand {operand} has a -inf entry at ({row}, {col})"
+            ),
+            ApspError::RegisterBits { bits } => write!(
+                f,
+                "a {bits}-bit phase register is outside 1..={}",
+                crate::MAX_GAMMA_BITS
             ),
             ApspError::Faulted { rounds, source } => {
                 write!(f, "{source} (after charging {rounds} rounds)")
@@ -258,6 +270,7 @@ mod tests {
         }
         .is_retryable());
         assert!(!ApspError::NegativeCycle.is_retryable());
+        assert!(!ApspError::RegisterBits { bits: 64 }.is_retryable());
         assert!(!ApspError::VerificationFailed { attempts: 4 }.is_retryable());
         assert!(!ApspError::Congest(CongestError::EmptyNetwork).is_retryable());
         // Coded gossip decode failures are luck-of-the-faults — retryable;

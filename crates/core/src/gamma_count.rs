@@ -21,6 +21,11 @@ use qcc_graph::UGraph;
 use qcc_quantum::AmplitudeEstimator;
 use rand::Rng;
 
+/// The widest phase register [`quantum_gamma_count`] accepts. Each extra
+/// bit doubles the work: `2^m − 1` joint exchanges per repetition and
+/// `2^m` outcome probabilities per pair.
+pub const MAX_GAMMA_BITS: u32 = 24;
+
 /// Result of a distributed quantum Γ-counting run.
 #[derive(Clone, Debug)]
 pub struct GammaCountReport {
@@ -49,7 +54,9 @@ impl GammaCountReport {
 ///
 /// # Errors
 ///
-/// Propagates simulator-level errors.
+/// * [`ApspError::RegisterBits`] if `m_bits` is outside
+///   `1..=`[`MAX_GAMMA_BITS`], before any round is charged.
+/// * Simulator-level errors, propagated.
 ///
 /// # Panics
 ///
@@ -80,6 +87,9 @@ pub fn quantum_gamma_count<R: Rng>(
     net: &mut Clique,
     rng: &mut R,
 ) -> Result<GammaCountReport, ApspError> {
+    if !(1..=MAX_GAMMA_BITS).contains(&m_bits) {
+        return Err(ApspError::RegisterBits { bits: m_bits });
+    }
     let n = g.n();
     if net.n() != n {
         return Err(ApspError::DimensionMismatch {
@@ -165,6 +175,22 @@ mod tests {
     use qcc_graph::{book_graph, congestion_hotspot, random_ugraph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn out_of_range_registers_are_rejected_before_any_round() {
+        let g = book_graph(16, 3);
+        let mut pairs = PairSet::new();
+        pairs.insert(0, 1);
+        let mut net = Clique::new(16).unwrap();
+        let mut rng = StdRng::seed_from_u64(700);
+        for bits in [0, MAX_GAMMA_BITS + 1, 64, 65, 200] {
+            let e = quantum_gamma_count(&g, &pairs, bits, 5, &mut net, &mut rng).unwrap_err();
+            assert_eq!(e, ApspError::RegisterBits { bits });
+            assert!(!e.is_retryable());
+        }
+        assert_eq!(net.rounds(), 0);
+        assert!(quantum_gamma_count(&g, &pairs, 1, 1, &mut net, &mut rng).is_ok());
+    }
 
     #[test]
     fn counts_book_spines_exactly() {

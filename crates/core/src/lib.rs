@@ -108,7 +108,7 @@ pub use apsp_paths::{
 };
 
 pub mod gamma_count;
-pub use gamma_count::{quantum_gamma_count, GammaCountReport};
+pub use gamma_count::{quantum_gamma_count, GammaCountReport, MAX_GAMMA_BITS};
 
 mod report;
 pub mod sssp;

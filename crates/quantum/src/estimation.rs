@@ -15,6 +15,17 @@
 
 use rand::Rng;
 
+/// `M = 2^m`, the number of outcomes of an `m`-bit register.
+///
+/// # Panics
+///
+/// Panics if `2^m` does not fit a `usize`, rather than wrap the shift.
+fn register_size(m_bits: u32) -> usize {
+    1usize
+        .checked_shl(m_bits)
+        .unwrap_or_else(|| panic!("a {m_bits}-bit register has more outcomes than a usize holds"))
+}
+
 /// Exact simulation of canonical amplitude estimation.
 ///
 /// # Examples
@@ -75,8 +86,12 @@ impl AmplitudeEstimator {
     /// Entry `y` is the probability of measuring `y`. The distribution is
     /// the average of two Fejér kernels centred at `±ω M` where
     /// `ω = θ/π` (they coincide for `a ∈ {0, 1}`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `2^m_bits` does not fit a `usize`.
     pub fn outcome_distribution(&self, m_bits: u32) -> Vec<f64> {
-        let m = 1usize << m_bits;
+        let m = register_size(m_bits);
         let theta = self.true_amplitude().sqrt().asin();
         let omega = theta / std::f64::consts::PI; // in [0, 1/2]
         let fejer = |x: f64| -> f64 {
@@ -105,6 +120,10 @@ impl AmplitudeEstimator {
 
     /// Samples one amplitude-estimation measurement with an `m`-bit
     /// register (`2^m − 1` oracle queries).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `2^m_bits` does not fit a `usize`.
     pub fn estimate<R: Rng>(&self, m_bits: u32, rng: &mut R) -> EstimateOutcome {
         let dist = self.outcome_distribution(m_bits);
         let mut u: f64 = rng.gen();
@@ -129,8 +148,12 @@ impl AmplitudeEstimator {
 
     /// The canonical error bound: with probability `≥ 8/π²`,
     /// `|ã − a| ≤ 2π√(a(1−a))/M + π²/M²`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `2^m_bits` does not fit a `usize`.
     pub fn error_bound(&self, m_bits: u32) -> f64 {
-        let m = (1u64 << m_bits) as f64;
+        let m = register_size(m_bits) as f64;
         let a = self.true_amplitude();
         2.0 * std::f64::consts::PI * (a * (1.0 - a)).sqrt() / m
             + std::f64::consts::PI.powi(2) / (m * m)
@@ -189,6 +212,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    #[should_panic(expected = "a 64-bit register has more outcomes than a usize holds")]
+    fn registers_wider_than_a_usize_panic_instead_of_wrapping() {
+        // A wrapped shift would read 64 bits as a 1-outcome register.
+        AmplitudeEstimator::new(16, 3).error_bound(64);
+    }
 
     #[test]
     fn distribution_is_normalized_and_concentrated() {

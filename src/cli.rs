@@ -15,7 +15,7 @@ use crate::algo::{
     apsp_driver, apsp_traced, apsp_with_paths_traced, compute_pairs, distance_params, gossip_apsp,
     quantum_gamma_count, reference_find_edges, ApspAlgorithm, ApspError, DistanceParam,
     DriverConfig, EngineConfig, ExtremumBackend, ExtremumConfig, FallbackPolicy, GossipApspConfig,
-    LoadPlan, PairSet, Params, QueryEngine, SearchBackend, TransportKind,
+    LoadPlan, PairSet, Params, QueryEngine, SearchBackend, TransportKind, MAX_GAMMA_BITS,
 };
 use crate::congest::{
     parse_trace, Clique, FaultPlan, NetConfig, TopologySpec, TraceSink, TraceSummary,
@@ -567,7 +567,14 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "gamma" => Command::Gamma {
             n: flags.num("--n", 16)?,
             seed: flags.num("--seed", 7)?,
-            bits: flags.num("--bits", 9)?,
+            bits: match flags.num("--bits", 9)? {
+                bits @ 1..=MAX_GAMMA_BITS => bits,
+                bits => {
+                    return Err(CliError(format!(
+                        "--bits must be in [1, {MAX_GAMMA_BITS}], got {bits}"
+                    )))
+                }
+            },
             trace: flags.trace(),
         },
         "serve" => {
@@ -1229,6 +1236,21 @@ mod tests {
                 other => panic!("unexpected command: {other:?}"),
             };
             assert_eq!(trace.as_deref(), Some("out.ndjson"), "{line}");
+        }
+    }
+
+    #[test]
+    fn gamma_rejects_registers_outside_the_range() {
+        // Each bit doubles the work, and a shift past 63 bits would wrap.
+        for bits in ["0", "25", "64", "65", "200"] {
+            let e = parse(&argv(&format!("gamma --bits {bits}"))).unwrap_err();
+            assert_eq!(e.0, format!("--bits must be in [1, 24], got {bits}"));
+        }
+        for bits in [1, 24] {
+            match parse(&argv(&format!("gamma --bits {bits}"))).unwrap() {
+                Command::Gamma { bits: parsed, .. } => assert_eq!(parsed, bits),
+                other => panic!("unexpected command: {other:?}"),
+            }
         }
     }
 
