@@ -1135,6 +1135,31 @@ mod tests {
     }
 
     #[test]
+    fn cycles_above_the_flat_guard_are_rejected_in_both_modes() {
+        // Three arcs of −2^62 close a cycle whose walks leave `i64` within
+        // one relaxation pass; row mode must reject it as dense mode does.
+        let changes: Vec<EdgeChange> = [(0, 1), (1, 2), (2, 0)]
+            .into_iter()
+            .map(|(u, v)| EdgeChange {
+                u,
+                v,
+                weight: Some(-(1 << 62)),
+            })
+            .collect();
+        for row_cache in [None, Some(1)] {
+            let (mut eng, fw) = engine(3, 1, row_cache);
+            let err = eng.update(&changes).unwrap_err();
+            assert!(err.contains("negative cycle"), "{row_cache:?}: {err}");
+            for a in 0..3 {
+                for b in 0..3 {
+                    assert_eq!(eng.dist(a, b).unwrap(), fw[(a, b)], "{row_cache:?}");
+                }
+            }
+            assert_eq!(eng.stats().updates, 0);
+        }
+    }
+
+    #[test]
     fn noop_update_keeps_tables_and_witnesses() {
         let (mut eng, _) = engine(8, 17, None);
         let (u, v, w) = eng.graph().arcs().next().expect("an arc");

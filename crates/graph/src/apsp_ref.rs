@@ -170,13 +170,15 @@ pub fn bellman_ford(g: &DiGraph, src: usize) -> Result<Vec<ExtWeight>, NegativeC
 /// something, an arc that still relaxes proves a negative cycle. A pass
 /// skips the arcs of a tail whose distance has not fallen since they were
 /// last relaxed: none of them can relax, so every other arc sees the same
-/// values as in a full pass. On graphs whose largest arc magnitude `M`
-/// obeys `(n − 1)·M ≤` [`TROPICAL_FINITE_MAX`] the distances live on `i64`
-/// lanes ([`TROPICAL_NONE`] for `+∞`); other graphs run the same loop over
-/// [`ExtWeight`], whose sums saturate. Every value is the weight of a walk
-/// from `src`, which without a reachable negative cycle is at least a
-/// simple path's `−(n − 1)·M`: the `i64` loop reports the cycle as soon as
-/// a value drops below that, so no sum leaves `±n·M`.
+/// values as in a full pass. Every value is the weight of a walk from
+/// `src`, which without a reachable negative cycle is at least a simple
+/// path's `−(n − 1)·M` for the largest arc magnitude `M`: the loop reports
+/// the cycle as soon as a value drops below that floor. On graphs with
+/// `(n − 1)·M ≤` [`TROPICAL_FINITE_MAX`] the distances live on `i64` lanes
+/// ([`TROPICAL_NONE`] for `+∞`), other graphs on `i128` lanes; either way
+/// no sum leaves the lanes. A distance outside `i64`, which only a graph
+/// above the guard reaches, reads as the infinity of its sign, as
+/// [`ExtWeight`] sums saturate.
 ///
 /// # Errors
 ///
@@ -191,33 +193,13 @@ pub fn sssp_row_with_parents(
 ) -> Result<(Vec<ExtWeight>, Vec<Option<usize>>), NegativeCycleError> {
     let n = g.n();
     assert!(src < n, "source out of range");
-    let weights = g.weights();
     let m = g.weight_magnitude();
-    if !within_flat_domain(n, m) {
-        let lanes = (ExtWeight::ZERO, ExtWeight::PosInf);
-        return relax_from(n, src, |u| weights.row(u), lanes, |_| false);
+    let floor = -(n as i128 - 1) * i128::from(m);
+    if within_flat_domain(n, m) {
+        relax_from(g, src, (TROPICAL_NONE, NO_ARC), floor as i64)
+    } else {
+        relax_from(g, src, (WIDE_NONE, WIDE_NO_ARC), floor)
     }
-    let coded: Vec<i64> = weights
-        .as_slice()
-        .iter()
-        .map(|w| w.finite().unwrap_or(NO_ARC))
-        .collect();
-    let floor = -((n as i64 - 1) * m as i64);
-    let (dist, parent) = relax_from(
-        n,
-        src,
-        |u| &coded[u * n..(u + 1) * n],
-        (0, TROPICAL_NONE),
-        |d| d < floor,
-    )?;
-    let dist = dist
-        .into_iter()
-        .map(|d| match d {
-            TROPICAL_NONE => ExtWeight::PosInf,
-            d => ExtWeight::Finite(d),
-        })
-        .collect();
-    Ok((dist, parent))
 }
 
 /// The weight of an absent arc (or of the diagonal) on the `i64` lanes of
@@ -225,17 +207,36 @@ pub fn sssp_row_with_parents(
 /// [`TROPICAL_NONE`], so such an entry never relaxes, and below `i64::MAX`.
 const NO_ARC: i64 = TROPICAL_NONE + 2 * TROPICAL_FINITE_MAX;
 
+/// `+∞` on the `i128` lanes of [`sssp_row_with_parents`]. A distance there
+/// lies within `±(n − 1)·M < 2^96` (a dense `n × n` table has `n < 2^32`,
+/// and `M ≤ 2^63`), far below it.
+const WIDE_NONE: i128 = 1 << 125;
+
+/// An absent arc on the `i128` lanes: any distance plus it lies above
+/// [`WIDE_NONE`] and below `i128::MAX`.
+const WIDE_NO_ARC: i128 = 1 << 126;
+
 /// The relaxation loop of [`sssp_row_with_parents`] on one lane type:
-/// `row(u)` is row `u` of the weight table, `(zero, none)` are the lanes'
-/// `0` and `+∞`, and `below_floor` flags a value that no walk without a
-/// negative cycle reaches.
-fn relax_from<'a, T: Copy + PartialOrd + Add<Output = T> + 'a>(
-    n: usize,
+/// `none` codes `+∞` and `no_arc` an absent arc, and a value below `floor`
+/// proves a negative cycle.
+fn relax_from<T>(
+    g: &DiGraph,
     src: usize,
-    row: impl Fn(usize) -> &'a [T],
-    (zero, none): (T, T),
-    below_floor: impl Fn(T) -> bool,
-) -> Result<(Vec<T>, Vec<Option<usize>>), NegativeCycleError> {
+    (none, no_arc): (T, T),
+    floor: T,
+) -> Result<(Vec<ExtWeight>, Vec<Option<usize>>), NegativeCycleError>
+where
+    T: Copy + PartialOrd + Add<Output = T> + From<i64> + TryInto<i64>,
+{
+    let n = g.n();
+    let coded: Vec<T> = g
+        .weights()
+        .as_slice()
+        .iter()
+        .map(|w| w.finite().map_or(no_arc, T::from))
+        .collect();
+    let row = |u: usize| &coded[u * n..(u + 1) * n];
+    let zero = T::from(0);
     let mut dist = vec![none; n];
     let mut parent: Vec<Option<usize>> = vec![None; n];
     // Tails whose distance fell since their arcs were last relaxed.
@@ -254,7 +255,7 @@ fn relax_from<'a, T: Copy + PartialOrd + Add<Output = T> + 'a>(
             for (v, &w) in row(u).iter().enumerate() {
                 let cand = du + w;
                 if cand < dist[v] {
-                    if below_floor(cand) {
+                    if cand < floor {
                         return Err(NegativeCycleError);
                     }
                     dist[v] = cand;
@@ -277,6 +278,15 @@ fn relax_from<'a, T: Copy + PartialOrd + Add<Output = T> + 'a>(
     if !settled && (0..n).any(|u| stale[u] && relaxes(u)) {
         return Err(NegativeCycleError);
     }
+    let dist = dist
+        .into_iter()
+        .map(|d| match d.try_into() {
+            _ if d >= none => ExtWeight::PosInf,
+            Ok(d) => ExtWeight::Finite(d),
+            Err(_) if d > zero => ExtWeight::PosInf,
+            Err(_) => ExtWeight::NegInf,
+        })
+        .collect();
     Ok((dist, parent))
 }
 

@@ -90,12 +90,13 @@ impl<T: Clone> SquareMatrix<T> {
         &mut self.data[i * self.n..(i + 1) * self.n]
     }
 
-    /// Iterates over `(i, j, &entry)` in row-major order.
+    /// Iterates over `(i, j, &entry)` in row-major order, row by row (no
+    /// division per entry).
     pub fn entries(&self) -> impl Iterator<Item = (usize, usize, &T)> {
-        self.data
-            .iter()
-            .enumerate()
-            .map(move |(k, t)| (k / self.n, k % self.n, t))
+        // An empty matrix has no rows; `max(1)` only keeps the chunk size
+        // legal.
+        let rows = self.data.chunks_exact(self.n.max(1)).enumerate();
+        rows.flat_map(|(i, row)| row.iter().enumerate().map(move |(j, t)| (i, j, t)))
     }
 
     /// The underlying row-major storage.
@@ -480,6 +481,7 @@ mod tests {
         let m = SquareMatrix::from_fn(2, |i, j| i * 2 + j);
         let coords: Vec<(usize, usize, usize)> = m.entries().map(|(i, j, &x)| (i, j, x)).collect();
         assert_eq!(coords, vec![(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 3)]);
+        assert_eq!(SquareMatrix::filled(0, 0u8).entries().count(), 0);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! inputs for every n in 0..=40 and for n = 128: negative arcs, zero-weight
 //! cycles, absent arcs, `+∞` and `−∞` matrix entries, magnitudes at the
 //! flat kernels' guard `(n − 1)·M ≤ TROPICAL_FINITE_MAX` and one above it
-//! (where the `ExtWeight` loops take over), and negative cycles. Matrices,
+//! (where Floyd–Warshall's `ExtWeight` pass and Bellman–Ford's `i128` lanes
+//! take over), and negative cycles. Matrices,
 //! distance rows and parent vectors must be equal, or both sides must
 //! report the negative cycle. Decrease-only updates of one to three arcs
 //! (a repeated arc, an insertion from `+∞` and a decrease that closes a
@@ -17,9 +18,9 @@
 //! graph, and to the old candidate wherever the certificate accepted it.
 
 use qcc_graph::{
-    bellman_ford, delta_repair, floyd_warshall, min_plus_fixpoint_certificate,
-    random_reweighted_digraph, sssp_row_with_parents, DiGraph, EdgeDelta, ExtWeight,
-    NegativeCycleError, WeightMatrix, TROPICAL_FINITE_MAX,
+    bellman_ford, delta_repair, floyd_warshall, has_negative_cycle, johnson,
+    min_plus_fixpoint_certificate, random_reweighted_digraph, sssp_row_with_parents, DiGraph,
+    EdgeDelta, ExtWeight, NegativeCycleError, WeightMatrix, TROPICAL_FINITE_MAX,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -354,8 +355,8 @@ fn bellman_ford_rows_match_the_extweight_loop() {
                 let old = reference::sssp_row_with_parents(&g, src);
                 if got != old {
                     // The old loop saturates a negative cycle's walks to
-                    // −∞ and then finds nothing left to relax; the flat
-                    // loop stops at −(n − 1)·M and reports the cycle.
+                    // −∞ and then finds nothing left to relax; the library
+                    // stops at −(n − 1)·M and reports the cycle.
                     let saturated = old
                         .as_ref()
                         .is_ok_and(|(d, _)| d.contains(&ExtWeight::NegInf));
@@ -379,6 +380,39 @@ fn bellman_ford_rows_match_the_extweight_loop() {
         ok > 1000 && cycles > 100 && saturations > 0,
         "{ok} solved, {cycles} cycles, {saturations} saturated"
     );
+}
+
+#[test]
+fn negative_cycles_above_the_guard_are_reported_by_every_oracle() {
+    // Far above the guard a negative cycle's walks leave `i64` within a
+    // pass; the old loop saturated them to −∞ and reported no cycle.
+    let m = 1 << 62;
+    let mut triangle = DiGraph::new(3);
+    for (u, v) in [(0, 1), (1, 2), (2, 0)] {
+        triangle.add_arc(u, v, -m);
+    }
+    let mut rng = StdRng::seed_from_u64(0xC7);
+    let mut graphs = vec![("3-cycle".to_string(), triangle)];
+    for n in [3, 4, 9, 40, 128] {
+        let g = extreme_graph(n, m, true, &mut rng);
+        graphs.push((format!("closed extreme graph, n = {n}"), g));
+    }
+    for (label, g) in &graphs {
+        let cycle = Some(NegativeCycleError);
+        assert_eq!(
+            floyd_warshall(&g.adjacency_matrix()).err(),
+            cycle,
+            "{label}"
+        );
+        assert!(has_negative_cycle(g), "{label}");
+        assert_eq!(johnson(g).err(), cycle, "{label}");
+        // The cycle runs through every vertex, so every source reaches it.
+        for src in 0..g.n() {
+            assert_eq!(bellman_ford(g, src).err(), cycle, "{label}, src {src}");
+            let row = sssp_row_with_parents(g, src);
+            assert_eq!(row.err(), cycle, "{label}, src {src}");
+        }
+    }
 }
 
 /// Lowers the arc `(u, v)` of `g` to `weight` and records the delta.
