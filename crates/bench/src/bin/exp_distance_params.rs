@@ -27,7 +27,6 @@ use qcc_apsp::{
 use qcc_bench::{banner, Table};
 use qcc_congest::Clique;
 use qcc_graph::{floyd_warshall, random_reweighted_digraph};
-use qcc_quantum::DEFAULT_STAGE_ATTEMPTS;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -112,13 +111,7 @@ fn main() {
         for t in 0..trials {
             let mut net = Clique::new(n).expect("clique");
             let mut trial_rng = StdRng::seed_from_u64(seed ^ (t as u64) << 8 ^ n as u64);
-            let out = match network_extremum(
-                &ecc,
-                true,
-                DEFAULT_STAGE_ATTEMPTS,
-                &mut net,
-                &mut trial_rng,
-            ) {
+            let out = match network_extremum(&ecc, true, &mut net, &mut trial_rng) {
                 Ok(out) => out,
                 Err(e) => {
                     eprintln!("exp_distance_params: n={n} trial={t}: {e}");

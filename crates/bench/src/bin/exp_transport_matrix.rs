@@ -189,7 +189,6 @@ fn main() {
                             topology: topo,
                             chunks,
                             max_retries: 3,
-                            verify: true,
                             net: net.clone(),
                             seed,
                         };

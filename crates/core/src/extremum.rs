@@ -112,9 +112,6 @@ pub struct ExtremumConfig {
     pub param: DistanceParam,
     /// How the extremum search stage runs.
     pub backend: ExtremumBackend,
-    /// Per-stage BBHT attempt budget of the quantum search; an exhausted
-    /// stage aborts the attempt (typed, retryable) instead of guessing.
-    pub stage_attempts: u32,
     /// The distance stage's APSP driver. The search stage runs under the
     /// same retry budget (`max_retries`, counted per stage), verification
     /// switch (it certifies the claimed extremum), fallback policy
@@ -132,7 +129,6 @@ impl ExtremumConfig {
         ExtremumConfig {
             param,
             backend: ExtremumBackend::Quantum,
-            stage_attempts: DEFAULT_STAGE_ATTEMPTS,
             driver: DriverConfig::default(),
         }
     }
@@ -316,26 +312,24 @@ fn evaluate_remote(
 ///
 /// # Errors
 ///
-/// * [`ApspError::StageAborted`] when a stage exhausts `stage_attempts`
-///   BBHT attempts (retryable; the caller restarts with fresh randomness).
+/// * [`ApspError::StageAborted`] when a stage exhausts
+///   [`DEFAULT_STAGE_ATTEMPTS`] BBHT attempts (retryable; the caller
+///   restarts with fresh randomness) instead of guessing.
 /// * [`ApspError::Internal`] when an injected fault swallows a query or
 ///   answer on an envelope-less network (retryable).
 /// * Network errors ([`ApspError::Congest`]) from the exchanges.
 ///
 /// # Panics
 ///
-/// Panics if `values` is empty, its length differs from `net.n()`, or
-/// `stage_attempts == 0`.
+/// Panics if `values` is empty or its length differs from `net.n()`.
 pub fn network_extremum<R: Rng>(
     values: &[ExtWeight],
     maximize: bool,
-    stage_attempts: u32,
     net: &mut Clique,
     rng: &mut R,
 ) -> Result<NetworkExtremumOutcome, ApspError> {
     assert!(!values.is_empty(), "empty domain");
     assert_eq!(values.len(), net.n(), "one value per node");
-    assert!(stage_attempts > 0, "zero attempt budget");
     let n = values.len();
     // `maximize` flips the order by comparing under the reversed key, the
     // same trick `quantum_maximum` uses (no negation, no overflow).
@@ -417,10 +411,10 @@ pub fn network_extremum<R: Rng>(
                 stages += 1;
                 break;
             }
-            if stage_attempt >= stage_attempts {
+            if stage_attempt >= DEFAULT_STAGE_ATTEMPTS {
                 return Err(ApspError::StageAborted {
                     stage: "extremum-search",
-                    attempts: stage_attempts,
+                    attempts: DEFAULT_STAGE_ATTEMPTS,
                 });
             }
         }
@@ -748,16 +742,7 @@ fn search_stage<R: Rng>(
                 SearchKind::Extremum(backend)
             };
             let label = t.run_label("ext-");
-            let run = run_search(
-                ecc,
-                maximize,
-                kind,
-                cfg.stage_attempts,
-                &netcfg,
-                rng,
-                trace,
-                &label,
-            );
+            let run = run_search(ecc, maximize, kind, &netcfg, rng, trace, &label);
             let rounds = run
                 .as_ref()
                 .map_or_else(ApspError::rounds_charged, |out| out.rounds);
@@ -778,12 +763,10 @@ fn search_stage<R: Rng>(
 /// on it (the chosen backend's extremum walk, or the gather for the
 /// full-vector parameter), closes its spans, and wraps errors with the
 /// rounds already charged.
-#[allow(clippy::too_many_arguments)] // internal plumbing, two call sites
 fn run_search<R: Rng>(
     ecc: &[ExtWeight],
     maximize: bool,
     kind: SearchKind,
-    stage_attempts: u32,
     netcfg: &NetConfig,
     rng: &mut R,
     trace: Option<&TraceSink>,
@@ -797,7 +780,7 @@ fn run_search<R: Rng>(
     net.push_span(label);
     let result = match kind {
         SearchKind::Extremum(ExtremumBackend::Quantum) => {
-            network_extremum(ecc, maximize, stage_attempts, &mut net, rng)
+            network_extremum(ecc, maximize, &mut net, rng)
         }
         SearchKind::Extremum(ExtremumBackend::ClassicalScan) => {
             classical_extremum_scan(ecc, maximize, &mut net)
@@ -878,7 +861,7 @@ mod tests {
         let ecc = true_ecc(&g);
         for maximize in [false, true] {
             let mut net = Clique::new(16).unwrap();
-            let out = network_extremum(&ecc, maximize, 64, &mut net, &mut rng).unwrap();
+            let out = network_extremum(&ecc, maximize, &mut net, &mut rng).unwrap();
             let want = if maximize {
                 *ecc.iter().max().unwrap()
             } else {
@@ -946,7 +929,7 @@ mod tests {
         let mut total = 0u64;
         for _ in 0..trials {
             let mut net = Clique::new(n).unwrap();
-            let out = network_extremum(&ecc, true, 64, &mut net, &mut rng).unwrap();
+            let out = network_extremum(&ecc, true, &mut net, &mut rng).unwrap();
             total += out.evaluations;
         }
         let mean = total as f64 / f64::from(trials);

@@ -48,12 +48,14 @@ pub struct Params {
     /// Multi-search repetitions; `None` selects the analytic target
     /// `repetitions_for_target(m)` of `qcc-quantum`.
     pub search_repetitions: Option<u64>,
-    /// Host worker threads for the local (non-charged) kernels — tiled
-    /// min-plus products, reference oracles, oracle censuses. `None`
-    /// defers to the `QCC_THREADS` environment variable, then to the
-    /// machine's available parallelism (see [`qcc_perf::resolve_threads`]).
-    /// This is purely a host-performance knob: charged round counts never
-    /// depend on it.
+    /// Host worker threads for the semiring baseline's local tile
+    /// products, the only kernel that reads this field. `None` defers to
+    /// the `QCC_THREADS` environment variable, then to the machine's
+    /// available parallelism (see [`qcc_perf::resolve_threads`]); every
+    /// other threaded kernel (the tiled min-plus product, the driver's
+    /// certificate product, Johnson's Dijkstras, the oracle censuses)
+    /// always resolves its workers that way. This is purely a host-performance knob: charged round counts
+    /// never depend on it.
     pub threads: Option<usize>,
 }
 
@@ -97,8 +99,9 @@ impl Params {
         }
     }
 
-    /// The resolved host worker count for local kernels: the [`threads`]
-    /// override when set, else `QCC_THREADS`, else available parallelism.
+    /// The resolved host worker count of the semiring baseline: the
+    /// [`threads`] override when set, else `QCC_THREADS`, else available
+    /// parallelism.
     ///
     /// [`threads`]: Params::threads
     pub fn worker_threads(&self) -> usize {

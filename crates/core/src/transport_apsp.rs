@@ -72,13 +72,11 @@ pub struct GossipApspConfig {
     /// Chunks per RLNC block; `0` picks the transport default, `1` is
     /// uncoded flooding.
     pub chunks: usize,
-    /// Extra attempts after the first (total = `max_retries + 1`).
+    /// Extra attempts after the first (total = `max_retries + 1`). Every
+    /// surviving matrix is checked against the local certificate: unlike
+    /// the clique driver there is no cheaper unverified mode worth having,
+    /// since the check is local and free of rounds.
     pub max_retries: u32,
-    /// Check the local certificate on every surviving matrix. Unlike the
-    /// clique driver there is no cheaper unverified mode worth having —
-    /// the check is local and free of rounds — but the switch mirrors
-    /// [`crate::DriverConfig::verify`] for the benches.
-    pub verify: bool,
     /// Fault plan for the attempts (reseeded per attempt). The
     /// `reliable` half is deliberately ignored: coded redundancy *is*
     /// this transport's loss-recovery mechanism, and pairing it with the
@@ -94,7 +92,6 @@ impl Default for GossipApspConfig {
             topology: TopologySpec::Mesh { degree: 4 },
             chunks: 0,
             max_retries: 3,
-            verify: true,
             net: NetConfig::default(),
             seed: 7,
         }
@@ -194,7 +191,7 @@ pub fn gossip_apsp(
     let adjacency = g.adjacency_matrix();
     let out = las_vegas(
         cfg.max_retries,
-        cfg.verify,
+        true,
         FallbackPolicy::Fail,
         |t| {
             let attempt = t.index();

@@ -47,8 +47,7 @@ mod ugraph;
 mod weight;
 
 pub use apsp_ref::{
-    bellman_ford, dijkstra, floyd_warshall, johnson, johnson_with_threads, sssp_row_with_parents,
-    NegativeCycleError,
+    bellman_ford, dijkstra, floyd_warshall, johnson, sssp_row_with_parents, NegativeCycleError,
 };
 pub use delta::{
     certificate_local_ok, delta_repair, has_negative_cycle, min_plus_fixpoint_certificate,
@@ -60,9 +59,8 @@ pub use generators::{
     planted_disjoint_triangles, random_nonneg_digraph, random_reweighted_digraph, random_ugraph,
 };
 pub use matrix::{
-    distance_power, distance_power_with_threads, distance_product, distance_product_with_threads,
-    min_plus_flat_into, tropical_decode, SquareMatrix, WeightMatrix, MIN_PLUS_TILE,
-    TROPICAL_FINITE_MAX, TROPICAL_NONE,
+    distance_power, distance_product, distance_product_with_threads, min_plus_flat_into,
+    tropical_decode, SquareMatrix, WeightMatrix, MIN_PLUS_TILE, TROPICAL_FINITE_MAX, TROPICAL_NONE,
 };
 pub use partition::{
     ceil_fourth_root, ceil_sqrt, Labeling, PaperPartitions, Partition, SearchLabeling,

@@ -420,24 +420,6 @@ pub fn distance_product(a: &WeightMatrix, b: &WeightMatrix) -> WeightMatrix {
 }
 
 /// `p`-th power of `a` with respect to the distance product, by repeated
-/// squaring (`O(log p)` products), with an explicit worker count.
-pub fn distance_power_with_threads(a: &WeightMatrix, p: u64, threads: usize) -> WeightMatrix {
-    let mut result = WeightMatrix::distance_identity(a.n());
-    let mut base = a.clone();
-    let mut exp = p;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            result = distance_product_with_threads(&result, &base, threads);
-        }
-        exp >>= 1;
-        if exp > 0 {
-            base = distance_product_with_threads(&base, &base, threads);
-        }
-    }
-    result
-}
-
-/// `p`-th power of `a` with respect to the distance product, by repeated
 /// squaring (`O(log p)` products).
 ///
 /// `distance_power(a, n-1)` (or any exponent `≥ n − 1`) of a weighted
@@ -457,7 +439,19 @@ pub fn distance_power_with_threads(a: &WeightMatrix, p: u64, threads: usize) -> 
 /// assert_eq!(d[(0, 2)], ExtWeight::from(2));
 /// ```
 pub fn distance_power(a: &WeightMatrix, p: u64) -> WeightMatrix {
-    distance_power_with_threads(a, p, qcc_perf::resolve_threads(None))
+    let mut result = WeightMatrix::distance_identity(a.n());
+    let mut base = a.clone();
+    let mut exp = p;
+    while exp > 0 {
+        if exp & 1 == 1 {
+            result = distance_product(&result, &base);
+        }
+        exp >>= 1;
+        if exp > 0 {
+            base = distance_product(&base, &base);
+        }
+    }
+    result
 }
 
 #[cfg(test)]
