@@ -54,8 +54,8 @@ pub struct Params {
     /// available parallelism (see [`qcc_perf::resolve_threads`]); every
     /// other threaded kernel (the tiled min-plus product, the driver's
     /// certificate product, Johnson's Dijkstras, the oracle censuses)
-    /// always resolves its workers that way. This is purely a host-performance knob: charged round counts
-    /// never depend on it.
+    /// always resolves its workers that way. This is purely a
+    /// host-performance knob: charged round counts never depend on it.
     pub threads: Option<usize>,
 }
 

@@ -191,7 +191,7 @@ pub fn gossip_apsp(
     let adjacency = g.adjacency_matrix();
     let out = las_vegas(
         cfg.max_retries,
-        true,
+        true, // every surviving matrix is certified
         FallbackPolicy::Fail,
         |t| {
             let attempt = t.index();

@@ -90,8 +90,7 @@ impl<T: Clone> SquareMatrix<T> {
         &mut self.data[i * self.n..(i + 1) * self.n]
     }
 
-    /// Iterates over `(i, j, &entry)` in row-major order, row by row (no
-    /// division per entry).
+    /// Iterates over `(i, j, &entry)` in row-major order.
     pub fn entries(&self) -> impl Iterator<Item = (usize, usize, &T)> {
         // An empty matrix has no rows; `max(1)` only keeps the chunk size
         // legal.

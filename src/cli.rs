@@ -369,10 +369,10 @@ fn parse_fault_plan(flags: &Flags, n: usize) -> Result<Option<FaultPlan>, CliErr
 }
 
 impl Solve {
-    /// Reads the shared flags with `--n` defaulting to `default_n`, and
-    /// the subcommand's own flags through `own`. `own` runs after the
-    /// fault plan and before the seed, so a command line with two bad
-    /// flags names the same one whatever the subcommand.
+    /// Reads the shared flags with `--n` defaulting to `default_n` (and
+    /// rejecting 0 when `nonempty`), and the subcommand's own flags through
+    /// `own`. `own` runs between the fault plan and the seed: that order
+    /// decides which of two bad flags an error names.
     fn parse<T>(
         flags: &Flags,
         default_n: usize,
@@ -587,6 +587,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })?;
             Command::Serve { solve, row_cache }
         }
+        // `trace-summary`, the one command left in `FLAG_TABLE`.
         _ => Command::TraceSummary {
             file,
             expect_rounds: flags.opt_num("--expect-rounds")?,
@@ -629,11 +630,11 @@ fn traced_clique(
 }
 
 /// Passes a run's answer through, except that a driver which exhausted
-/// its retries without a verified answer prints the exit-3 line for `run`
-/// (say, "serve") and yields `None`.
+/// its retries without a verified answer prints the exit-3 line of the run
+/// named `label` (say, "serve") and yields `None`.
 fn settle<T>(
     result: Result<T, ApspError>,
-    run: &str,
+    label: &str,
     out: &mut dyn Write,
 ) -> Result<Option<T>, Box<dyn Error>> {
     match result {
@@ -641,7 +642,7 @@ fn settle<T>(
         Err(ApspError::VerificationFailed { attempts }) => {
             writeln!(
                 out,
-                "{run}: {attempts} attempt(s) exhausted without a verified answer"
+                "{label}: {attempts} attempt(s) exhausted without a verified answer"
             )?;
             Ok(None)
         }
@@ -733,8 +734,8 @@ pub fn run(cmd: &Command, out: &mut dyn Write) -> Result<RunStatus, Box<dyn Erro
                 };
                 let driven = gossip_apsp(&g, &cfg, sink.as_ref());
                 flush_sink(sink.as_ref())?;
-                let run = format!("gossip APSP on n={n} (seed {seed})");
-                let Some(report) = settle(driven, &run, out)? else {
+                let label = format!("gossip APSP on n={n} (seed {seed})");
+                let Some(report) = settle(driven, &label, out)? else {
                     return Ok(RunStatus::VerificationFailed);
                 };
                 writeln!(
@@ -771,13 +772,13 @@ pub fn run(cmd: &Command, out: &mut dyn Write) -> Result<RunStatus, Box<dyn Erro
             }
             let driven = apsp_driver(&g, &solve.driver(), &mut rng, sink.as_ref());
             flush_sink(sink.as_ref())?;
-            let run = format!("{algorithm:?} APSP on n={n} (seed {seed})");
-            let Some(report) = settle(driven, &run, out)? else {
+            let label = format!("{algorithm:?} APSP on n={n} (seed {seed})");
+            let Some(report) = settle(driven, &label, out)? else {
                 return Ok(RunStatus::VerificationFailed);
             };
             writeln!(
                 out,
-                "{run}: {} rounds total, {} attempt(s), verified: {}, fallback: {}",
+                "{label}: {} rounds total, {} attempt(s), verified: {}, fallback: {}",
                 report.total_rounds,
                 report.attempts.len(),
                 report.verified,
@@ -806,8 +807,8 @@ pub fn run(cmd: &Command, out: &mut dyn Write) -> Result<RunStatus, Box<dyn Erro
             };
             let result = distance_params(&g, &cfg, &mut rng, sink.as_ref());
             flush_sink(sink.as_ref())?;
-            let run = format!("{} on n={n} (seed {seed})", param.label());
-            let Some(report) = settle(result, &run, out)? else {
+            let label = format!("{} on n={n} (seed {seed})", param.label());
+            let Some(report) = settle(result, &label, out)? else {
                 return Ok(RunStatus::VerificationFailed);
             };
             let search = match param {
