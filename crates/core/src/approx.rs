@@ -14,6 +14,7 @@
 //! This module implements quantization on top of the exact distributed
 //! pipeline and measures the call-count/error trade (experiment E15).
 
+use crate::apsp::square_to_closure;
 use crate::distance_product::distributed_distance_product;
 use crate::params::Params;
 use crate::step3::SearchBackend;
@@ -62,7 +63,8 @@ pub fn quantize_weights(m: &WeightMatrix, q: i64) -> WeightMatrix {
 ///
 /// # Errors
 ///
-/// Propagates pipeline errors.
+/// A failed distance product, as [`ApspError::Faulted`] carrying every
+/// round charged up to the failure.
 ///
 /// # Panics
 ///
@@ -79,22 +81,15 @@ pub fn quantized_apsp<R: Rng>(
         g.arcs().all(|(_, _, w)| w >= 0),
         "quantization requires nonnegative weights"
     );
-    let n = g.n();
-    let mut current = quantize_weights(&g.adjacency_matrix(), q);
-    let mut rounds = 0u64;
-    let mut products = 0u32;
     let mut calls = 0u32;
-    let mut exponent: u64 = 1;
-    while exponent < (n.max(2) as u64) - 1 {
-        let report = distributed_distance_product(&current, &current, params, backend, rng)?;
-        rounds += report.physical_rounds();
-        products += 1;
+    let quantized = quantize_weights(&g.adjacency_matrix(), q);
+    let (current, rounds, products) = square_to_closure(quantized, None, |current| {
+        let report = distributed_distance_product(current, current, params, backend, rng)?;
         calls += report.find_edges_calls;
-        current = report.product;
-        exponent *= 2;
-    }
+        Ok((report.physical_rounds(), report.product))
+    })?;
     // scale back to original units
-    let distances = WeightMatrix::from_fn(n, |i, j| match current[(i, j)] {
+    let distances = WeightMatrix::from_fn(g.n(), |i, j| match current[(i, j)] {
         ExtWeight::Finite(x) => ExtWeight::Finite(x * q),
         other => other,
     });

@@ -10,6 +10,7 @@
 
 use crate::distance_product::distributed_distance_product_configured;
 use crate::params::Params;
+use crate::run::in_span;
 use crate::step3::SearchBackend;
 use crate::ApspError;
 use qcc_congest::{NetConfig, TraceSink};
@@ -101,13 +102,10 @@ pub fn apsp_traced<R: Rng>(
 
 /// [`apsp_traced`] with a network configuration: every internal `Clique`
 /// is armed with `netcfg`'s fault plan and reliable-delivery envelope.
-///
-/// # Errors
-///
-/// Same as [`apsp`]; additionally, injected faults that break through the
-/// envelope surface as [`ApspError::Faulted`], carrying the physical rounds
-/// the failed run already charged (so callers can account for wasted work).
-pub fn apsp_configured<R: Rng>(
+/// Injected faults that break through the envelope surface as
+/// [`ApspError::Faulted`], carrying the physical rounds the failed run
+/// already charged.
+pub(crate) fn apsp_configured<R: Rng>(
     g: &DiGraph,
     params: Params,
     algorithm: ApspAlgorithm,
@@ -157,12 +155,12 @@ fn squaring_apsp<R: Rng>(
     })
 }
 
-/// Repeated squaring (Proposition 3), shared by [`apsp_traced`] and
-/// [`crate::apsp_with_paths_traced`]: squares `adjacency` with `product`
-/// until the exponent reaches `n − 1`, since shortest paths have at most
-/// `n − 1` arcs. `product` returns one product's physical rounds and
-/// matrix. Returns the closure, the total physical rounds and the number
-/// of products.
+/// Repeated squaring (Proposition 3), shared by [`apsp_traced`],
+/// [`crate::apsp_with_paths_traced`] and [`crate::quantized_apsp`]:
+/// squares `adjacency` with `product` until the exponent reaches `n − 1`,
+/// since shortest paths have at most `n − 1` arcs. `product` returns one
+/// product's physical rounds and matrix. Returns the closure, the total
+/// physical rounds and the number of products.
 ///
 /// With a sink, the run is a root `apsp` span with one `product-k` child
 /// per product, scaled by the virtual `Clique(3n)`'s simulation factor 9,
@@ -184,36 +182,19 @@ pub(crate) fn square_to_closure(
     let mut current = adjacency;
     let mut rounds = 0u64;
     let mut products = 0u32;
-    if let Some(sink) = trace {
-        sink.open_span("apsp");
-    }
-    let mut exponent: u64 = 1;
-    while exponent < (n.max(2) as u64) - 1 {
-        if let Some(sink) = trace {
-            sink.open_span_scaled(&format!("product-{products}"), 9);
+    in_span(trace, "apsp", 1, || -> Result<(), ApspError> {
+        let mut exponent: u64 = 1;
+        while exponent < (n.max(2) as u64) - 1 {
+            let label = format!("product-{products}");
+            let (product_rounds, next) = in_span(trace, &label, 9, || product(&current))
+                .map_err(|e| ApspError::faulted(rounds + e.rounds_charged(), e))?;
+            rounds += product_rounds;
+            current = next;
+            products += 1;
+            exponent *= 2;
         }
-        let result = product(&current);
-        if let Some(sink) = trace {
-            sink.close_span();
-        }
-        match result {
-            Ok((product_rounds, next)) => {
-                rounds += product_rounds;
-                current = next;
-            }
-            Err(e) => {
-                if let Some(sink) = trace {
-                    sink.close_span(); // the "apsp" root
-                }
-                return Err(ApspError::faulted(rounds + e.rounds_charged(), e));
-            }
-        }
-        products += 1;
-        exponent *= 2;
-    }
-    if let Some(sink) = trace {
-        sink.close_span(); // the "apsp" root
-    }
+        Ok(())
+    })?;
     // Negative cycle ⟺ some negative diagonal entry of the closure.
     if (0..n).any(|i| current[(i, i)] < ExtWeight::ZERO) {
         return Err(ApspError::NegativeCycle);

@@ -32,8 +32,9 @@ pub struct WitnessedProductReport {
 }
 
 /// Computes `A ⋆ B` *with witnesses* through the distributed pipeline,
-/// with an optional NDJSON trace sink (see
-/// [`distributed_distance_product_configured`]).
+/// with an optional NDJSON trace sink: the product's virtual `Clique(3n)`
+/// attaches to it, so its spans nest under whatever span the caller has
+/// open.
 ///
 /// # Errors
 ///

@@ -1,9 +1,10 @@
 //! The trivial APSP baseline: broadcast everything, solve locally.
 
 use crate::apsp::{ApspAlgorithm, ApspReport};
+use crate::run::on_clique;
 use crate::wire::{weight_bits, Wire};
 use crate::ApspError;
-use qcc_congest::{Clique, NetConfig, NodeId, TraceSink};
+use qcc_congest::{NetConfig, NodeId, TraceSink};
 use qcc_graph::{floyd_warshall, DiGraph};
 
 /// Solves APSP by having every node broadcast its full adjacency row and
@@ -41,52 +42,41 @@ pub fn naive_broadcast_apsp(
     netcfg: &NetConfig,
 ) -> Result<ApspReport, ApspError> {
     let n = g.n();
-    let mut net = Clique::new(n)?;
-    if let Some(sink) = trace {
-        net.set_trace_sink(sink.clone());
-    }
-    netcfg.apply(&mut net);
-    net.push_span("apsp");
-    net.begin_phase("naive/broadcast-rows");
-    let wb = weight_bits(g.weight_magnitude());
-    // Each node's item list: its full out-row (one weight per other vertex,
-    // absent arcs included — the row is dense information).
-    let items: Vec<Vec<Wire<(usize, Option<i64>)>>> = (0..n)
-        .map(|u| {
-            (0..n)
-                .filter(|&v| v != u)
-                .map(|v| Wire::new((v, g.weight(u, v).finite()), wb))
-                .collect()
-        })
-        .collect();
-    let views = match net.gossip(items) {
-        Ok(views) => views,
-        Err(e) => {
-            net.close_all_spans();
-            return Err(ApspError::faulted(net.rounds(), e.into()));
-        }
-    };
+    let (reconstructed, rounds) = on_clique(n, netcfg, trace, Some("apsp"), |net| {
+        net.begin_phase("naive/broadcast-rows");
+        let wb = weight_bits(g.weight_magnitude());
+        // Each node's item list: its full out-row (one weight per other
+        // vertex, absent arcs included — the row is dense information).
+        let items: Vec<Vec<Wire<(usize, Option<i64>)>>> = (0..n)
+            .map(|u| {
+                (0..n)
+                    .filter(|&v| v != u)
+                    .map(|v| Wire::new((v, g.weight(u, v).finite()), wb))
+                    .collect()
+            })
+            .collect();
+        let views = net.gossip(items)?;
 
-    // Every node now reconstructs the full graph; verify on node 0's view.
-    let mut reconstructed = DiGraph::new(n);
-    for (origin, msg) in views.of(NodeId::new(0)) {
-        let (v, w) = msg.value;
-        if let Some(w) = w {
-            reconstructed.add_arc(origin.index(), v, w);
+        // Every node now reconstructs the full graph; verify on node 0's view.
+        let mut reconstructed = DiGraph::new(n);
+        for (origin, msg) in views.of(NodeId::new(0)) {
+            let (v, w) = msg.value;
+            if let Some(w) = w {
+                reconstructed.add_arc(origin.index(), v, w);
+            }
         }
-    }
-    // On a faulty network without the envelope the gossip can silently lose
-    // rows; the reconstruction invariant only holds on reliable runs.
-    debug_assert!(
-        net.fault_plan().is_some() || &reconstructed == g,
-        "gossip must reconstruct the graph"
-    );
-
-    net.close_all_spans();
+        // On a faulty network without the envelope the gossip can silently
+        // lose rows; the reconstruction invariant only holds on reliable runs.
+        debug_assert!(
+            net.fault_plan().is_some() || &reconstructed == g,
+            "gossip must reconstruct the graph"
+        );
+        Ok(reconstructed)
+    })?;
     let distances = floyd_warshall(&reconstructed.adjacency_matrix())?;
     Ok(ApspReport {
         distances,
-        rounds: net.rounds(),
+        rounds,
         products: 0,
         algorithm: ApspAlgorithm::NaiveBroadcast,
     })

@@ -12,6 +12,7 @@
 //! paper's quantum algorithm breaks.
 
 use crate::apsp::{ApspAlgorithm, ApspReport};
+use crate::run::on_clique;
 use crate::wire::{weight_bits, Wire};
 use crate::ApspError;
 use qcc_congest::{Clique, CongestError, Envelope, NetConfig, NodeId, TraceSink};
@@ -249,37 +250,25 @@ pub fn semiring_apsp(
     netcfg: &NetConfig,
 ) -> Result<ApspReport, ApspError> {
     let n = g.n();
-    let mut net = Clique::new(n)?;
-    if let Some(sink) = trace {
-        net.set_trace_sink(sink.clone());
-    }
-    netcfg.apply(&mut net);
-    net.push_span("apsp");
-    let mut current = g.adjacency_matrix();
-    let mut products = 0u32;
-    let mut exponent: u64 = 1;
-    while exponent < (n.max(2) as u64) - 1 {
-        net.push_span(&format!("product-{products}"));
-        current = match semiring_distance_product(&current.clone(), &current, &mut net, threads) {
-            Ok(product) => product,
-            Err(e) => {
-                net.close_all_spans();
-                return Err(ApspError::faulted(net.rounds(), e));
-            }
-        };
-        net.pop_span();
-        products += 1;
-        exponent *= 2;
-    }
-    net.close_all_spans();
-    for i in 0..n {
-        if current[(i, i)] < ExtWeight::ZERO {
-            return Err(ApspError::NegativeCycle);
+    let ((distances, products), rounds) = on_clique(n, netcfg, trace, Some("apsp"), |net| {
+        let mut current = g.adjacency_matrix();
+        let mut products = 0u32;
+        let mut exponent: u64 = 1;
+        while exponent < (n.max(2) as u64) - 1 {
+            net.push_span(&format!("product-{products}"));
+            current = semiring_distance_product(&current, &current, net, threads)?;
+            net.pop_span();
+            products += 1;
+            exponent *= 2;
         }
+        Ok((current, products))
+    })?;
+    if (0..n).any(|i| distances[(i, i)] < ExtWeight::ZERO) {
+        return Err(ApspError::NegativeCycle);
     }
     Ok(ApspReport {
-        distances: current,
-        rounds: net.rounds(),
+        distances,
+        rounds,
         products,
         algorithm: ApspAlgorithm::SemiringSquaring,
     })

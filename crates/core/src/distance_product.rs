@@ -16,9 +16,10 @@
 use crate::find_edges::find_edges;
 use crate::params::Params;
 use crate::problem::PairSet;
+use crate::run::on_clique;
 use crate::step3::SearchBackend;
 use crate::ApspError;
-use qcc_congest::{Clique, NetConfig, TraceSink};
+use qcc_congest::{NetConfig, TraceSink};
 use qcc_graph::{build_tripartite, ExtWeight, SquareMatrix, WeightMatrix};
 use rand::Rng;
 
@@ -96,12 +97,11 @@ pub fn distributed_distance_product<R: Rng>(
 ///
 /// # Errors
 ///
-/// Same as [`distributed_distance_product`]; additionally, injected faults
-/// that break through the envelope surface as [`ApspError::Faulted`]
-/// wrapping the underlying [`qcc_congest::CongestError`], carrying the
-/// physical rounds the failed run already charged.
-#[allow(clippy::too_many_arguments)]
-pub fn distributed_distance_product_configured<R: Rng>(
+/// Same as [`distributed_distance_product`]; a failed `FindEdges` run,
+/// injected faults that break through the envelope included, surfaces as
+/// [`ApspError::Faulted`] carrying the physical rounds the product already
+/// charged.
+pub(crate) fn distributed_distance_product_configured<R: Rng>(
     a: &WeightMatrix,
     b: &WeightMatrix,
     params: Params,
@@ -143,11 +143,6 @@ pub fn distributed_distance_product_configured<R: Rng>(
     let mut lo = SquareMatrix::filled(n, -2 * m - 1);
     let mut hi = SquareMatrix::filled(n, 2 * m + 2);
 
-    let mut net = Clique::new(3 * n)?;
-    if let Some(sink) = trace {
-        net.set_trace_sink(sink.clone());
-    }
-    netcfg.apply(&mut net);
     let layout = qcc_graph::TripartiteLayout::new(n);
     let mut s = PairSet::new();
     for i in 0..n {
@@ -155,53 +150,48 @@ pub fn distributed_distance_product_configured<R: Rng>(
             s.insert(layout.i_vertex(i), layout.j_vertex(j));
         }
     }
+    let open = |lo: &SquareMatrix<i64>, hi: &SquareMatrix<i64>, i: usize, j: usize| {
+        hi[(i, j)] - lo[(i, j)] > 1
+    };
 
-    let mut calls = 0;
-    loop {
-        let open = |lo: &SquareMatrix<i64>, hi: &SquareMatrix<i64>, i: usize, j: usize| {
-            hi[(i, j)] - lo[(i, j)] > 1
-        };
-        if !(0..n).any(|i| (0..n).any(|j| open(&lo, &hi, i, j))) {
-            break;
-        }
-        // Converged entries get D = lo (a certified-false threshold), so
-        // they produce no triangles and stay inert.
-        let d = SquareMatrix::from_fn(n, |i, j| {
-            if open(&lo, &hi, i, j) {
-                midpoint(lo[(i, j)], hi[(i, j)])
-            } else {
-                lo[(i, j)]
-            }
-        });
-        let (graph, layout) = build_tripartite(a, b, &d);
-        net.push_span(&format!("distance-product/call{calls}"));
-        let report = match find_edges(&graph, &s, params, backend, &mut net, rng) {
-            Ok(report) => report,
-            Err(e) => {
-                // Leave the trace well formed and report the physical
-                // rounds this aborted product already charged.
-                net.close_all_spans();
-                return Err(ApspError::faulted(9 * net.rounds(), e));
-            }
-        };
-        net.pop_span();
-        calls += 1;
-        for i in 0..n {
-            for j in 0..n {
-                if !open(&lo, &hi, i, j) {
-                    continue;
-                }
-                let found = report
-                    .found
-                    .contains(layout.i_vertex(i), layout.j_vertex(j));
-                if found {
-                    hi[(i, j)] = d[(i, j)];
+    // The virtual `Clique(3n)`; its rounds, a failed run's included, count
+    // nine-fold on the physical network.
+    let (calls, virtual_rounds) = on_clique(3 * n, netcfg, trace, None, |net| {
+        let mut calls = 0;
+        while (0..n).any(|i| (0..n).any(|j| open(&lo, &hi, i, j))) {
+            // Converged entries get D = lo (a certified-false threshold), so
+            // they produce no triangles and stay inert.
+            let d = SquareMatrix::from_fn(n, |i, j| {
+                if open(&lo, &hi, i, j) {
+                    midpoint(lo[(i, j)], hi[(i, j)])
                 } else {
-                    lo[(i, j)] = d[(i, j)];
+                    lo[(i, j)]
+                }
+            });
+            let (graph, layout) = build_tripartite(a, b, &d);
+            net.push_span(&format!("distance-product/call{calls}"));
+            let report = find_edges(&graph, &s, params, backend, net, rng)?;
+            net.pop_span();
+            calls += 1;
+            for i in 0..n {
+                for j in 0..n {
+                    if !open(&lo, &hi, i, j) {
+                        continue;
+                    }
+                    let found = report
+                        .found
+                        .contains(layout.i_vertex(i), layout.j_vertex(j));
+                    if found {
+                        hi[(i, j)] = d[(i, j)];
+                    } else {
+                        lo[(i, j)] = d[(i, j)];
+                    }
                 }
             }
         }
-    }
+        Ok(calls)
+    })
+    .map_err(|e| ApspError::faulted(9 * e.rounds_charged(), e))?;
 
     let product = WeightMatrix::from_fn(n, |i, j| {
         if hi[(i, j)] == 2 * m + 2 {
@@ -210,13 +200,9 @@ pub fn distributed_distance_product_configured<R: Rng>(
             ExtWeight::from(hi[(i, j)] - 1)
         }
     });
-
-    // Leave the trace well formed: this Clique is dropped on return.
-    net.close_all_spans();
-
     Ok(DistanceProductReport {
         product,
-        virtual_rounds: net.rounds(),
+        virtual_rounds,
         simulation_factor: 9,
         find_edges_calls: calls,
     })

@@ -35,8 +35,9 @@ use crate::apsp::{apsp_configured, ApspAlgorithm, ApspReport};
 use crate::baselines::{semiring_apsp, semiring_distance_product};
 use crate::las_vegas::{las_vegas, FallbackPolicy, LasVegasReport, Try};
 use crate::params::Params;
+use crate::run::{in_span, on_clique};
 use crate::ApspError;
-use qcc_congest::{Clique, NetConfig, ReliableConfig, TraceSink};
+use qcc_congest::{NetConfig, ReliableConfig, TraceSink};
 use qcc_graph::{DiGraph, WeightMatrix};
 use rand::Rng;
 
@@ -120,46 +121,35 @@ pub fn apsp_driver<R: Rng>(
     rng: &mut R,
     trace: Option<&TraceSink>,
 ) -> Result<DriverReport, ApspError> {
-    if let Some(sink) = trace {
-        sink.open_span("driver");
-    }
-    let result = las_vegas(
-        cfg.max_retries,
-        cfg.verify,
-        cfg.fallback,
-        |t| {
-            if let Some(sink) = trace {
-                sink.open_span(&t.run_label(""));
-            }
-            let run = match t {
-                Try::Attempt(i) => {
-                    let netcfg = cfg.net.reseeded(u64::from(i));
-                    apsp_configured(g, cfg.params, cfg.algorithm, rng, trace, &netcfg)
-                }
-                // The last resort: the classical semiring baseline under a
-                // forced reliable envelope, verified like any other attempt.
-                Try::Fallback(_) => {
-                    let netcfg = hardened(&cfg.net, FALLBACK_SALT);
-                    semiring_apsp(g, cfg.params.worker_threads(), trace, &netcfg)
-                }
-            };
-            if let Some(sink) = trace {
-                sink.close_span();
-            }
-            let rounds = run
-                .as_ref()
-                .map_or_else(ApspError::rounds_charged, |report| report.rounds);
-            (run, rounds)
-        },
-        |t, report| {
-            let netcfg = hardened(&cfg.net, VERIFY_SALT + u64::from(t.index()));
-            certify(g, &report.distances, &netcfg, trace, &t.verify_label("")).map(Some)
-        },
-    );
-    if let Some(sink) = trace {
-        sink.close_span();
-    }
-    result
+    in_span(trace, "driver", 1, || {
+        las_vegas(
+            cfg.max_retries,
+            cfg.verify,
+            cfg.fallback,
+            |t| {
+                let run = in_span(trace, &t.run_label(""), 1, || match t {
+                    Try::Attempt(i) => {
+                        let netcfg = cfg.net.reseeded(u64::from(i));
+                        apsp_configured(g, cfg.params, cfg.algorithm, rng, trace, &netcfg)
+                    }
+                    // The last resort: the classical semiring baseline under a
+                    // forced reliable envelope, verified like any other attempt.
+                    Try::Fallback(_) => {
+                        let netcfg = hardened(&cfg.net, FALLBACK_SALT);
+                        semiring_apsp(g, cfg.params.worker_threads(), trace, &netcfg)
+                    }
+                });
+                let rounds = run
+                    .as_ref()
+                    .map_or_else(ApspError::rounds_charged, |report| report.rounds);
+                (run, rounds)
+            },
+            |t, report| {
+                let netcfg = hardened(&cfg.net, VERIFY_SALT + u64::from(t.index()));
+                certify(g, &report.distances, &netcfg, trace, &t.verify_label("")).map(Some)
+            },
+        )
+    })
 }
 
 /// The verifier's network config: same fault plan (reseeded by `salt`),
@@ -192,28 +182,16 @@ fn certify(
     trace: Option<&TraceSink>,
     label: &str,
 ) -> Result<(bool, u64), ApspError> {
-    let n = g.n();
     // (1) zero diagonal + (2) D ≤ A₀ pointwise — the local conditions,
     // shared with the serve-path delta repair.
     if !qcc_graph::certificate_local_ok(&g.adjacency_matrix(), d) {
         return Ok((false, 0));
     }
     // (3) D ⊗ D = D, distributed.
-    let mut net = Clique::new(n)?;
-    if let Some(sink) = trace {
-        net.set_trace_sink(sink.clone());
-    }
-    netcfg.apply(&mut net);
-    net.push_span(label);
-    let dd = match semiring_distance_product(d, d, &mut net, qcc_perf::resolve_threads(None)) {
-        Ok(dd) => dd,
-        Err(e) => {
-            net.close_all_spans();
-            return Err(ApspError::faulted(net.rounds(), e));
-        }
-    };
-    net.close_all_spans();
-    Ok((&dd == d, net.rounds()))
+    let (dd, rounds) = on_clique(g.n(), netcfg, trace, Some(label), |net| {
+        semiring_distance_product(d, d, net, qcc_perf::resolve_threads(None))
+    })?;
+    Ok((&dd == d, rounds))
 }
 
 #[cfg(test)]

@@ -45,6 +45,7 @@
 use crate::apsp::apsp_configured;
 use crate::driver::{apsp_driver, hardened, DriverConfig};
 use crate::las_vegas::{las_vegas, AttemptRecord, LasVegasReport, Try};
+use crate::run::{in_span, on_clique};
 use crate::ApspError;
 use qcc_congest::{Clique, Envelope, NetConfig, NodeId, TraceSink};
 use qcc_graph::{DiGraph, ExtWeight, WeightMatrix};
@@ -442,13 +443,43 @@ pub fn classical_extremum_scan(
 ) -> Result<NetworkExtremumOutcome, ApspError> {
     assert!(!values.is_empty(), "empty domain");
     assert_eq!(values.len(), net.n(), "one value per node");
+    let gathered = gather_at_coordinator(values, net, "classical scan")?;
+    let better = |a: ExtWeight, b: ExtWeight| if maximize { a > b } else { a < b };
+    let mut best = 0usize;
+    for (i, &v) in gathered.iter().enumerate().skip(1) {
+        if better(v, gathered[best]) {
+            best = i;
+        }
+    }
+    let value = gathered[best];
+    net.broadcast(NodeId::new(0), (best as u64, encode_weight(value)))?;
+    Ok(NetworkExtremumOutcome {
+        index: best,
+        value,
+        evaluations: values.len() as u64,
+        iterations: 0,
+        stages: 0,
+        attempts: 0,
+        rounds: net.rounds(),
+    })
+}
+
+/// Every node but the coordinator (node 0) sends it its value in one
+/// exchange; returns the `n` values the coordinator then holds. A lost
+/// value (faults without an envelope) is a retryable
+/// [`ApspError::Internal`] that names the gather as `what`.
+fn gather_at_coordinator(
+    values: &[ExtWeight],
+    net: &mut Clique,
+    what: &str,
+) -> Result<Vec<ExtWeight>, ApspError> {
     let n = values.len();
     let coordinator = NodeId::new(0);
     let sends: Vec<Envelope<(u64, i64)>> = (1..n)
         .map(|i| Envelope::new(NodeId::new(i), coordinator, encode_weight(values[i])))
         .collect();
     let inboxes = net.exchange(sends)?;
-    let mut gathered: Vec<Option<ExtWeight>> = vec![None; n];
+    let mut gathered = vec![None; n];
     gathered[0] = Some(values[0]);
     for &(src, (tag, value)) in inboxes.of(coordinator) {
         gathered[src.index()] = Some(decode_weight(tag, value)?);
@@ -456,28 +487,10 @@ pub fn classical_extremum_scan(
     let missing = gathered.iter().filter(|g| g.is_none()).count();
     if missing > 0 {
         return Err(ApspError::Internal {
-            context: format!("classical scan lost {missing} of {n} values on the wire"),
+            context: format!("{what} lost {missing} of {n} values on the wire"),
         });
     }
-    let better = |a: ExtWeight, b: ExtWeight| if maximize { a > b } else { a < b };
-    let mut best = 0usize;
-    for (i, g) in gathered.iter().enumerate().skip(1) {
-        let v = g.expect("checked above");
-        if better(v, gathered[best].expect("checked above")) {
-            best = i;
-        }
-    }
-    let value = gathered[best].expect("checked above");
-    net.broadcast(coordinator, (best as u64, encode_weight(value)))?;
-    Ok(NetworkExtremumOutcome {
-        index: best,
-        value,
-        evaluations: n as u64,
-        iterations: 0,
-        stages: 0,
-        attempts: 0,
-        rounds: net.rounds(),
-    })
+    Ok(gathered.into_iter().flatten().collect())
 }
 
 /// The distributed extremum certificate: the coordinator broadcasts the
@@ -500,58 +513,32 @@ fn certify_extremum(
     label: &str,
 ) -> Result<(bool, u64), ApspError> {
     let n = values.len();
-    let mut net = Clique::new(n)?;
-    if let Some(sink) = trace {
-        net.set_trace_sink(sink.clone());
-    }
-    netcfg.apply(&mut net);
-    net.push_span(label);
-    let result = certify_extremum_on(values, claim_idx, claim_val, maximize, &mut net);
-    match result {
-        Ok(verdict) => {
-            net.close_all_spans();
-            Ok((verdict, net.rounds()))
+    on_clique(n, netcfg, trace, Some(label), |net| {
+        if claim_idx >= n {
+            return Ok(false);
         }
-        Err(e) => {
-            net.close_all_spans();
-            Err(ApspError::faulted(net.rounds(), e))
+        let coordinator = NodeId::new(0);
+        let claim = (claim_idx as u64, encode_weight(claim_val));
+        let inboxes = net.broadcast(coordinator, claim)?;
+        let better = |a: ExtWeight, b: ExtWeight| if maximize { a > b } else { a < b };
+        let mut flags = vec![false; n];
+        for (i, flag) in flags.iter_mut().enumerate() {
+            // The coordinator knows its own claim.
+            let heard = i == 0
+                || inboxes
+                    .of(NodeId::new(i))
+                    .iter()
+                    .any(|&(src, msg)| src == coordinator && msg == claim);
+            if !heard {
+                // A node that never heard the claim cannot endorse it.
+                return Err(ApspError::Internal {
+                    context: format!("extremum claim broadcast lost before node {i}"),
+                });
+            }
+            *flag = better(values[i], claim_val) || (i == claim_idx && values[i] != claim_val);
         }
-    }
-}
-
-fn certify_extremum_on(
-    values: &[ExtWeight],
-    claim_idx: usize,
-    claim_val: ExtWeight,
-    maximize: bool,
-    net: &mut Clique,
-) -> Result<bool, ApspError> {
-    let n = values.len();
-    if claim_idx >= n {
-        return Ok(false);
-    }
-    let coordinator = NodeId::new(0);
-    let inboxes = net.broadcast(coordinator, (claim_idx as u64, encode_weight(claim_val)))?;
-    let better = |a: ExtWeight, b: ExtWeight| if maximize { a > b } else { a < b };
-    let mut flags = vec![false; n];
-    for (i, flag) in flags.iter_mut().enumerate() {
-        let heard = if i == 0 {
-            true // the coordinator knows its own claim
-        } else {
-            inboxes.of(NodeId::new(i)).iter().any(|&(src, (idx, w))| {
-                src == coordinator && idx as usize == claim_idx && w == encode_weight(claim_val)
-            })
-        };
-        if !heard {
-            // A node that never heard the claim cannot endorse it.
-            return Err(ApspError::Internal {
-                context: format!("extremum claim broadcast lost before node {i}"),
-            });
-        }
-        *flag = better(values[i], claim_val) || (i == claim_idx && values[i] != claim_val);
-    }
-    let violated = net.agree_any(&flags)?;
-    Ok(!violated)
+        Ok(!net.agree_any(&flags)?)
+    })
 }
 
 /// Gather of every node's eccentricity at the coordinator — the
@@ -561,28 +548,11 @@ fn gather_eccentricities(
     ecc: &[ExtWeight],
     net: &mut Clique,
 ) -> Result<NetworkExtremumOutcome, ApspError> {
-    let n = ecc.len();
-    let coordinator = NodeId::new(0);
-    let sends: Vec<Envelope<(u64, i64)>> = (1..n)
-        .map(|i| Envelope::new(NodeId::new(i), coordinator, encode_weight(ecc[i])))
-        .collect();
-    let inboxes = net.exchange(sends)?;
-    let mut seen = vec![false; n];
-    seen[0] = true;
-    for &(src, (tag, value)) in inboxes.of(coordinator) {
-        decode_weight(tag, value)?;
-        seen[src.index()] = true;
-    }
-    let missing = seen.iter().filter(|s| !**s).count();
-    if missing > 0 {
-        return Err(ApspError::Internal {
-            context: format!("eccentricity gather lost {missing} of {n} values on the wire"),
-        });
-    }
+    gather_at_coordinator(ecc, net, "eccentricity gather")?;
     Ok(NetworkExtremumOutcome {
         index: 0,
         value: ecc[0],
-        evaluations: n as u64,
+        evaluations: ecc.len() as u64,
         iterations: 0,
         stages: 0,
         attempts: 0,
@@ -632,89 +602,66 @@ pub fn distance_params<R: Rng>(
     rng: &mut R,
     trace: Option<&TraceSink>,
 ) -> Result<DistanceParamReport, ApspError> {
-    if let Some(sink) = trace {
-        sink.open_span("distance-param");
-    }
-    let result = run_distance_params(g, cfg, rng, trace);
-    if let Some(sink) = trace {
-        sink.close_span();
-    }
-    result
-}
+    in_span(trace, "distance-param", 1, || {
+        // Stage 1: distances. The driver (with its certificate and retries)
+        // engages whenever verification is requested or the network is not
+        // clean; a plain run keeps the cheap single-shot path.
+        let d = &cfg.driver;
+        let driven = d.verify || !d.net.is_default();
+        let (distances, distance_rounds, apsp_verified, apsp_fallback) = if driven {
+            let out = apsp_driver(g, d, rng, trace)?;
+            (
+                out.report.distances,
+                out.total_rounds,
+                out.verified,
+                out.used_fallback,
+            )
+        } else {
+            let report = apsp_configured(g, d.params, d.algorithm, rng, trace, &d.net)?;
+            (report.distances, report.rounds, false, false)
+        };
 
-fn run_distance_params<R: Rng>(
-    g: &DiGraph,
-    cfg: &ExtremumConfig,
-    rng: &mut R,
-    trace: Option<&TraceSink>,
-) -> Result<DistanceParamReport, ApspError> {
-    // Stage 1: distances. The driver (with its certificate and retries)
-    // engages whenever verification is requested or the network is not
-    // clean; a plain run keeps the cheap single-shot path.
-    let d = &cfg.driver;
-    let driven = d.verify || !d.net.is_default();
-    let (distances, distance_rounds, apsp_verified, apsp_fallback) = if driven {
-        let out = apsp_driver(g, d, rng, trace)?;
-        (
-            out.report.distances,
-            out.total_rounds,
-            out.verified,
-            out.used_fallback,
-        )
-    } else {
-        let report = apsp_configured(g, d.params, d.algorithm, rng, trace, &d.net)?;
-        (report.distances, report.rounds, false, false)
-    };
+        // Stage 2: eccentricities, local to each node's row — free.
+        let ecc = eccentricities(&distances);
+        let connected = ecc.iter().all(|e| e.is_finite());
 
-    // Stage 2: eccentricities, local to each node's row — free.
-    let ecc = eccentricities(&distances);
-    let connected = ecc.iter().all(|e| e.is_finite());
+        // Stage 3: the extremum search (or the full-vector gather).
+        let maximize = match cfg.param {
+            DistanceParam::Radius => false,
+            DistanceParam::Diameter | DistanceParam::Eccentricities => true,
+        };
+        let stage = search_stage(&ecc, maximize, cfg, rng, trace)?;
 
-    // Stage 3: the extremum search (or the full-vector gather).
-    let maximize = match cfg.param {
-        DistanceParam::Radius => false,
-        DistanceParam::Diameter | DistanceParam::Eccentricities => true,
-    };
-    let stage = search_stage(&ecc, maximize, cfg, rng, trace)?;
-
-    let value = match cfg.param {
-        DistanceParam::Eccentricities => diameter_of(&ecc).expect("n > 0"),
-        _ => stage.report.value,
-    };
-    Ok(DistanceParamReport {
-        param: cfg.param,
-        n: g.n(),
-        eccentricities: ecc,
-        value,
-        witness: match cfg.param {
-            DistanceParam::Eccentricities => None,
-            _ => Some(stage.report.index),
-        },
-        connected,
-        distance_rounds,
-        search_rounds: stage.total_rounds,
-        total_rounds: distance_rounds + stage.total_rounds,
-        evaluations: stage.report.evaluations,
-        search_attempts: stage.attempts,
-        // On a clean unverified-distance path the APSP stage has no
-        // certificate; `verified` then reflects the search stage only.
-        verified: d.verify && (apsp_verified || !driven) && stage.verified,
-        used_fallback: apsp_fallback || stage.used_fallback,
+        let value = match cfg.param {
+            DistanceParam::Eccentricities => diameter_of(&ecc).expect("n > 0"),
+            _ => stage.report.value,
+        };
+        Ok(DistanceParamReport {
+            param: cfg.param,
+            n: g.n(),
+            eccentricities: ecc,
+            value,
+            witness: match cfg.param {
+                DistanceParam::Eccentricities => None,
+                _ => Some(stage.report.index),
+            },
+            connected,
+            distance_rounds,
+            search_rounds: stage.total_rounds,
+            total_rounds: distance_rounds + stage.total_rounds,
+            evaluations: stage.report.evaluations,
+            search_attempts: stage.attempts,
+            // On a clean unverified-distance path the APSP stage has no
+            // certificate; `verified` then reflects the search stage only.
+            verified: d.verify && (apsp_verified || !driven) && stage.verified,
+            used_fallback: apsp_fallback || stage.used_fallback,
+        })
     })
 }
 
-/// What one search-stage attempt actually runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SearchKind {
-    /// An extremum search with the given backend.
-    Extremum(ExtremumBackend),
-    /// The full-vector gather (no claim, nothing to certify).
-    Gather,
-}
-
 /// The search stage in the Las-Vegas loop: the configured search (or the
-/// gather) per attempt, the classical scan as fallback, each search's
-/// claim certified by [`certify_extremum`].
+/// gather) per attempt, each on a network of its own, the classical scan
+/// as fallback, each search's claim certified by [`certify_extremum`].
 fn search_stage<R: Rng>(
     ecc: &[ExtWeight],
     maximize: bool,
@@ -736,13 +683,17 @@ fn search_stage<R: Rng>(
                     hardened(&d.net, SEARCH_FALLBACK_SALT),
                 ),
             };
-            let kind = if gather {
-                SearchKind::Gather
-            } else {
-                SearchKind::Extremum(backend)
-            };
             let label = t.run_label("ext-");
-            let run = run_search(ecc, maximize, kind, &netcfg, rng, trace, &label);
+            let run = on_clique(ecc.len(), &netcfg, trace, Some(&label), |net| {
+                if gather {
+                    gather_eccentricities(ecc, net)
+                } else if backend == ExtremumBackend::Quantum {
+                    network_extremum(ecc, maximize, net, rng)
+                } else {
+                    classical_extremum_scan(ecc, maximize, net)
+                }
+            })
+            .map(|(out, _)| out);
             let rounds = run
                 .as_ref()
                 .map_or_else(ApspError::rounds_charged, |out| out.rounds);
@@ -757,46 +708,6 @@ fn search_stage<R: Rng>(
             certify_extremum(ecc, out.index, out.value, maximize, &netcfg, trace, &label).map(Some)
         },
     )
-}
-
-/// Builds a fresh traced network under `netcfg`, runs one search attempt
-/// on it (the chosen backend's extremum walk, or the gather for the
-/// full-vector parameter), closes its spans, and wraps errors with the
-/// rounds already charged.
-fn run_search<R: Rng>(
-    ecc: &[ExtWeight],
-    maximize: bool,
-    kind: SearchKind,
-    netcfg: &NetConfig,
-    rng: &mut R,
-    trace: Option<&TraceSink>,
-    label: &str,
-) -> Result<NetworkExtremumOutcome, ApspError> {
-    let mut net = Clique::new(ecc.len())?;
-    if let Some(sink) = trace {
-        net.set_trace_sink(sink.clone());
-    }
-    netcfg.apply(&mut net);
-    net.push_span(label);
-    let result = match kind {
-        SearchKind::Extremum(ExtremumBackend::Quantum) => {
-            network_extremum(ecc, maximize, &mut net, rng)
-        }
-        SearchKind::Extremum(ExtremumBackend::ClassicalScan) => {
-            classical_extremum_scan(ecc, maximize, &mut net)
-        }
-        SearchKind::Gather => gather_eccentricities(ecc, &mut net),
-    };
-    match result {
-        Ok(out) => {
-            net.close_all_spans();
-            Ok(out)
-        }
-        Err(e) => {
-            net.close_all_spans();
-            Err(ApspError::faulted(net.rounds(), e))
-        }
-    }
 }
 
 #[cfg(test)]

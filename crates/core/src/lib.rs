@@ -54,6 +54,7 @@ mod instance;
 pub mod lambda;
 mod params;
 mod problem;
+mod run;
 mod sampling;
 pub mod step3;
 mod wire;
@@ -74,13 +75,12 @@ pub use wire::{pair_bits, weight_bits, Wire};
 
 pub mod distance_product;
 pub use distance_product::{
-    distributed_distance_product, distributed_distance_product_configured, DistanceProductReport,
-    MAX_PRODUCT_MAGNITUDE,
+    distributed_distance_product, DistanceProductReport, MAX_PRODUCT_MAGNITUDE,
 };
 
 pub mod apsp;
 pub mod baselines;
-pub use apsp::{apsp, apsp_configured, apsp_traced, ApspAlgorithm, ApspReport};
+pub use apsp::{apsp, apsp_traced, ApspAlgorithm, ApspReport};
 pub use baselines::{
     dolev_find_edges, naive_broadcast_apsp, semiring_apsp, semiring_distance_product,
 };
