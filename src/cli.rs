@@ -326,6 +326,15 @@ impl Flags {
         }
     }
 
+    /// `--n`, defaulting to `default`: every command needs at least one
+    /// node.
+    fn n(&self, default: usize) -> Result<usize, CliError> {
+        match self.num("--n", default)? {
+            0 => Err(CliError("--n must be at least 1".into())),
+            n => Ok(n),
+        }
+    }
+
     fn switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
     }
@@ -369,21 +378,17 @@ fn parse_fault_plan(flags: &Flags, n: usize) -> Result<Option<FaultPlan>, CliErr
 }
 
 impl Solve {
-    /// Reads the shared flags with `--n` defaulting to `default_n` (and
-    /// rejecting 0 when `nonempty`), and the subcommand's own flags through
-    /// `own`. `own` runs between the fault plan and the seed: that order
-    /// decides which of two bad flags an error names.
+    /// Reads the shared flags with `--n` defaulting to `default_n`, and the
+    /// subcommand's own flags through `own`. `own` runs between the fault
+    /// plan and the seed: that order decides which of two bad flags an
+    /// error names.
     fn parse<T>(
         flags: &Flags,
         default_n: usize,
-        nonempty: bool,
         own: impl FnOnce(&Flags) -> Result<T, CliError>,
     ) -> Result<(Solve, T), CliError> {
         let algorithm = parse_algorithm(flags)?;
-        let n = flags.num("--n", default_n)?;
-        if nonempty && n == 0 {
-            return Err(CliError("--n must be at least 1".into()));
-        }
+        let n = flags.n(default_n)?;
         let faults = parse_fault_plan(flags, n)?;
         let own = own(flags)?;
         let solve = Solve {
@@ -497,7 +502,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     };
     Ok(match command {
         "apsp" => {
-            let (solve, (transport, topology)) = Solve::parse(&flags, 8, false, |flags| {
+            let (solve, (transport, topology)) = Solve::parse(&flags, 8, |flags| {
                 let transport = match flags.get("--transport") {
                     None => TransportKind::Clique,
                     Some(t) => TransportKind::parse(t).map_err(CliError)?,
@@ -525,7 +530,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 "radius" => DistanceParam::Radius,
                 _ => DistanceParam::Eccentricities,
             };
-            let (solve, (backend, density)) = Solve::parse(&flags, 12, true, |flags| {
+            let (solve, (backend, density)) = Solve::parse(&flags, 12, |flags| {
                 let backend = match flags.get("--backend") {
                     None | Some("quantum") => ExtremumBackend::Quantum,
                     Some("scan") => ExtremumBackend::ClassicalScan,
@@ -553,19 +558,19 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 Some(other) => return Err(CliError(format!("unknown backend: {other}"))),
             };
             Command::FindEdges {
-                n: flags.num("--n", 16)?,
+                n: flags.n(16)?,
                 seed: flags.num("--seed", 7)?,
                 backend,
                 trace: flags.trace(),
             }
         }
         "paths" => Command::Paths {
-            n: flags.num("--n", 8)?,
+            n: flags.n(8)?,
             seed: flags.num("--seed", 7)?,
             trace: flags.trace(),
         },
         "gamma" => Command::Gamma {
-            n: flags.num("--n", 16)?,
+            n: flags.n(16)?,
             seed: flags.num("--seed", 7)?,
             bits: match flags.num("--bits", 9)? {
                 bits @ 1..=MAX_GAMMA_BITS => bits,
@@ -578,7 +583,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             trace: flags.trace(),
         },
         "serve" => {
-            let (solve, row_cache) = Solve::parse(&flags, 8, false, |flags| {
+            let (solve, row_cache) = Solve::parse(&flags, 8, |flags| {
                 let row_cache: Option<usize> = flags.opt_num("--row-cache")?;
                 if row_cache == Some(0) {
                     return Err(CliError("--row-cache must be at least 1".into()));
