@@ -73,7 +73,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Element-count specification for [`vec`]: a fixed size or a range.
+    /// Element-count specification for [`vec()`]: a fixed size or a range.
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,
