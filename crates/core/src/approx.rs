@@ -213,6 +213,21 @@ mod tests {
         assert!(report.distances[(0, 2)].is_finite());
     }
 
+    /// A failed product is billed as in `apsp`: wrapped with the rounds
+    /// charged up to the failure.
+    #[test]
+    fn failed_products_are_billed_like_apsp() {
+        let mut g = DiGraph::new(4);
+        g.add_arc(0, 1, 1 << 62);
+        let expected = ApspError::faulted(0, ApspError::WeightOverflow { magnitude: 1 << 62 });
+        let mut rng = StdRng::seed_from_u64(906);
+        let quantized = quantized_apsp(&g, 1, Params::paper(), SearchBackend::Classical, &mut rng);
+        assert_eq!(quantized.unwrap_err(), expected);
+        let algorithm = crate::ApspAlgorithm::ClassicalTriangle;
+        let exact = crate::apsp(&g, Params::paper(), algorithm, &mut rng);
+        assert_eq!(exact.unwrap_err(), expected);
+    }
+
     #[test]
     #[should_panic(expected = "nonnegative")]
     fn negative_weights_are_rejected() {
