@@ -603,59 +603,68 @@ pub fn distance_params<R: Rng>(
     trace: Option<&TraceSink>,
 ) -> Result<DistanceParamReport, ApspError> {
     in_span(trace, "distance-param", 1, || {
-        // Stage 1: distances. The driver (with its certificate and retries)
-        // engages whenever verification is requested or the network is not
-        // clean; a plain run keeps the cheap single-shot path.
-        let d = &cfg.driver;
-        let driven = d.verify || !d.net.is_default();
-        let (distances, distance_rounds, apsp_verified, apsp_fallback) = if driven {
-            let out = apsp_driver(g, d, rng, trace)?;
-            (
-                out.report.distances,
-                out.total_rounds,
-                out.verified,
-                out.used_fallback,
-            )
-        } else {
-            let report = apsp_configured(g, d.params, d.algorithm, rng, trace, &d.net)?;
-            (report.distances, report.rounds, false, false)
-        };
+        run_distance_params(g, cfg, rng, trace)
+    })
+}
 
-        // Stage 2: eccentricities, local to each node's row — free.
-        let ecc = eccentricities(&distances);
-        let connected = ecc.iter().all(|e| e.is_finite());
+fn run_distance_params<R: Rng>(
+    g: &DiGraph,
+    cfg: &ExtremumConfig,
+    rng: &mut R,
+    trace: Option<&TraceSink>,
+) -> Result<DistanceParamReport, ApspError> {
+    // Stage 1: distances. The driver (with its certificate and retries)
+    // engages whenever verification is requested or the network is not
+    // clean; a plain run keeps the cheap single-shot path.
+    let d = &cfg.driver;
+    let driven = d.verify || !d.net.is_default();
+    let (distances, distance_rounds, apsp_verified, apsp_fallback) = if driven {
+        let out = apsp_driver(g, d, rng, trace)?;
+        (
+            out.report.distances,
+            out.total_rounds,
+            out.verified,
+            out.used_fallback,
+        )
+    } else {
+        let report = apsp_configured(g, d.params, d.algorithm, rng, trace, &d.net)?;
+        (report.distances, report.rounds, false, false)
+    };
 
-        // Stage 3: the extremum search (or the full-vector gather).
-        let maximize = match cfg.param {
-            DistanceParam::Radius => false,
-            DistanceParam::Diameter | DistanceParam::Eccentricities => true,
-        };
-        let stage = search_stage(&ecc, maximize, cfg, rng, trace)?;
+    // Stage 2: eccentricities, local to each node's row — free.
+    let ecc = eccentricities(&distances);
+    let connected = ecc.iter().all(|e| e.is_finite());
 
-        let value = match cfg.param {
-            DistanceParam::Eccentricities => diameter_of(&ecc).expect("n > 0"),
-            _ => stage.report.value,
-        };
-        Ok(DistanceParamReport {
-            param: cfg.param,
-            n: g.n(),
-            eccentricities: ecc,
-            value,
-            witness: match cfg.param {
-                DistanceParam::Eccentricities => None,
-                _ => Some(stage.report.index),
-            },
-            connected,
-            distance_rounds,
-            search_rounds: stage.total_rounds,
-            total_rounds: distance_rounds + stage.total_rounds,
-            evaluations: stage.report.evaluations,
-            search_attempts: stage.attempts,
-            // On a clean unverified-distance path the APSP stage has no
-            // certificate; `verified` then reflects the search stage only.
-            verified: d.verify && (apsp_verified || !driven) && stage.verified,
-            used_fallback: apsp_fallback || stage.used_fallback,
-        })
+    // Stage 3: the extremum search (or the full-vector gather).
+    let maximize = match cfg.param {
+        DistanceParam::Radius => false,
+        DistanceParam::Diameter | DistanceParam::Eccentricities => true,
+    };
+    let stage = search_stage(&ecc, maximize, cfg, rng, trace)?;
+
+    let value = match cfg.param {
+        DistanceParam::Eccentricities => diameter_of(&ecc).expect("n > 0"),
+        _ => stage.report.value,
+    };
+    Ok(DistanceParamReport {
+        param: cfg.param,
+        n: g.n(),
+        eccentricities: ecc,
+        value,
+        witness: match cfg.param {
+            DistanceParam::Eccentricities => None,
+            _ => Some(stage.report.index),
+        },
+        connected,
+        distance_rounds,
+        search_rounds: stage.total_rounds,
+        total_rounds: distance_rounds + stage.total_rounds,
+        evaluations: stage.report.evaluations,
+        search_attempts: stage.attempts,
+        // On a clean unverified-distance path the APSP stage has no
+        // certificate; `verified` then reflects the search stage only.
+        verified: d.verify && (apsp_verified || !driven) && stage.verified,
+        used_fallback: apsp_fallback || stage.used_fallback,
     })
 }
 
