@@ -17,8 +17,8 @@
 //! still charged (the bits were transmitted), duplication is a
 //! delivery-layer artifact (no extra charge), and a crashed sender's
 //! messages are not charged (nothing was transmitted). Every injected fault
-//! is recorded in the metrics span tree and, when a trace sink is attached,
-//! as an NDJSON `fault` event.
+//! is counted in [`crate::Clique::fault_counts`] and, when a trace sink is
+//! attached, written as an NDJSON `fault` event in the innermost open span.
 //!
 //! Fault fates are a pure function of `(plan seed, communication-call
 //! counter, message index)` via a SplitMix64 finalizer, so a run with a

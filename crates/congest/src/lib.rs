@@ -69,7 +69,7 @@ mod transport;
 pub use envelope::{collect_sends, total_bits, Envelope, GossipViews, Inboxes};
 pub use error::CongestError;
 pub use fault::{FaultCounts, FaultKind, FaultPlan, NetConfig};
-pub use metrics::{Metrics, PhaseStats, RoundHistogram, Span};
+pub use metrics::{Metrics, PhaseStats};
 pub use network::{Clique, DEFAULT_BANDWIDTH_FACTOR};
 pub use node::NodeId;
 pub use payload::{bits_for_count, bits_for_weight_range, Payload, RawBits};

@@ -6,27 +6,26 @@
 //! `DESIGN.md`): the paper's central technical device is *avoiding* hot
 //! links, so the simulator must be able to observe them.
 //!
-//! Two views are maintained simultaneously:
+//! The in-memory view is the **flat** per-phase list ([`Metrics::phases`])
+//! driven by [`Metrics::begin_phase`]: every communication call is
+//! attributed to the most recently begun phase, so summing phase rounds
+//! always reproduces [`Metrics::total_rounds`].
 //!
-//! * the **flat** per-phase list ([`Metrics::phases`]) driven by
-//!   [`Metrics::begin_phase`] — every communication call is attributed to
-//!   the most recently begun phase, so summing phase rounds always
-//!   reproduces [`Metrics::total_rounds`];
-//! * a **hierarchical span tree** ([`Metrics::spans`]) in which
-//!   [`Metrics::push_span`]/[`Metrics::pop_span`] open nested grouping
-//!   spans and each `begin_phase` opens a leaf span under the innermost
-//!   group (closed by the next `begin_phase`, [`Metrics::end_phase`], or an
-//!   enclosing pop). Every open span accumulates the calls that run inside
-//!   it, so a span's rounds are the sum over its subtree and child rounds
-//!   can never exceed the parent's.
-//!
-//! When a [`TraceSink`] is attached ([`Metrics::set_trace_sink`]) every
-//! span open/close and every communication call is additionally emitted as
-//! an NDJSON event (see [`crate::trace`]). Tracing is pure observation:
-//! charged round counts are byte-identical with and without a sink.
+//! The **span hierarchy** is recorded in the trace alone.
+//! [`Metrics::push_span`]/[`Metrics::pop_span`] open nested grouping spans
+//! and each `begin_phase` opens a leaf span under the innermost group
+//! (closed by the next `begin_phase`, [`Metrics::end_phase`], or an
+//! enclosing pop). `Metrics` keeps only the stack of open spans and the
+//! rounds charged inside each. With a [`TraceSink`] attached
+//! ([`Metrics::set_trace_sink`]) every span open/close and every
+//! communication call is emitted as an NDJSON event (see [`crate::trace`]),
+//! and a span's close event records the rounds of its subtree, which
+//! [`crate::TraceSummary::verify`] checks against the span's comm events.
+//! Tracing is pure observation: charged round counts are byte-identical
+//! with and without a sink.
 
 use crate::fault::{FaultCounts, FaultKind};
-use crate::trace::{CommTotals, TraceSink};
+use crate::trace::TraceSink;
 use std::fmt;
 
 /// Communication statistics for one named phase of an algorithm.
@@ -67,81 +66,12 @@ impl fmt::Display for PhaseStats {
     }
 }
 
-/// Histogram of per-call round charges, bucketed by bit length.
-///
-/// Bucket 0 counts zero-round calls; bucket `b ≥ 1` counts calls charging
-/// `2^(b-1) ..= 2^b - 1` rounds (the last bucket is open-ended). This keeps
-/// the histogram tiny while still separating the free, cheap, and hot calls
-/// the congestion experiments care about.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoundHistogram {
-    counts: [u64; Self::BUCKETS],
-}
-
-impl RoundHistogram {
-    /// Number of buckets (bit lengths 0..=16, last open-ended).
-    pub const BUCKETS: usize = 17;
-
-    fn bucket_of(rounds: u64) -> usize {
-        if rounds == 0 {
-            0
-        } else {
-            ((64 - rounds.leading_zeros()) as usize).min(Self::BUCKETS - 1)
-        }
-    }
-
-    /// Records one call that charged `rounds` rounds.
-    pub fn record(&mut self, rounds: u64) {
-        self.counts[Self::bucket_of(rounds)] += 1;
-    }
-
-    /// Per-bucket call counts.
-    #[must_use]
-    pub fn counts(&self) -> &[u64; Self::BUCKETS] {
-        &self.counts
-    }
-
-    /// Total calls recorded.
-    #[must_use]
-    pub fn total_calls(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Compact `floor:count` rendering of the non-empty buckets (e.g.
-    /// `"0:2 1:5 4:1"` — two free calls, five charging 1 round, one
-    /// charging 4–7), as embedded in trace `close` events.
-    #[must_use]
-    pub fn compact(&self) -> String {
-        let mut parts = Vec::new();
-        for (b, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                let floor = if b == 0 { 0 } else { 1u64 << (b - 1) };
-                parts.push(format!("{floor}:{c}"));
-            }
-        }
-        parts.join(" ")
-    }
-}
-
-/// One node of the hierarchical span tree (see the module docs).
-#[derive(Clone, Debug)]
-pub struct Span {
-    /// Label supplied by the algorithm.
-    pub label: String,
-    /// Index of the enclosing span in [`Metrics::spans`], if any.
-    pub parent: Option<usize>,
-    /// `true` for `push_span` groups, `false` for `begin_phase` leaves.
-    pub explicit: bool,
-    /// Whether the span is still open.
-    pub open: bool,
-    /// Totals over every communication call in this span's subtree.
-    pub totals: CommTotals,
-    /// Per-call round histogram over this span's subtree.
-    pub histogram: RoundHistogram,
-    /// Injected faults recorded while this span was open.
-    pub faults: FaultCounts,
-    /// Indices of child spans, in open order.
-    pub children: Vec<usize>,
+/// One open span: a `push_span` group or a `begin_phase` leaf.
+#[derive(Clone, Copy, Debug)]
+struct OpenSpan {
+    group: bool,
+    /// Rounds charged while the span was open, its subtree included.
+    rounds: u64,
 }
 
 /// Cumulative metrics for a simulation run.
@@ -158,20 +88,25 @@ pub struct Span {
 /// assert_eq!(m.phases().len(), 1);
 /// ```
 ///
-/// Nested spans group phases hierarchically without changing the flat view:
+/// Nested spans group phases hierarchically in an attached trace without
+/// changing the flat view:
 ///
 /// ```
-/// use qcc_congest::Metrics;
+/// use qcc_congest::{parse_trace, Metrics, TraceSink, TraceSummary};
 ///
+/// let (sink, buffer) = TraceSink::in_memory();
 /// let mut m = Metrics::new();
+/// m.set_trace_sink(sink);
 /// m.push_span("product-0");
 /// m.begin_phase("step1");
 /// m.record_exchange(2, 1, 64, 64, 64, 64);
 /// m.begin_phase("step2");
 /// m.record_exchange(5, 1, 64, 64, 64, 64);
 /// m.pop_span();
-/// assert_eq!(m.spans()[0].totals.rounds, 7); // the "product-0" group
-/// assert_eq!(m.phases().len(), 2);           // flat view unchanged
+/// let summary = TraceSummary::from_events(&parse_trace(&buffer.contents()).unwrap()).unwrap();
+/// summary.verify().unwrap();
+/// assert_eq!(summary.spans()[0].closed_rounds, Some(7)); // the "product-0" group
+/// assert_eq!(m.phases().len(), 2); // flat view unchanged
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
@@ -179,9 +114,8 @@ pub struct Metrics {
     total_rounds: u64,
     total_messages: u64,
     total_bits: u64,
-    spans: Vec<Span>,
-    open_stack: Vec<usize>,
-    histogram: RoundHistogram,
+    /// The open spans, innermost last.
+    open: Vec<OpenSpan>,
     faults: FaultCounts,
     sink: Option<TraceSink>,
 }
@@ -204,9 +138,9 @@ impl Metrics {
     /// If no phase was ever begun, exchanges accumulate into an implicit
     /// phase labelled `"(unlabelled)"`.
     ///
-    /// In the span tree a phase is a leaf span: beginning a phase closes
-    /// the previous phase's span (phases are siblings) and opens a new one
-    /// under the innermost [`Metrics::push_span`] group.
+    /// In the span hierarchy a phase is a leaf span: beginning a phase
+    /// closes the previous phase's span (phases are siblings) and opens a
+    /// new one under the innermost [`Metrics::push_span`] group.
     pub fn begin_phase(&mut self, label: &str) {
         self.close_open_leaf();
         self.open_span(label, false);
@@ -235,11 +169,7 @@ impl Metrics {
     /// phase's leaf span, if one is open inside it).
     pub fn pop_span(&mut self) {
         self.close_open_leaf();
-        if self
-            .open_stack
-            .last()
-            .is_some_and(|&idx| self.spans[idx].explicit)
-        {
+        if self.open.last().is_some_and(|span| span.group) {
             self.close_top_span();
         }
     }
@@ -247,28 +177,13 @@ impl Metrics {
     /// Closes every open span (leaves and groups). Call before dropping a
     /// traced network so the emitted NDJSON is well formed.
     pub fn close_all_spans(&mut self) {
-        while !self.open_stack.is_empty() {
+        while !self.open.is_empty() {
             self.close_top_span();
         }
     }
 
-    fn open_span(&mut self, label: &str, explicit: bool) {
-        let parent = self.open_stack.last().copied();
-        let idx = self.spans.len();
-        self.spans.push(Span {
-            label: label.to_owned(),
-            parent,
-            explicit,
-            open: true,
-            totals: CommTotals::default(),
-            histogram: RoundHistogram::default(),
-            faults: FaultCounts::default(),
-            children: Vec::new(),
-        });
-        if let Some(p) = parent {
-            self.spans[p].children.push(idx);
-        }
-        self.open_stack.push(idx);
+    fn open_span(&mut self, label: &str, group: bool) {
+        self.open.push(OpenSpan { group, rounds: 0 });
         if let Some(sink) = &self.sink {
             sink.open_span(label);
         }
@@ -276,23 +191,15 @@ impl Metrics {
 
     /// Closes the innermost span if it is a phase leaf.
     fn close_open_leaf(&mut self) {
-        if self
-            .open_stack
-            .last()
-            .is_some_and(|&idx| !self.spans[idx].explicit)
-        {
+        if self.open.last().is_some_and(|span| !span.group) {
             self.close_top_span();
         }
     }
 
     fn close_top_span(&mut self) {
-        if let Some(idx) = self.open_stack.pop() {
-            self.spans[idx].open = false;
+        if let Some(span) = self.open.pop() {
             if let Some(sink) = &self.sink {
-                sink.close_span_with_stats(
-                    &self.spans[idx].totals,
-                    &self.spans[idx].histogram.compact(),
-                );
+                sink.close_span_recording(Some(span.rounds));
             }
         }
     }
@@ -320,7 +227,7 @@ impl Metrics {
 
     /// Records one communication call of the given kind (`"exchange"`,
     /// `"route"`, `"broadcast"`, `"gossip"`, `"charge"`), updating the flat
-    /// phase view, every open span, the histograms, and the trace sink.
+    /// phase view, every open span, and the trace sink.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_comm(
         &mut self,
@@ -337,7 +244,7 @@ impl Metrics {
         self.total_bits += bits;
         if self.phases.is_empty() {
             // Preserve the legacy implicit phase: the pushed phase also
-            // opens a leaf span so the call below lands in the tree too.
+            // opens a leaf span so the call below lands in it too.
             self.begin_phase("(unlabelled)");
         }
         let phase = self.phases.last_mut().expect("phase exists");
@@ -347,19 +254,9 @@ impl Metrics {
         phase.max_link_bits = phase.max_link_bits.max(max_link_bits);
         phase.max_node_out_bits = phase.max_node_out_bits.max(max_node_out_bits);
         phase.max_node_in_bits = phase.max_node_in_bits.max(max_node_in_bits);
-        for &idx in &self.open_stack {
-            let span = &mut self.spans[idx];
-            span.totals.record_call(
-                rounds,
-                messages,
-                bits,
-                max_link_bits,
-                max_node_out_bits,
-                max_node_in_bits,
-            );
-            span.histogram.record(rounds);
+        for span in &mut self.open {
+            span.rounds += rounds;
         }
-        self.histogram.record(rounds);
         if let Some(sink) = &self.sink {
             sink.emit_comm(
                 kind,
@@ -373,13 +270,10 @@ impl Metrics {
         }
     }
 
-    /// Records one injected fault against the global tally, every open
-    /// span, and the trace sink (as an NDJSON `fault` event).
+    /// Records one injected fault against the global tally and the trace
+    /// sink (as an NDJSON `fault` event in the innermost open span).
     pub(crate) fn record_fault(&mut self, kind: FaultKind) {
         self.faults.record(kind);
-        for &idx in &self.open_stack {
-            self.spans[idx].faults.record(kind);
-        }
         if let Some(sink) = &self.sink {
             sink.emit_fault(kind.label());
         }
@@ -421,19 +315,6 @@ impl Metrics {
         &self.phases
     }
 
-    /// The hierarchical span tree, in open (preorder) order. Leaf spans
-    /// mirror the flat phases; explicit spans group them.
-    #[must_use]
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// Global per-call round histogram.
-    #[must_use]
-    pub fn histogram(&self) -> &RoundHistogram {
-        &self.histogram
-    }
-
     /// Largest per-link bit volume observed in any phase.
     #[must_use]
     pub fn max_link_bits(&self) -> u64 {
@@ -472,17 +353,43 @@ impl fmt::Display for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{parse_trace, TraceBuffer, TraceEvent, TraceSummary};
+
+    /// Metrics with an in-memory trace attached.
+    fn traced() -> (Metrics, TraceBuffer) {
+        let (sink, buffer) = TraceSink::in_memory();
+        let mut m = Metrics::new();
+        m.set_trace_sink(sink);
+        (m, buffer)
+    }
+
+    /// The trace written so far, rebuilt and verified.
+    fn summary(buffer: &TraceBuffer) -> TraceSummary {
+        let events = parse_trace(&buffer.contents()).unwrap();
+        let summary = TraceSummary::from_events(&events).unwrap();
+        summary.verify().unwrap();
+        summary
+    }
+
+    /// `(label, depth, rounds recorded at close)` of every span, in
+    /// preorder.
+    fn spans(summary: &TraceSummary) -> Vec<(&str, usize, Option<u64>)> {
+        summary
+            .spans()
+            .iter()
+            .map(|s| (s.label.as_str(), s.depth, s.closed_rounds))
+            .collect()
+    }
 
     #[test]
     fn implicit_phase_is_created() {
-        let mut m = Metrics::new();
+        let (mut m, buffer) = traced();
         m.record_exchange(1, 1, 8, 8, 8, 8);
+        m.close_all_spans();
         assert_eq!(m.phases().len(), 1);
         assert_eq!(m.phases()[0].label, "(unlabelled)");
-        // And the implicit phase exists in the span tree as well.
-        assert_eq!(m.spans().len(), 1);
-        assert_eq!(m.spans()[0].label, "(unlabelled)");
-        assert_eq!(m.spans()[0].totals.rounds, 1);
+        // And the implicit phase is a root span of the trace as well.
+        assert_eq!(spans(&summary(&buffer)), [("(unlabelled)", 0, Some(1))]);
     }
 
     #[test]
@@ -534,7 +441,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_aggregate() {
-        let mut m = Metrics::new();
+        let (mut m, buffer) = traced();
         m.push_span("outer");
         m.begin_phase("a");
         m.record_exchange(2, 1, 10, 10, 10, 10);
@@ -543,19 +450,17 @@ mod tests {
         m.record_exchange(3, 1, 20, 20, 20, 20);
         m.pop_span();
         m.pop_span();
-        let spans = m.spans();
-        // outer, a, inner, b — preorder.
-        assert_eq!(spans.len(), 4);
-        assert_eq!(spans[0].label, "outer");
-        assert_eq!(spans[0].totals.rounds, 5);
-        assert_eq!(spans[1].label, "a");
-        assert_eq!(spans[1].parent, Some(0));
-        assert_eq!(spans[1].totals.rounds, 2);
-        assert_eq!(spans[2].label, "inner");
-        assert_eq!(spans[2].parent, Some(0));
-        assert_eq!(spans[2].totals.rounds, 3);
-        assert_eq!(spans[3].parent, Some(2));
-        assert!(spans.iter().all(|s| !s.open));
+        // outer, a, inner, b — preorder; `a` closes before `inner` opens,
+        // so both are children of `outer`.
+        assert_eq!(
+            spans(&summary(&buffer)),
+            [
+                ("outer", 0, Some(5)),
+                ("a", 1, Some(2)),
+                ("inner", 1, Some(3)),
+                ("b", 2, Some(3)),
+            ]
+        );
         // Flat view is unaffected by the nesting.
         assert_eq!(m.phases().len(), 2);
         assert_eq!(m.total_rounds(), 5);
@@ -563,36 +468,49 @@ mod tests {
 
     #[test]
     fn begin_phase_closes_the_previous_leaf() {
-        let mut m = Metrics::new();
+        let (mut m, buffer) = traced();
         m.begin_phase("a");
         m.record_exchange(1, 0, 0, 0, 0, 0);
         m.begin_phase("b");
         m.record_exchange(4, 0, 0, 0, 0, 0);
+        // `a` is closed by the second `begin_phase`; `b` is still open.
+        let events = parse_trace(&buffer.contents()).unwrap();
+        assert!(matches!(
+            events[2],
+            TraceEvent::Close {
+                id: 1,
+                rounds: Some(1)
+            }
+        ));
+        assert!(!events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Close { id: 2, .. })));
+        m.close_all_spans();
         // Phases are siblings at the root, not nested.
-        assert_eq!(m.spans()[0].parent, None);
-        assert_eq!(m.spans()[1].parent, None);
-        assert_eq!(m.spans()[0].totals.rounds, 1);
-        assert_eq!(m.spans()[1].totals.rounds, 4);
+        let summary = summary(&buffer);
+        assert_eq!(spans(&summary), [("a", 0, Some(1)), ("b", 0, Some(4))]);
+        assert_eq!(summary.roots(), [0, 1]);
     }
 
     #[test]
     fn end_phase_stops_leaf_attribution() {
-        let mut m = Metrics::new();
+        let (mut m, buffer) = traced();
         m.push_span("group");
         m.begin_phase("a");
         m.record_exchange(1, 0, 0, 0, 0, 0);
         m.end_phase();
         m.record_exchange(2, 0, 0, 0, 0, 0); // group only
         m.pop_span();
-        assert_eq!(m.spans()[0].totals.rounds, 3);
-        assert_eq!(m.spans()[1].totals.rounds, 1);
+        let summary = summary(&buffer);
+        assert_eq!(spans(&summary), [("group", 0, Some(3)), ("a", 1, Some(1))]);
+        assert_eq!(summary.spans()[0].own.rounds, 2);
         // The flat view still charges the last begun phase.
         assert_eq!(m.phases()[0].rounds, 3);
     }
 
     #[test]
     fn child_rounds_sum_to_at_most_parent_rounds() {
-        let mut m = Metrics::new();
+        let (mut m, buffer) = traced();
         m.push_span("parent");
         m.begin_phase("c1");
         m.record_exchange(3, 0, 0, 0, 0, 0);
@@ -601,38 +519,24 @@ mod tests {
         m.end_phase();
         m.record_exchange(2, 0, 0, 0, 0, 0); // parent-only rounds
         m.pop_span();
-        let parent = &m.spans()[0];
-        let child_sum: u64 = parent
-            .children
-            .iter()
-            .map(|&c| m.spans()[c].totals.rounds)
-            .sum();
+        let summary = summary(&buffer);
+        let spans = spans(&summary);
+        assert_eq!(
+            spans,
+            [
+                ("parent", 0, Some(9)),
+                ("c1", 1, Some(3)),
+                ("c2", 1, Some(4))
+            ]
+        );
+        let child_sum: u64 = spans[1..].iter().filter_map(|s| s.2).sum();
         assert_eq!(child_sum, 7);
-        assert_eq!(parent.totals.rounds, 9);
-        assert!(child_sum <= parent.totals.rounds);
+        assert!(Some(child_sum) <= spans[0].2);
     }
 
     #[test]
-    fn histogram_buckets_by_bit_length() {
-        let mut h = RoundHistogram::default();
-        h.record(0);
-        h.record(1);
-        h.record(1);
-        h.record(3);
-        h.record(4);
-        h.record(u64::MAX);
-        assert_eq!(h.counts()[0], 1); // zero-round calls
-        assert_eq!(h.counts()[1], 2); // rounds == 1
-        assert_eq!(h.counts()[2], 1); // rounds in 2..=3
-        assert_eq!(h.counts()[3], 1); // rounds in 4..=7
-        assert_eq!(h.counts()[RoundHistogram::BUCKETS - 1], 1); // open-ended
-        assert_eq!(h.total_calls(), 6);
-        assert_eq!(h.compact(), "0:1 1:2 2:1 4:1 32768:1");
-    }
-
-    #[test]
-    fn faults_land_in_open_spans_and_the_global_tally() {
-        let mut m = Metrics::new();
+    fn faults_land_in_the_innermost_open_span_and_the_global_tally() {
+        let (mut m, buffer) = traced();
         m.push_span("outer");
         m.begin_phase("a");
         m.record_fault(FaultKind::Drop);
@@ -641,22 +545,85 @@ mod tests {
         m.record_fault(FaultKind::Crash); // outer only
         m.pop_span();
         assert_eq!(m.fault_counts().total(), 3);
-        assert_eq!(m.spans()[0].faults.total(), 3);
-        assert_eq!(m.spans()[1].faults.drops, 1);
-        assert_eq!(m.spans()[1].faults.crashes, 0);
+        assert_eq!(m.fault_counts().drops, 1);
+        let faults: Vec<(String, Option<u64>)> = parse_trace(&buffer.contents())
+            .unwrap()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Fault { kind, span } => Some((kind, span)),
+                _ => None,
+            })
+            .collect();
+        // Span 1 is `outer`, span 2 the leaf `a`.
+        assert_eq!(
+            faults,
+            [
+                ("drop".to_owned(), Some(2)),
+                ("corrupt".to_owned(), Some(2)),
+                ("crash".to_owned(), Some(1)),
+            ]
+        );
+        let summary = summary(&buffer);
+        assert_eq!(summary.subtree_faults(0), 3);
+        assert_eq!(summary.subtree_faults(1), 2);
         assert_eq!(m.current_phase(), Some("a"));
     }
 
     #[test]
     fn close_all_spans_closes_groups_and_leaves() {
-        let mut m = Metrics::new();
+        let (mut m, buffer) = traced();
         m.push_span("g");
         m.begin_phase("p");
         m.close_all_spans();
-        assert!(m.spans().iter().all(|s| !s.open));
-        // Recording afterwards still feeds the flat phase.
+        // Both closes carry rounds (zero here) and leave the trace balanced.
+        assert_eq!(
+            spans(&summary(&buffer)),
+            [("g", 0, Some(0)), ("p", 1, Some(0))]
+        );
+        // Recording afterwards still feeds the flat phase, but no span.
         m.record_exchange(1, 0, 0, 0, 0, 0);
         assert_eq!(m.phases()[0].rounds, 1);
-        assert_eq!(m.spans()[1].totals.rounds, 0);
+        let summary = summary(&buffer);
+        assert_eq!(summary.unspanned.rounds, 1);
+        assert_eq!(summary.subtree_rounds(1), 0);
+    }
+
+    #[test]
+    fn every_close_records_exactly_the_rounds_of_its_subtree() {
+        let (mut m, buffer) = traced();
+        let mut charge = 0;
+        let mut step = |m: &mut Metrics| {
+            charge += 1;
+            m.record_exchange(charge, 0, 0, 0, 0, 0);
+        };
+        step(&mut m); // implicit phase at the root
+        for group in ["apsp", "product-0", "find-edges"] {
+            m.push_span(group);
+            step(&mut m); // the group's own rounds
+            for phase in ["gather", "search"] {
+                m.begin_phase(phase);
+                step(&mut m);
+                step(&mut m);
+            }
+            m.end_phase();
+        }
+        m.pop_span();
+        m.begin_phase("late");
+        step(&mut m);
+        m.close_all_spans();
+        let summary = summary(&buffer);
+        assert_eq!(summary.spans().len(), 11);
+        assert_eq!(summary.total_rounds(), m.total_rounds());
+        let text = buffer.contents();
+        for (idx, span) in summary.spans().iter().enumerate() {
+            let rounds = summary.subtree_rounds(idx);
+            assert_eq!(span.closed_rounds, Some(rounds), "{}", span.label);
+            // The close line is the id and the rounds, nothing more.
+            let close = format!(
+                "{{\"ev\":\"close\",\"id\":{},\"rounds\":{rounds}}}",
+                span.id
+            );
+            assert!(text.lines().any(|l| l == close), "{close}");
+        }
     }
 }

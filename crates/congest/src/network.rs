@@ -232,13 +232,6 @@ impl Clique {
         self.metrics.set_trace_sink(sink);
     }
 
-    /// Resets round and metric counters, keeping the topology.
-    ///
-    /// Any attached trace sink is dropped with the metrics.
-    pub fn reset_metrics(&mut self) {
-        self.metrics = Metrics::new();
-    }
-
     /// Arms deterministic fault injection from `plan`.
     ///
     /// An empty plan (no rates, no crashes) stores nothing at all, so the
@@ -928,6 +921,7 @@ fn next_slot(cursors: &mut [u32], n: usize, src: NodeId, dst: NodeId) -> usize {
 mod tests {
     use super::*;
     use crate::payload::RawBits;
+    use crate::trace::{parse_trace, TraceSummary};
 
     fn net(n: usize) -> Clique {
         Clique::new(n).expect("nonzero n")
@@ -1139,16 +1133,6 @@ mod tests {
             c.metrics().rounds_with_prefix("first"),
             c.metrics().phases()[0].rounds
         );
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let mut c = net(4);
-        c.exchange(vec![Envelope::new(NodeId::new(0), NodeId::new(1), 1u64)])
-            .unwrap();
-        assert!(c.rounds() > 0);
-        c.reset_metrics();
-        assert_eq!(c.rounds(), 0);
     }
 
     #[test]
@@ -1384,16 +1368,20 @@ mod tests {
     }
 
     #[test]
-    fn faults_are_visible_in_metrics_spans() {
+    fn faults_are_visible_in_trace_spans() {
+        let (sink, buffer) = TraceSink::in_memory();
         let mut c = net(6);
+        c.set_trace_sink(sink);
         c.set_fault_plan(drop_plan(0.5, 2));
         c.push_span("phase-a");
         c.exchange(all_to_successor(6)).unwrap();
         c.pop_span();
         let drops = c.fault_counts().drops;
         assert!(drops > 0);
-        let span = &c.metrics().spans()[0];
-        assert_eq!(span.faults.drops, drops);
+        let summary = TraceSummary::from_events(&parse_trace(&buffer.contents()).unwrap()).unwrap();
+        assert_eq!(summary.spans()[0].label, "phase-a");
+        assert_eq!(summary.subtree_faults(0), drops);
+        assert_eq!(summary.total_faults(), drops);
     }
 
     #[test]

@@ -11,16 +11,18 @@
 //! ([`TraceSink::open_span`]) so the final tree reads
 //! `apsp/product-3/step3/...` end to end.
 //!
-//! Three event kinds appear in a trace file:
+//! Four event kinds appear in a trace file:
 //!
 //! * `{"ev":"open","id":3,"parent":1,"label":"product-0","factor":9}` —
 //!   a span opened (`parent` omitted for roots, `factor` omitted when 1;
 //!   a factor scales the whole subtree when rolled into parents, used for
 //!   the paper's virtual-node simulation constants).
-//! * `{"ev":"close","id":3,"rounds":12,...}` — a span closed; spans closed
-//!   by [`crate::Metrics`] carry their recorded statistics (`rounds`,
-//!   `messages`, `bits`, `max_link_bits`, `max_node_out_bits`,
-//!   `max_node_in_bits`, `calls`, `hist`), driver spans close bare.
+//! * `{"ev":"close","id":3,"rounds":12}` — a span closed; a span closed
+//!   by [`crate::Metrics`] records the rounds charged in its subtree
+//!   (factors not applied), driver spans close bare. Traces written
+//!   before this format also carried `messages`, `bits`, the three maxima,
+//!   `calls` and `hist` on such a close; the parser reads them and ignores
+//!   them, since the span's `comm` events carry the same statistics.
 //! * `{"ev":"comm","kind":"route","span":3,"rounds":2,...}` — one
 //!   communication call, attributed to the innermost open span (`span`
 //!   omitted if none was open). Its `max_link_bits` is the busiest
@@ -34,9 +36,10 @@
 //!
 //! Spans are strictly nested (the file is a preorder walk of the tree) and
 //! ids are unique and increasing. [`parse_trace`] reads a file back,
-//! [`TraceSummary`] rebuilds the tree, checks it against the per-span
-//! closing statistics, and renders the rounds/bits/max-link breakdown shown
-//! by `qcc trace-summary`.
+//! [`TraceSummary`] rebuilds the tree (rejecting any total that leaves
+//! `u64`), checks each recorded close `rounds` against the span's comm
+//! events, and renders the rounds/bits/max-link breakdown shown by
+//! `qcc trace-summary`.
 
 use crate::json::{self, Value};
 use std::fmt;
@@ -66,34 +69,16 @@ pub struct CommTotals {
 }
 
 impl CommTotals {
-    /// Folds one communication call into the totals.
-    pub(crate) fn record_call(
-        &mut self,
-        rounds: u64,
-        messages: u64,
-        bits: u64,
-        max_link_bits: u64,
-        max_node_out_bits: u64,
-        max_node_in_bits: u64,
-    ) {
-        self.rounds += rounds;
-        self.messages += messages;
-        self.bits += bits;
-        self.max_link_bits = self.max_link_bits.max(max_link_bits);
-        self.max_node_out_bits = self.max_node_out_bits.max(max_node_out_bits);
-        self.max_node_in_bits = self.max_node_in_bits.max(max_node_in_bits);
-        self.calls += 1;
-    }
-
-    fn absorb(&mut self, e: &CommEvent) {
-        self.record_call(
-            e.rounds,
-            e.messages,
-            e.bits,
-            e.max_link_bits,
-            e.max_node_out_bits,
-            e.max_node_in_bits,
-        );
+    /// Folds one comm event into the totals; `None` when a sum leaves `u64`.
+    fn absorb(&mut self, e: &CommEvent) -> Option<()> {
+        self.rounds = self.rounds.checked_add(e.rounds)?;
+        self.messages = self.messages.checked_add(e.messages)?;
+        self.bits = self.bits.checked_add(e.bits)?;
+        self.max_link_bits = self.max_link_bits.max(e.max_link_bits);
+        self.max_node_out_bits = self.max_node_out_bits.max(e.max_node_out_bits);
+        self.max_node_in_bits = self.max_node_in_bits.max(e.max_node_in_bits);
+        self.calls = self.calls.checked_add(1)?;
+        Some(())
     }
 }
 
@@ -282,38 +267,20 @@ impl TraceSink {
 
     /// Closes the innermost open span without statistics (driver spans).
     pub fn close_span(&self) {
-        let Some(mut inner) = self.lock_mut() else {
-            return;
-        };
-        if let Some(id) = inner.stack.pop() {
-            inner.emit(&format!("{{\"ev\":\"close\",\"id\":{id}}}"));
-        }
+        self.close_span_recording(None);
     }
 
-    /// Closes the innermost open span, recording its final statistics.
-    /// Called by [`crate::Metrics`]; the fields mirror [`CommTotals`] plus
-    /// a compact `floor:count` histogram of per-call round charges.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn close_span_with_stats(&self, totals: &CommTotals, hist: &str) {
+    /// Closes the innermost open span; [`crate::Metrics`] records the
+    /// rounds charged in the span's subtree.
+    pub(crate) fn close_span_recording(&self, rounds: Option<u64>) {
         let Some(mut inner) = self.lock_mut() else {
             return;
         };
         if let Some(id) = inner.stack.pop() {
-            let mut line = format!(
-                "{{\"ev\":\"close\",\"id\":{id},\"rounds\":{},\"messages\":{},\"bits\":{},\
-                 \"max_link_bits\":{},\"max_node_out_bits\":{},\"max_node_in_bits\":{},\
-                 \"calls\":{}",
-                totals.rounds,
-                totals.messages,
-                totals.bits,
-                totals.max_link_bits,
-                totals.max_node_out_bits,
-                totals.max_node_in_bits,
-                totals.calls,
-            );
-            line.push_str(",\"hist\":\"");
-            json::escape_into(&mut line, hist);
-            line.push_str("\"}");
+            let line = match rounds {
+                None => format!("{{\"ev\":\"close\",\"id\":{id}}}"),
+                Some(r) => format!("{{\"ev\":\"close\",\"id\":{id},\"rounds\":{r}}}"),
+            };
             inner.emit(&line);
         }
     }
@@ -434,7 +401,7 @@ pub enum TraceEvent {
         factor: u64,
     },
     /// A span closed; `rounds` is present when the span was closed by a
-    /// [`crate::Metrics`] with its recorded statistics.
+    /// [`crate::Metrics`], which records its subtree's rounds.
     Close {
         /// Id of the span being closed.
         id: u64,
@@ -588,6 +555,35 @@ pub struct SpanSummary {
     /// Rounds recorded by the closing `Metrics`, for cross-checking.
     pub closed_rounds: Option<u64>,
     children: Vec<usize>,
+    subtree: Subtree,
+}
+
+/// Sums over one span's subtree, taken once by [`TraceSummary::from_events`].
+#[derive(Clone, Copy, Debug, Default)]
+struct Subtree {
+    /// Own rounds plus each child's `rounds` times the child's factor.
+    rounds: u64,
+    /// The same sum with every factor taken as 1, as a close event records it.
+    unscaled_rounds: u64,
+    bits: u64,
+    calls: u64,
+    max_link_bits: u64,
+    faults: u64,
+}
+
+impl Subtree {
+    /// Folds in the subtree of a child with the given factor; `None` when a
+    /// sum leaves `u64`.
+    fn add_child(self, child: Subtree, factor: u64) -> Option<Subtree> {
+        Some(Subtree {
+            rounds: self.rounds.checked_add(factor.checked_mul(child.rounds)?)?,
+            unscaled_rounds: self.unscaled_rounds.checked_add(child.unscaled_rounds)?,
+            bits: self.bits.checked_add(child.bits)?,
+            calls: self.calls.checked_add(child.calls)?,
+            max_link_bits: self.max_link_bits.max(child.max_link_bits),
+            faults: self.faults.checked_add(child.faults)?,
+        })
+    }
 }
 
 /// The reconstructed span tree of one trace file.
@@ -595,6 +591,7 @@ pub struct SpanSummary {
 pub struct TraceSummary {
     spans: Vec<SpanSummary>,
     roots: Vec<usize>,
+    total_rounds: u64,
     /// Comm events that ran with no span open.
     pub unspanned: CommTotals,
     /// Fault events injected with no span open.
@@ -606,11 +603,14 @@ impl TraceSummary {
     ///
     /// # Errors
     ///
-    /// Rejects duplicate ids, unknown parents or spans, and comm events
-    /// attributed to spans that were never opened.
+    /// Rejects duplicate ids, unknown parents or spans, comm events
+    /// attributed to spans that were never opened, and any sum — a span's
+    /// own or subtree counters, or the scaled round total — that leaves
+    /// `u64`.
     pub fn from_events(events: &[TraceEvent]) -> Result<Self, TraceError> {
         let mut summary = TraceSummary::default();
         let mut index_of: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+        let overflow = |id: u64| err(0, format!("the totals of span {id} overflow u64"));
         for event in events {
             match event {
                 TraceEvent::Open {
@@ -642,6 +642,7 @@ impl TraceSummary {
                         closed: false,
                         closed_rounds: None,
                         children: Vec::new(),
+                        subtree: Subtree::default(),
                     });
                     match parent_idx {
                         Some(p) => summary.spans[p].children.push(idx),
@@ -661,12 +662,17 @@ impl TraceSummary {
                     span.closed_rounds = *rounds;
                 }
                 TraceEvent::Comm(comm) => match comm.span {
-                    None => summary.unspanned.absorb(comm),
+                    None => summary.unspanned.absorb(comm).ok_or_else(|| {
+                        err(0, "the totals of comm events outside any span overflow u64")
+                    })?,
                     Some(id) => {
                         let &idx = index_of
                             .get(&id)
                             .ok_or_else(|| err(0, format!("comm in unknown span {id}")))?;
-                        summary.spans[idx].own.absorb(comm);
+                        summary.spans[idx]
+                            .own
+                            .absorb(comm)
+                            .ok_or_else(|| overflow(id))?;
                     }
                 },
                 TraceEvent::Fault { span, .. } => match span {
@@ -680,6 +686,35 @@ impl TraceSummary {
                 },
             }
         }
+        // Preorder puts every child after its parent, so one backward pass
+        // sums each subtree from its children's sums.
+        for idx in (0..summary.spans.len()).rev() {
+            let span = &summary.spans[idx];
+            let own = Subtree {
+                rounds: span.own.rounds,
+                unscaled_rounds: span.own.rounds,
+                bits: span.own.bits,
+                calls: span.own.calls,
+                max_link_bits: span.own.max_link_bits,
+                faults: span.faults,
+            };
+            let subtree = span
+                .children
+                .iter()
+                .try_fold(own, |sum, &c| {
+                    sum.add_child(summary.spans[c].subtree, summary.spans[c].factor)
+                })
+                .ok_or_else(|| overflow(span.id))?;
+            summary.spans[idx].subtree = subtree;
+        }
+        summary.total_rounds = summary
+            .roots
+            .iter()
+            .try_fold(summary.unspanned.rounds, |sum, &r| {
+                let span = &summary.spans[r];
+                sum.checked_add(span.factor.checked_mul(span.subtree.rounds)?)
+            })
+            .ok_or_else(|| err(0, "the scaled round total overflows u64"))?;
         Ok(summary)
     }
 
@@ -699,35 +734,13 @@ impl TraceSummary {
     /// rounds plus each child's subtree scaled by the child's factor.
     #[must_use]
     pub fn subtree_rounds(&self, idx: usize) -> u64 {
-        let span = &self.spans[idx];
-        span.own.rounds
-            + span
-                .children
-                .iter()
-                .map(|&c| self.spans[c].factor * self.subtree_rounds(c))
-                .sum::<u64>()
-    }
-
-    fn subtree_rounds_unscaled(&self, idx: usize) -> u64 {
-        let span = &self.spans[idx];
-        span.own.rounds
-            + span
-                .children
-                .iter()
-                .map(|&c| self.subtree_rounds_unscaled(c))
-                .sum::<u64>()
+        self.spans[idx].subtree.rounds
     }
 
     /// Total fault events in the subtree of span `idx`.
     #[must_use]
     pub fn subtree_faults(&self, idx: usize) -> u64 {
-        let span = &self.spans[idx];
-        span.faults
-            + span
-                .children
-                .iter()
-                .map(|&c| self.subtree_faults(c))
-                .sum::<u64>()
+        self.spans[idx].subtree.faults
     }
 
     /// Total fault events in the whole trace.
@@ -744,21 +757,7 @@ impl TraceSummary {
     /// Subtree max-link high-water mark of span `idx`.
     #[must_use]
     pub fn subtree_max_link_bits(&self, idx: usize) -> u64 {
-        let span = &self.spans[idx];
-        span.children
-            .iter()
-            .map(|&c| self.subtree_max_link_bits(c))
-            .fold(span.own.max_link_bits, u64::max)
-    }
-
-    fn subtree_bits(&self, idx: usize) -> u64 {
-        let span = &self.spans[idx];
-        span.own.bits
-            + span
-                .children
-                .iter()
-                .map(|&c| self.subtree_bits(c))
-                .sum::<u64>()
+        self.spans[idx].subtree.max_link_bits
     }
 
     /// Total rounds of the whole trace, with every span's factor applied:
@@ -766,12 +765,7 @@ impl TraceSummary {
     /// algorithm reports.
     #[must_use]
     pub fn total_rounds(&self) -> u64 {
-        self.unspanned.rounds
-            + self
-                .roots
-                .iter()
-                .map(|&r| self.spans[r].factor * self.subtree_rounds(r))
-                .sum::<u64>()
+        self.total_rounds
     }
 
     /// Checks internal consistency: every span closed, and every span whose
@@ -782,7 +776,7 @@ impl TraceSummary {
     ///
     /// Returns a [`TraceError`] naming the first offending span.
     pub fn verify(&self) -> Result<(), TraceError> {
-        for (idx, span) in self.spans.iter().enumerate() {
+        for span in &self.spans {
             if !span.closed {
                 return Err(err(
                     0,
@@ -790,7 +784,7 @@ impl TraceSummary {
                 ));
             }
             if let Some(recorded) = span.closed_rounds {
-                let summed = self.subtree_rounds_unscaled(idx);
+                let summed = span.subtree.unscaled_rounds;
                 if summed != recorded {
                     return Err(err(
                         0,
@@ -837,25 +831,23 @@ impl TraceSummary {
         if span.depth >= max_depth {
             return;
         }
-        let rounds = self.subtree_rounds(idx);
+        let sub = &span.subtree;
         let rounds_cell = if span.factor == 1 {
-            rounds.to_string()
+            sub.rounds.to_string()
         } else {
-            format!("{rounds}x{}", span.factor)
+            format!("{}x{}", sub.rounds, span.factor)
         };
-        let calls: u64 = self.subtree_calls(idx);
-        let faults = self.subtree_faults(idx);
-        let fault_cell = if faults == 0 {
+        let fault_cell = if sub.faults == 0 {
             String::new()
         } else {
-            format!(" [{faults} faults]")
+            format!(" [{} faults]", sub.faults)
         };
         out.push_str(&format!(
             "{:>12} {:>8} {:>14} {:>12}  {}{}{}\n",
             rounds_cell,
-            calls,
-            self.subtree_bits(idx),
-            self.subtree_max_link_bits(idx),
+            sub.calls,
+            sub.bits,
+            sub.max_link_bits,
             "  ".repeat(span.depth),
             span.label,
             fault_cell
@@ -863,16 +855,6 @@ impl TraceSummary {
         for &child in &span.children {
             self.render_span(child, max_depth, out);
         }
-    }
-
-    fn subtree_calls(&self, idx: usize) -> u64 {
-        let span = &self.spans[idx];
-        span.own.calls
-            + span
-                .children
-                .iter()
-                .map(|&c| self.subtree_calls(c))
-                .sum::<u64>()
     }
 }
 
@@ -1011,6 +993,114 @@ mod tests {
         let summary = TraceSummary::from_events(&parse_trace(text).unwrap()).unwrap();
         let e = summary.verify().unwrap_err();
         assert!(e.message.contains("99"), "{e}");
+    }
+
+    /// The trace of `qcc apsp --n 6 --seed 3 --algorithm naive` as written
+    /// while a `Metrics` close also carried `messages`, `bits`, the three
+    /// maxima, `calls` and `hist`.
+    const OLD_FORMAT_TRACE: &str = "\
+{\"ev\":\"open\",\"id\":1,\"label\":\"apsp\"}
+{\"ev\":\"open\",\"id\":2,\"parent\":1,\"label\":\"naive/broadcast-rows\"}
+{\"ev\":\"comm\",\"kind\":\"gossip\",\"span\":2,\"rounds\":1,\"messages\":30,\"bits\":750,\"max_link_bits\":25,\"max_node_out_bits\":125,\"max_node_in_bits\":125}
+{\"ev\":\"close\",\"id\":2,\"rounds\":1,\"messages\":30,\"bits\":750,\"max_link_bits\":25,\"max_node_out_bits\":125,\"max_node_in_bits\":125,\"calls\":1,\"hist\":\"1:1\"}
+{\"ev\":\"close\",\"id\":1,\"rounds\":1,\"messages\":30,\"bits\":750,\"max_link_bits\":25,\"max_node_out_bits\":125,\"max_node_in_bits\":125,\"calls\":1,\"hist\":\"1:1\"}
+";
+
+    #[test]
+    fn old_format_close_lines_still_parse_and_verify() {
+        let events = parse_trace(OLD_FORMAT_TRACE).unwrap();
+        assert_eq!(
+            events[3],
+            TraceEvent::Close {
+                id: 2,
+                rounds: Some(1)
+            }
+        );
+        let old = TraceSummary::from_events(&events).unwrap();
+        old.verify().unwrap();
+        assert_eq!(old.total_rounds(), 1);
+        // The extra statistics change nothing the summary reports.
+        let stripped: String = OLD_FORMAT_TRACE
+            .lines()
+            .map(|line| match line.find(",\"messages\"") {
+                Some(cut) if line.starts_with("{\"ev\":\"close\"") => {
+                    format!("{}}}\n", &line[..cut])
+                }
+                _ => format!("{line}\n"),
+            })
+            .collect();
+        assert!(stripped.ends_with("{\"ev\":\"close\",\"id\":1,\"rounds\":1}\n"));
+        let new = TraceSummary::from_events(&parse_trace(&stripped).unwrap()).unwrap();
+        new.verify().unwrap();
+        assert_eq!(new.render(usize::MAX), old.render(usize::MAX));
+    }
+
+    /// A `comm` line in span `span` charging `rounds`, every other counter 1.
+    fn comm_line(span: u64, rounds: u64) -> String {
+        format!(
+            "{{\"ev\":\"comm\",\"kind\":\"route\",\"span\":{span},\"rounds\":{rounds},\
+             \"messages\":1,\"bits\":1,\"max_link_bits\":1,\"max_node_out_bits\":1,\
+             \"max_node_in_bits\":1}}\n"
+        )
+    }
+
+    fn overflow_error(text: &str) -> TraceError {
+        let e = TraceSummary::from_events(&parse_trace(text).unwrap()).unwrap_err();
+        assert!(e.message.contains("overflow"), "{e}");
+        e
+    }
+
+    #[test]
+    fn sums_past_u64_are_trace_errors() {
+        // Two charges of 2^63 rounds each: a wrapping sum reads 0.
+        let half = comm_line(1, 1 << 63);
+        let e = overflow_error(&format!(
+            "{{\"ev\":\"open\",\"id\":1,\"label\":\"x\"}}\n{half}{half}{{\"ev\":\"close\",\"id\":1}}\n"
+        ));
+        assert_eq!(
+            e.to_string(),
+            "trace error: the totals of span 1 overflow u64"
+        );
+        // The same with no span open, and across two sibling subtrees.
+        let bare = half.replace(",\"span\":1", "");
+        overflow_error(&format!("{bare}{bare}"));
+        overflow_error(&format!(
+            "{{\"ev\":\"open\",\"id\":1,\"label\":\"x\"}}\n\
+             {{\"ev\":\"open\",\"id\":2,\"parent\":1,\"label\":\"a\"}}\n{}\
+             {{\"ev\":\"close\",\"id\":2}}\n\
+             {{\"ev\":\"open\",\"id\":3,\"parent\":1,\"label\":\"b\"}}\n{}\
+             {{\"ev\":\"close\",\"id\":3}}\n{{\"ev\":\"close\",\"id\":1}}\n",
+            comm_line(2, 1 << 63),
+            comm_line(3, 1 << 63),
+        ));
+    }
+
+    #[test]
+    fn scaled_totals_past_u64_are_trace_errors() {
+        // 9 · 2^61 rounds leave u64 at a root and under a parent.
+        let e = overflow_error(&format!(
+            "{{\"ev\":\"open\",\"id\":1,\"label\":\"x\",\"factor\":9}}\n{}\
+             {{\"ev\":\"close\",\"id\":1}}\n",
+            comm_line(1, 1 << 61)
+        ));
+        assert_eq!(
+            e.to_string(),
+            "trace error: the scaled round total overflows u64"
+        );
+        overflow_error(&format!(
+            "{{\"ev\":\"open\",\"id\":1,\"label\":\"x\"}}\n\
+             {{\"ev\":\"open\",\"id\":2,\"parent\":1,\"label\":\"p\",\"factor\":9}}\n{}\
+             {{\"ev\":\"close\",\"id\":2}}\n{{\"ev\":\"close\",\"id\":1}}\n",
+            comm_line(2, 1 << 61)
+        ));
+        // Just below the edge the total is exact.
+        let text = format!(
+            "{{\"ev\":\"open\",\"id\":1,\"label\":\"x\",\"factor\":8}}\n{}\
+             {{\"ev\":\"close\",\"id\":1}}\n",
+            comm_line(1, (1 << 61) - 1)
+        );
+        let summary = TraceSummary::from_events(&parse_trace(&text).unwrap()).unwrap();
+        assert_eq!(summary.total_rounds(), u64::MAX - 7);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! recovery under the same [`FaultPlan`].
 //!
 //! All traffic goes through an inner [`Clique`] engine restricted to
-//! topology edges, so fault injection, round charging, the metrics span
-//! tree, and the NDJSON trace compose for free. Failure is always typed —
+//! topology edges, so fault injection, round charging, the phase metrics,
+//! and the NDJSON trace's span tree compose for free. Failure is always typed —
 //! [`CongestError::Partitioned`] for disconnected topologies (rejected at
 //! construction), [`CongestError::DecodeFailed`] when coding redundancy is
 //! outrun by losses, [`CongestError::NodeCrashed`] for fail-stop — never a
@@ -398,6 +398,7 @@ impl GossipTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{parse_trace, TraceSummary};
 
     #[test]
     fn gossip_broadcast_decodes_on_every_topology() {
@@ -471,21 +472,38 @@ mod tests {
     #[test]
     fn gossip_blocks_all_sources_all_views() {
         let n = 5;
+        let (sink, buffer) = TraceSink::in_memory();
         let mut t = GossipTransport::new(Topology::torus(n), 8).unwrap();
+        t.set_trace_sink(sink);
         let blocks: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 8 + i]).collect();
         let views = t.gossip_blocks(&blocks).unwrap();
         for view in &views {
             assert_eq!(view, &blocks);
         }
         assert_eq!(t.gossip_stats().broadcasts, n as u64);
-        // Activity landed in the metrics span tree under the rlnc spans.
-        let spans = t.network().metrics().spans();
-        assert!(
-            spans
-                .iter()
-                .any(|s| s.label.starts_with("rlnc/") && s.totals.rounds > 0),
-            "expected rlnc/srcN spans with charged rounds"
+        t.close_all_spans();
+        // Every source's broadcast charged rounds to its own rlnc/srcN span.
+        let events = parse_trace(&buffer.contents()).unwrap();
+        let summary = TraceSummary::from_events(&events).unwrap();
+        summary.verify().unwrap();
+        let charged: Vec<&str> = summary
+            .spans()
+            .iter()
+            .enumerate()
+            .filter(|&(idx, s)| s.label.starts_with("rlnc/") && summary.subtree_rounds(idx) > 0)
+            .map(|(_, s)| s.label.as_str())
+            .collect();
+        assert_eq!(
+            charged,
+            [
+                "rlnc/src0",
+                "rlnc/src1",
+                "rlnc/src2",
+                "rlnc/src3",
+                "rlnc/src4"
+            ]
         );
+        assert_eq!(summary.total_rounds(), t.rounds());
     }
 
     #[test]

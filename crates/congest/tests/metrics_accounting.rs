@@ -1,12 +1,15 @@
-//! Metrics accounting pins: hand-computed values for the flat phase view,
-//! the hierarchical span tree, and the per-call round histograms.
+//! Metrics accounting pins: hand-computed values for the flat phase view
+//! and for the span tree an attached trace records.
 //!
 //! The determinism suite pins the *network* charges; this suite pins how
 //! those charges are *attributed* — the implicit `"(unlabelled)"` phase,
 //! the per-phase max statistics of `route`/`broadcast`, and the span-tree
 //! invariant that a child's rounds never exceed its parent's.
 
-use qcc_congest::{Clique, Envelope, Metrics, NodeId, RawBits, Span};
+use qcc_congest::{
+    parse_trace, Clique, Envelope, Metrics, NodeId, RawBits, TraceBuffer, TraceEvent, TraceSink,
+    TraceSummary,
+};
 
 /// Hand-computed: 8 nodes, 16-bit links, every ordered pair sends one
 /// 16-bit payload. Every node sends and receives Δ = 7 units, so Lemma 1
@@ -30,21 +33,40 @@ fn balanced_route(net: &mut Clique) {
     net.route(sends).unwrap();
 }
 
+/// The 8-node, 16-bit network of [`balanced_route`] with an in-memory
+/// trace attached.
+fn traced_net() -> (Clique, TraceBuffer) {
+    let (sink, buffer) = TraceSink::in_memory();
+    let mut net = Clique::with_bandwidth(8, 16).unwrap();
+    net.set_trace_sink(sink);
+    (net, buffer)
+}
+
+/// The trace written so far, rebuilt and verified.
+fn summary(buffer: &TraceBuffer) -> TraceSummary {
+    let summary = TraceSummary::from_events(&parse_trace(&buffer.contents()).unwrap()).unwrap();
+    summary.verify().unwrap();
+    summary
+}
+
 #[test]
 fn comm_before_any_phase_lands_in_the_implicit_phase() {
-    let mut net = Clique::with_bandwidth(8, 16).unwrap();
+    let (mut net, buffer) = traced_net();
     balanced_route(&mut net);
+    net.close_all_spans();
     let m = net.metrics();
     assert_eq!(m.phases().len(), 1);
     assert_eq!(m.phases()[0].label, "(unlabelled)");
     assert_eq!(m.phases()[0].rounds, 2);
     assert_eq!(m.phases()[0].rounds, m.total_rounds());
     // The implicit phase also exists as a root leaf span.
-    assert_eq!(m.spans().len(), 1);
-    assert_eq!(m.spans()[0].label, "(unlabelled)");
-    assert_eq!(m.spans()[0].parent, None);
-    assert_eq!(m.spans()[0].totals.rounds, 2);
-    assert_eq!(m.spans()[0].totals.calls, 1);
+    let summary = summary(&buffer);
+    assert_eq!(summary.spans().len(), 1);
+    assert_eq!(summary.roots(), [0]);
+    let span = &summary.spans()[0];
+    assert_eq!(span.label, "(unlabelled)");
+    assert_eq!(span.closed_rounds, Some(2));
+    assert_eq!(span.own.calls, 1);
 }
 
 #[test]
@@ -97,28 +119,44 @@ fn flat_phase_rounds_always_sum_to_the_total() {
     assert_eq!(m.total_rounds(), 6);
 }
 
-fn assert_children_bounded(spans: &[Span]) {
-    for (idx, span) in spans.iter().enumerate() {
-        let child_sum: u64 = span
-            .children
+/// Checks that the children of every span together record no more rounds
+/// at their close than the span itself, with the parent links read from
+/// the open events; returns the rounds the first root's children record.
+fn assert_children_bounded(buffer: &TraceBuffer) -> Vec<u64> {
+    let events = parse_trace(&buffer.contents()).unwrap();
+    let summary = summary(buffer);
+    let recorded = |id: u64| {
+        let span = summary.spans().iter().find(|s| s.id == id).unwrap();
+        span.closed_rounds.expect("a Metrics close records rounds")
+    };
+    let children = |of: u64| -> Vec<u64> {
+        events
             .iter()
-            .map(|&c| {
-                assert_eq!(spans[c].parent, Some(idx), "child/parent links agree");
-                spans[c].totals.rounds
+            .filter_map(|e| match e {
+                TraceEvent::Open {
+                    id,
+                    parent: Some(p),
+                    ..
+                } if *p == of => Some(recorded(*id)),
+                _ => None,
             })
-            .sum();
+            .collect()
+    };
+    for span in summary.spans() {
+        let child_sum: u64 = children(span.id).iter().sum();
         assert!(
-            child_sum <= span.totals.rounds,
+            child_sum <= recorded(span.id),
             "span {:?}: children sum to {child_sum} > own {}",
             span.label,
-            span.totals.rounds
+            recorded(span.id)
         );
     }
+    children(summary.spans()[summary.roots()[0]].id)
 }
 
 #[test]
 fn span_tree_children_never_exceed_their_parent() {
-    let mut net = Clique::with_bandwidth(8, 16).unwrap();
+    let (mut net, buffer) = traced_net();
     net.push_span("apsp");
     for product in 0..2 {
         net.push_span(&format!("product-{product}"));
@@ -131,56 +169,37 @@ fn span_tree_children_never_exceed_their_parent() {
     // Rounds charged to "apsp" directly, outside any product.
     net.charge_rounds(5);
     net.close_all_spans();
-    let m = net.metrics();
-    assert_children_bounded(m.spans());
+    let product_rounds = assert_children_bounded(&buffer);
     // Hand-computed: root holds 2 products × 2 phases × 2 rounds + 5.
-    let root = &m.spans()[0];
+    let summary = summary(&buffer);
+    let root = &summary.spans()[0];
     assert_eq!(root.label, "apsp");
-    assert_eq!(root.totals.rounds, 13);
-    let product_rounds: Vec<u64> = root
-        .children
-        .iter()
-        .map(|&c| m.spans()[c].totals.rounds)
-        .collect();
+    assert_eq!(root.closed_rounds, Some(13));
     assert_eq!(product_rounds, vec![4, 4]);
 }
 
 #[test]
-fn histograms_count_every_call_once_per_open_span() {
-    let mut net = Clique::with_bandwidth(8, 16).unwrap();
+fn every_open_span_sees_every_call() {
+    let (mut net, buffer) = traced_net();
     net.push_span("run");
     net.begin_phase("work");
-    balanced_route(&mut net); // 2 rounds → bucket for 2..=3
-    net.charge_rounds(1); // 1 round → bucket for exactly 1
-    net.charge_rounds(0); // free call → bucket 0
+    balanced_route(&mut net); // 2 rounds
+    net.charge_rounds(1);
+    net.charge_rounds(0); // a free call
     net.close_all_spans();
-    let m = net.metrics();
-    assert_eq!(m.histogram().compact(), "0:1 1:1 2:1");
-    assert_eq!(m.histogram().total_calls(), 3);
     // Both the group span and the leaf saw all three calls.
-    assert_eq!(m.spans()[0].histogram.total_calls(), 3);
-    assert_eq!(m.spans()[1].histogram.total_calls(), 3);
-}
-
-#[test]
-fn metrics_reset_clears_spans_and_histograms() {
-    let mut net = Clique::with_bandwidth(8, 16).unwrap();
-    net.push_span("before");
-    balanced_route(&mut net);
-    net.reset_metrics();
-    let m = net.metrics();
-    assert_eq!(m.total_rounds(), 0);
-    assert!(m.spans().is_empty());
-    assert_eq!(m.histogram().total_calls(), 0);
-    // A fresh accounting epoch works as usual afterwards.
-    net.begin_phase("after");
-    balanced_route(&mut net);
-    assert_eq!(net.metrics().total_rounds(), 2);
+    let summary = summary(&buffer);
+    let closed: Vec<Option<u64>> = summary.spans().iter().map(|s| s.closed_rounds).collect();
+    assert_eq!(closed, [Some(3), Some(3)]);
+    assert_eq!(summary.spans()[1].own.calls, 3);
+    assert_eq!(net.metrics().total_rounds(), 3);
 }
 
 #[test]
 fn standalone_metrics_follow_the_same_rules() {
+    let (sink, buffer) = TraceSink::in_memory();
     let mut m = Metrics::new();
+    m.set_trace_sink(sink);
     m.push_span("g");
     m.record_exchange(2, 4, 64, 32, 48, 40);
     m.record_exchange(3, 1, 16, 40, 16, 16);
@@ -188,7 +207,10 @@ fn standalone_metrics_follow_the_same_rules() {
     // The implicit phase takes componentwise maxima; the group span too.
     assert_eq!(m.phases()[0].max_link_bits, 40);
     assert_eq!(m.phases()[0].max_node_out_bits, 48);
-    assert_eq!(m.spans()[0].totals.rounds, 5);
-    assert_eq!(m.spans()[0].totals.max_link_bits, 40);
-    assert_eq!(m.spans()[0].totals.calls, 2);
+    let summary = summary(&buffer);
+    assert_eq!(summary.spans()[0].label, "g");
+    assert_eq!(summary.spans()[0].closed_rounds, Some(5));
+    assert_eq!(summary.subtree_max_link_bits(0), 40);
+    assert_eq!(summary.spans()[1].label, "(unlabelled)");
+    assert_eq!(summary.spans()[1].own.calls, 2);
 }

@@ -1632,4 +1632,45 @@ mod tests {
         assert!(e.to_string().contains("line 1"), "{e}");
         std::fs::remove_file(&path).ok();
     }
+
+    #[test]
+    fn trace_summary_rejects_overflowing_totals() {
+        let comm = |rounds: u64| {
+            format!(
+                "{{\"ev\":\"comm\",\"kind\":\"route\",\"span\":1,\"rounds\":{rounds},\
+                 \"messages\":1,\"bits\":1,\"max_link_bits\":1,\"max_node_out_bits\":1,\
+                 \"max_node_in_bits\":1}}\n"
+            )
+        };
+        // Two charges of 2^63 rounds wrap to 0 in u64; 2^61 rounds under a
+        // factor-9 span scale past it.
+        let wrapping = format!(
+            "{{\"ev\":\"open\",\"id\":1,\"label\":\"x\"}}\n{}{}{{\"ev\":\"close\",\"id\":1}}\n",
+            comm(1 << 63),
+            comm(1 << 63)
+        );
+        let scaled = format!(
+            "{{\"ev\":\"open\",\"id\":1,\"label\":\"x\",\"factor\":9}}\n{}\
+             {{\"ev\":\"close\",\"id\":1}}\n",
+            comm(1 << 61)
+        );
+        let path = temp_path("overflow");
+        for text in [wrapping, scaled] {
+            std::fs::write(&path, text).unwrap();
+            let mut out = Vec::new();
+            let e = run(
+                &Command::TraceSummary {
+                    file: path.to_string_lossy().into_owned(),
+                    expect_rounds: Some(0),
+                    max_depth: usize::MAX,
+                },
+                &mut out,
+            )
+            .unwrap_err();
+            assert!(e.to_string().starts_with("trace error: "), "{e}");
+            assert!(e.to_string().contains("overflow"), "{e}");
+            assert!(out.is_empty(), "nothing is rendered");
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }
