@@ -184,41 +184,11 @@ fn to_json(samples: &[Sample], mode: &str) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_baseline.json");
-    let mut trace_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(path) => out_path = path.clone(),
-                None => {
-                    eprintln!("bench_baseline: --out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            "--trace" => match it.next() {
-                Some(path) => trace_path = Some(path.clone()),
-                None => {
-                    eprintln!("bench_baseline: --trace requires a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("bench_baseline: unknown argument `{other}`");
-                eprintln!("usage: bench_baseline [--smoke] [--out PATH] [--trace FILE]");
-                std::process::exit(2);
-            }
-        }
-    }
-    let sink = trace_path.map(|p| {
-        TraceSink::to_file(&p).unwrap_or_else(|e| {
-            eprintln!("bench_baseline: cannot create trace file {p}: {e}");
-            std::process::exit(2);
-        })
-    });
+    let ((smoke, out_path), sink) =
+        qcc_bench::read_flags("bench_baseline", "--out --trace", "--smoke", |flags| {
+            let out_path = flags.get("--out").unwrap_or("BENCH_baseline.json");
+            Ok((flags.switch("--smoke"), out_path.to_string()))
+        });
 
     let (sizes, reps): (&[usize], usize) = if smoke {
         (&[64], 2)

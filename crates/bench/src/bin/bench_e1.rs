@@ -33,6 +33,7 @@
 //!   slowest rep dropped) as the typical-rep statistic; it is reported,
 //!   never gated on. See EXPERIMENTS.md for the rationale.
 
+use qcc::cli::CliError;
 use qcc_apsp::{apsp_traced, ApspAlgorithm, Params};
 use qcc_congest::{json, TraceSink};
 use qcc_graph::{random_reweighted_digraph, ExtWeight, WeightMatrix};
@@ -261,61 +262,25 @@ fn to_json(r: &E1Result) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut n = 81usize;
-    let mut reps = 1usize;
-    let mut out_path = String::from("BENCH_e1_fast.json");
-    let mut trace_path: Option<String> = None;
-    let mut check_path: Option<String> = None;
-    let mut max_ratio = 2.0f64;
-    let mut it = args.iter();
-    let usage = "usage: bench_e1 [--n N] [--reps R] [--out PATH] [--trace FILE] \
-                 [--check REF.json] [--max-ratio X]";
-    let take = |it: &mut std::slice::Iter<String>, flag: &str| -> String {
-        it.next().cloned().unwrap_or_else(|| {
-            eprintln!("bench_e1: {flag} requires a value\n{usage}");
-            std::process::exit(2);
-        })
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--n" => {
-                n = take(&mut it, "--n").parse().unwrap_or_else(|_| {
-                    eprintln!("bench_e1: --n requires an integer");
-                    std::process::exit(2);
-                })
+    let ((n, reps, out_path, check_path, max_ratio), sink) = qcc_bench::read_flags(
+        "bench_e1",
+        "--n --reps --out --trace --check --max-ratio",
+        "",
+        |flags| {
+            let reps = flags.num("--reps", 1usize)?;
+            if reps == 0 {
+                return Err(CliError("--reps must be at least 1".into()));
             }
-            "--reps" => {
-                reps = take(&mut it, "--reps").parse().unwrap_or_else(|_| {
-                    eprintln!("bench_e1: --reps requires an integer");
-                    std::process::exit(2);
-                })
-            }
-            "--out" => out_path = take(&mut it, "--out"),
-            "--trace" => trace_path = Some(take(&mut it, "--trace")),
-            "--check" => check_path = Some(take(&mut it, "--check")),
-            "--max-ratio" => {
-                max_ratio = take(&mut it, "--max-ratio").parse().unwrap_or_else(|_| {
-                    eprintln!("bench_e1: --max-ratio requires a number");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("bench_e1: unknown argument `{other}`\n{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if reps == 0 {
-        eprintln!("bench_e1: --reps must be at least 1");
-        std::process::exit(2);
-    }
-    let sink = trace_path.map(|p| {
-        TraceSink::to_file(&p).unwrap_or_else(|e| {
-            eprintln!("bench_e1: cannot create trace file {p}: {e}");
-            std::process::exit(2);
-        })
-    });
+            let out_path = flags.get("--out").unwrap_or("BENCH_e1_fast.json");
+            Ok((
+                flags.n(81)?,
+                reps,
+                out_path.to_string(),
+                flags.get("--check").map(String::from),
+                flags.num("--max-ratio", 2.0f64)?,
+            ))
+        },
+    );
 
     let result = run_e1(n, reps, sink.as_ref());
     if let Some(sink) = &sink {

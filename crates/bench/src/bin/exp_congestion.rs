@@ -14,22 +14,12 @@ use qcc_apsp::eval_procedure::{evaluate_joint, evaluate_joint_unbounded, AlphaCo
 use qcc_apsp::gather::gather_weights;
 use qcc_apsp::lambda::KeptPair;
 use qcc_apsp::{Instance, PairSet, Params};
-use qcc_bench::{banner, take_trace_flag, Table};
+use qcc_bench::{banner, Table};
 use qcc_congest::Clique;
 use qcc_graph::congestion_hotspot;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let sink = take_trace_flag(&mut args).unwrap_or_else(|e| {
-        eprintln!("exp_congestion: {e}");
-        eprintln!("usage: exp_congestion [--trace FILE]");
-        std::process::exit(2);
-    });
-    if let Some(extra) = args.first() {
-        eprintln!("exp_congestion: unknown argument `{extra}`");
-        eprintln!("usage: exp_congestion [--trace FILE]");
-        std::process::exit(2);
-    }
+    let ((), sink) = qcc_bench::read_flags("exp_congestion", "--trace", "", |_| Ok(()));
     banner(
         "E12",
         "load-balancing ablation: hot-block queries with and without the machinery",

@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
+    qcc_bench::read_flags("exp_counting", "", "", |_| Ok(()));
     banner(
         "E14",
         "quantum Gamma counting: amplitude estimation over the apex domain",

@@ -20,6 +20,7 @@
 //! both backends must agree on the diameter every trial); 2 on usage
 //! errors.
 
+use qcc::cli::CliError;
 use qcc_apsp::{
     classical_extremum_scan, distance_params, eccentricities, network_extremum, ApspAlgorithm,
     DistanceParam, DriverConfig, ExtremumConfig,
@@ -43,39 +44,24 @@ struct SweepPoint {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: exp_distance_params [--smoke] [--trials T] [--seed S] [--out PATH]";
-    let mut smoke = false;
-    let mut trials = 20usize;
-    let mut seed = 7u64;
-    let mut out_path = String::from("BENCH_distance_params.json");
-    let take = |flag: &str, it: &mut std::slice::Iter<String>| -> String {
-        it.next().cloned().unwrap_or_else(|| {
-            eprintln!("exp_distance_params: {flag} requires a value");
-            std::process::exit(2);
-        })
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--trials" => trials = parse_num(&take("--trials", &mut it), "--trials"),
-            "--seed" => seed = parse_num(&take("--seed", &mut it), "--seed"),
-            "--out" => out_path = take("--out", &mut it),
-            other => {
-                eprintln!("exp_distance_params: unknown argument `{other}`");
-                eprintln!("{usage}");
-                std::process::exit(2);
+    let ((smoke, trials, seed, out_path), _) = qcc_bench::read_flags(
+        "exp_distance_params",
+        "--trials --seed --out",
+        "--smoke",
+        |flags| {
+            let smoke = flags.switch("--smoke");
+            let mut trials = flags.num("--trials", 20usize)?;
+            let seed = flags.num("--seed", 7u64)?;
+            if trials == 0 {
+                return Err(CliError("--trials must be at least 1".into()));
             }
-        }
-    }
-    if trials == 0 {
-        eprintln!("exp_distance_params: --trials must be at least 1");
-        std::process::exit(2);
-    }
-    if smoke {
-        trials = trials.min(10);
-    }
+            if smoke {
+                trials = trials.min(10);
+            }
+            let out_path = flags.get("--out").unwrap_or("BENCH_distance_params.json");
+            Ok((smoke, trials, seed, out_path.to_string()))
+        },
+    );
     banner(
         "E17",
         "distance parameters: O(sqrt n) quantum evaluations vs the n-value scan",
@@ -223,11 +209,4 @@ fn main() {
          the scan stays O(1) rounds — evaluations, not rounds, are the framework's\n\
          oracle-cost currency)"
     );
-}
-
-fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> T {
-    text.parse().unwrap_or_else(|_| {
-        eprintln!("exp_distance_params: invalid value for {flag}: {text}");
-        std::process::exit(2);
-    })
 }

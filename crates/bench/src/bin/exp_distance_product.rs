@@ -25,6 +25,7 @@ fn random_matrix(n: usize, mag: i64, rng: &mut StdRng) -> WeightMatrix {
 }
 
 fn main() {
+    qcc_bench::read_flags("exp_distance_product", "", "", |_| Ok(()));
     banner(
         "E11",
         "Proposition 2: O(log M) FindEdges calls per distance product",

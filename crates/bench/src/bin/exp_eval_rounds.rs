@@ -17,6 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
+    qcc_bench::read_flags("exp_eval_rounds", "", "", |_| Ok(()));
     banner(
         "E8",
         "Figures 4-5: one joint evaluation costs polylog rounds",

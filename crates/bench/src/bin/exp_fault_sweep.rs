@@ -18,30 +18,16 @@
 //! fault-sweep gate.
 
 use qcc_apsp::{apsp_driver, ApspAlgorithm, ApspError, DriverConfig};
-use qcc_bench::{banner, take_trace_flag, Table};
+use qcc_bench::{banner, Table};
 use qcc_congest::{FaultPlan, NetConfig};
 use qcc_graph::{floyd_warshall, random_reweighted_digraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let sink = take_trace_flag(&mut args).unwrap_or_else(|e| {
-        eprintln!("exp_fault_sweep: {e}");
-        eprintln!("usage: exp_fault_sweep [--smoke] [--trace FILE]");
-        std::process::exit(2);
+    let (smoke, sink) = qcc_bench::read_flags("exp_fault_sweep", "--trace", "--smoke", |flags| {
+        Ok(flags.switch("--smoke"))
     });
-    let mut smoke = false;
-    for a in &args {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            other => {
-                eprintln!("exp_fault_sweep: unknown argument `{other}`");
-                eprintln!("usage: exp_fault_sweep [--smoke] [--trace FILE]");
-                std::process::exit(2);
-            }
-        }
-    }
     banner(
         "E16",
         "fault sweep: seeded drops/corruption/dups/crashes + envelope + driver stay exact or fail typed",

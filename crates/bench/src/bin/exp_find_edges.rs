@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
+    qcc_bench::read_flags("exp_find_edges", "", "", |_| Ok(()));
     banner(
         "E2",
         "FindEdgesWithPromise: quantum O~(n^{1/4}) vs classical O~(sqrt n) vs listing O~(n^{1/3})",

@@ -26,6 +26,7 @@ impl SearchOracle for Marked {
 }
 
 fn main() {
+    qcc_bench::read_flags("exp_grover", "", "", |_| Ok(()));
     banner(
         "E10",
         "distributed Grover search: O~(sqrt |X|) vs classical |X| evaluations",

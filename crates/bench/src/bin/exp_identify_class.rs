@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
+    qcc_bench::read_flags("exp_identify_class", "", "", |_| Ok(()));
     banner("E6", "Proposition 5: class bands bracket the true |Delta|");
     let n = 256;
     // hotspot: 16 base pairs, each in 32 negative triangles, concentrated

@@ -44,6 +44,7 @@ fn trial_stats(n: usize, params: Params, trials: u32, seed: u64) -> (u32, u32, f
 }
 
 fn main() {
+    qcc_bench::read_flags("exp_lambda", "", "", |_| Ok(()));
     banner(
         "E5",
         "Lemma 2: abort and coverage frequencies of the Lambda covering",

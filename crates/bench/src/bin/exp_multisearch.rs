@@ -91,6 +91,7 @@ fn run(m: usize, domain: usize, beta: f64, trials: u32, seed: u64) -> (f64, u64,
 }
 
 fn main() {
+    qcc_bench::read_flags("exp_multisearch", "", "", |_| Ok(()));
     banner(
         "E3",
         "Theorem 3: parallel searches with a truncated (typical-input) evaluator",

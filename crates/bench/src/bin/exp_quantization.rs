@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
+    qcc_bench::read_flags("exp_quantization", "", "", |_| Ok(()));
     banner(
         "E15",
         "weight quantization: FindEdges calls vs additive error (W = 50000)",

@@ -28,6 +28,7 @@
 //! repair cheaper than recompute; smoke: warm faster than cold); 2 on
 //! usage errors.
 
+use qcc::cli::CliError;
 use qcc_apsp::serve::{EdgeChange, QueryEngine, ServeRequest, UpdateMethod};
 use qcc_graph::{floyd_warshall, random_reweighted_digraph, DiGraph, ExtWeight, PathOracle};
 use rand::rngs::StdRng;
@@ -117,46 +118,26 @@ fn safe_decrease(g: &DiGraph, dist: &qcc_graph::WeightMatrix) -> Option<(usize, 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut n = 81usize;
-    let mut seed = 7u64;
-    let mut queries = 2000usize;
-    let mut row_cache = 4usize;
-    let mut out_path = String::from("BENCH_query_throughput.json");
-    let mut it = args.iter();
-    let usage = "usage: exp_query_throughput [--smoke] [--n N] [--seed S] \
-                 [--queries Q] [--row-cache C] [--out PATH]";
-    let take = |flag: &str, it: &mut std::slice::Iter<String>| -> String {
-        it.next().cloned().unwrap_or_else(|| {
-            eprintln!("exp_query_throughput: {flag} requires a value");
-            std::process::exit(2);
-        })
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--n" => n = parse_num(&take("--n", &mut it), "--n"),
-            "--seed" => seed = parse_num(&take("--seed", &mut it), "--seed"),
-            "--queries" => queries = parse_num(&take("--queries", &mut it), "--queries"),
-            "--row-cache" => row_cache = parse_num(&take("--row-cache", &mut it), "--row-cache"),
-            "--out" => out_path = take("--out", &mut it),
-            other => {
-                eprintln!("exp_query_throughput: unknown argument `{other}`");
-                eprintln!("{usage}");
-                std::process::exit(2);
+    let ((smoke, n, seed, queries, row_cache, out_path), _) = qcc_bench::read_flags(
+        "exp_query_throughput",
+        "--n --seed --queries --row-cache --out",
+        "--smoke",
+        |flags| {
+            let smoke = flags.switch("--smoke");
+            let mut n = flags.n(81)?;
+            let mut queries = flags.num("--queries", 2000usize)?;
+            let mut row_cache = flags.num("--row-cache", 4usize)?;
+            if smoke {
+                (n, queries, row_cache) = (16, 300, 2);
             }
-        }
-    }
-    if smoke {
-        n = 16;
-        queries = 300;
-        row_cache = 2;
-    }
-    if row_cache == 0 {
-        eprintln!("exp_query_throughput: --row-cache must be at least 1");
-        std::process::exit(2);
-    }
+            if row_cache == 0 {
+                return Err(CliError("--row-cache must be at least 1".into()));
+            }
+            let out_path = flags.get("--out").unwrap_or("BENCH_query_throughput.json");
+            let seed = flags.num("--seed", 7u64)?;
+            Ok((smoke, n, seed, queries, row_cache, out_path.to_string()))
+        },
+    );
 
     let mut rng = StdRng::seed_from_u64(seed);
     let g = random_reweighted_digraph(n, 0.5, 8, &mut rng);
@@ -322,11 +303,4 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-}
-
-fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> T {
-    text.parse().unwrap_or_else(|_| {
-        eprintln!("exp_query_throughput: invalid value for {flag}: {text}");
-        std::process::exit(2);
-    })
 }

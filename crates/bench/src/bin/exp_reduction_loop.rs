@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
+    qcc_bench::read_flags("exp_reduction_loop", "", "", |_| Ok(()));
     banner(
         "E4",
         "Proposition 1: FindEdges via O(log n) promise-solver calls",

@@ -118,6 +118,7 @@ fn fail(label: &str, why: String) -> ! {
 }
 
 fn main() {
+    qcc_bench::read_flags("exp_routing", "", "", |_| Ok(()));
     banner(
         "E13",
         "Lemma 1: bounded-load message sets route in exactly 2 rounds",

@@ -26,7 +26,7 @@
 use qcc_apsp::{
     apsp_driver, gossip_apsp, ApspAlgorithm, DriverConfig, GossipApspConfig, GossipApspReport,
 };
-use qcc_bench::{banner, take_trace_flag, Table};
+use qcc_bench::{banner, Table};
 use qcc_congest::{json, FaultPlan, NetConfig, NodeId, TopologySpec};
 use qcc_graph::{floyd_warshall, random_reweighted_digraph, WeightMatrix};
 use rand::rngs::StdRng;
@@ -54,32 +54,15 @@ fn json_num_opt(v: Option<u64>) -> String {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: exp_transport_matrix [--smoke] [--out PATH] [--trace FILE]";
-    let sink = take_trace_flag(&mut args).unwrap_or_else(|e| {
-        eprintln!("exp_transport_matrix: {e}");
-        eprintln!("{usage}");
-        std::process::exit(2);
-    });
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_transport_matrix.json");
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out_path = it.next().cloned().unwrap_or_else(|| {
-                    eprintln!("exp_transport_matrix: --out requires a value");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("exp_transport_matrix: unknown argument `{other}`");
-                eprintln!("{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let ((smoke, out_path), sink) = qcc_bench::read_flags(
+        "exp_transport_matrix",
+        "--out --trace",
+        "--smoke",
+        |flags| {
+            let out_path = flags.get("--out").unwrap_or("BENCH_transport_matrix.json");
+            Ok((flags.switch("--smoke"), out_path.to_string()))
+        },
+    );
     banner(
         "E18",
         "transport matrix: topology x transport x faults, exact answers or typed failures",

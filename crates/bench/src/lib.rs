@@ -5,6 +5,10 @@
 //! (E1–E13) has a binary that regenerates its table; the output is pasted
 //! into `EXPERIMENTS.md`.
 //!
+//! Every binary reads its command line through [`read_flags`], which is
+//! `qcc`'s flag reader: an unknown, repeated or value-less flag, or a stray
+//! argument, exits 2 before any work.
+//!
 //! Run all experiment binaries with, e.g.:
 //!
 //! ```text
@@ -14,6 +18,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use qcc::cli::{collect_flags, open_sink, CliError, Flags};
+use qcc_congest::TraceSink;
 use std::fmt::Display;
 
 /// A markdown table accumulated row by row and printed to stdout.
@@ -122,39 +128,43 @@ pub fn banner(id: &str, claim: &str) {
     println!("\n## {id} — {claim}\n");
 }
 
-/// Extracts `--trace FILE` from an experiment binary's argument list,
-/// removing both tokens and opening the NDJSON sink.
+/// Reads this binary's command line through `qcc`'s flag reader
+/// ([`collect_flags`]): `values` lists the flags that take a value and
+/// `switches` those that do not, and `read` turns them into the binary's
+/// options. Once `read` succeeds, a declared `--trace FILE` is opened as
+/// an NDJSON sink ([`open_sink`]).
 ///
-/// The experiment binaries share one convention: `--trace` is optional,
-/// everything else is binary-specific. Returns `Err` with a usage-style
-/// message when the flag is present without a value or the file cannot be
-/// created; the caller prints it and exits non-zero.
-///
-/// # Errors
-///
-/// Returns a message naming the problem (`--trace requires a path`, or the
-/// file-creation failure).
-///
-/// # Examples
-///
-/// ```
-/// let mut args = vec!["--smoke".to_string()];
-/// let sink = qcc_bench::take_trace_flag(&mut args).unwrap();
-/// assert!(sink.is_none());
-/// assert_eq!(args, ["--smoke"]);
-/// ```
-pub fn take_trace_flag(args: &mut Vec<String>) -> Result<Option<qcc_congest::TraceSink>, String> {
-    let Some(i) = args.iter().position(|a| a == "--trace") else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() || args[i + 1].starts_with("--") {
-        return Err("--trace requires a path".into());
+/// An unknown, repeated or value-less flag, a stray argument, an error
+/// from `read` and a trace file that cannot be created all print
+/// `<binary>: <message>` on stderr and exit 2, before the binary does any
+/// work.
+pub fn read_flags<T>(
+    binary: &str,
+    values: &str,
+    switches: &str,
+    read: impl FnOnce(&Flags) -> Result<T, CliError>,
+) -> (T, Option<TraceSink>) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_flags(binary, &args, values, switches, read).unwrap_or_else(|e| {
+        eprintln!("{binary}: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// The body of [`read_flags`] on an explicit argument list.
+fn parse_flags<T>(
+    binary: &str,
+    args: &[String],
+    values: &str,
+    switches: &str,
+    read: impl FnOnce(&Flags) -> Result<T, CliError>,
+) -> Result<(T, Option<TraceSink>), CliError> {
+    let flags = collect_flags(binary, args, values, switches)?;
+    if let Some(extra) = flags.positionals.first() {
+        return Err(CliError(format!("unexpected argument: {extra}")));
     }
-    let path = args.remove(i + 1);
-    args.remove(i);
-    qcc_congest::TraceSink::to_file(&path)
-        .map(Some)
-        .map_err(|e| format!("cannot create trace file {path}: {e}"))
+    let options = read(&flags)?;
+    Ok((options, open_sink(flags.trace().as_ref())?))
 }
 
 #[cfg(test)]
@@ -200,28 +210,44 @@ mod tests {
         assert_eq!(geometric_mean(&[]), 0.0);
     }
 
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
     #[test]
-    fn take_trace_flag_removes_its_tokens() {
+    fn flags_parse_and_open_the_trace() {
         let path =
             std::env::temp_dir().join(format!("qcc-bench-lib-{}.ndjson", std::process::id()));
-        let mut args = vec![
-            "--smoke".to_string(),
-            "--trace".to_string(),
-            path.to_string_lossy().into_owned(),
-            "--out".to_string(),
-            "x.json".to_string(),
-        ];
-        let sink = take_trace_flag(&mut args).unwrap();
-        assert!(sink.is_some());
-        assert_eq!(args, ["--smoke", "--out", "x.json"]);
+        let line = format!("--smoke --trace {} --out x.json", path.display());
+        let ((smoke, out), sink) =
+            parse_flags("exp", &args(&line), "--out --trace", "--smoke", |flags| {
+                Ok((
+                    flags.switch("--smoke"),
+                    flags.get("--out").map(String::from),
+                ))
+            })
+            .unwrap();
+        assert!(smoke && sink.is_some());
+        assert_eq!(out.as_deref(), Some("x.json"));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn take_trace_flag_requires_a_value() {
-        let mut args = vec!["--trace".to_string()];
-        assert!(take_trace_flag(&mut args).is_err());
-        let mut args = vec!["--trace".to_string(), "--smoke".to_string()];
-        assert!(take_trace_flag(&mut args).is_err());
+    fn bad_command_lines_are_usage_errors() {
+        let n = |flags: &Flags| flags.n(81);
+        for (line, message) in [
+            ("--n", "flag --n needs a value"),
+            ("--n 3 --n 4", "flag --n given more than once"),
+            ("--n 0", "--n must be at least 1"),
+            ("--n x", "invalid value for --n: x"),
+            ("--m 3", "unknown flag for `exp`: --m (allowed: --n)"),
+            ("3", "unexpected argument: 3"),
+        ] {
+            let e = parse_flags("exp", &args(line), "--n", "", n).unwrap_err();
+            assert_eq!(e.to_string(), message, "{line}");
+        }
+        let (n, sink) = parse_flags("exp", &[], "--n", "", n).unwrap();
+        assert_eq!(n, 81);
+        assert!(sink.is_none());
     }
 }

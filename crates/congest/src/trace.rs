@@ -36,10 +36,10 @@
 //!
 //! Spans are strictly nested (the file is a preorder walk of the tree) and
 //! ids are unique and increasing. [`parse_trace`] reads a file back,
-//! [`TraceSummary`] rebuilds the tree (rejecting any total that leaves
-//! `u64`), checks each recorded close `rounds` against the span's comm
-//! events, and renders the rounds/bits/max-link breakdown shown by
-//! `qcc trace-summary`.
+//! [`TraceSummary`] rebuilds the tree (rejecting any event that breaks the
+//! nesting, and any total that leaves `u64`), checks each recorded close
+//! `rounds` against the span's comm events, and renders the
+//! rounds/bits/max-link breakdown shown by `qcc trace-summary`.
 
 use crate::json::{self, Value};
 use std::fmt;
@@ -448,6 +448,16 @@ fn err(line: usize, message: impl Into<String>) -> TraceError {
     }
 }
 
+/// The error for an `event` that names span `named` (`None`: no span) while
+/// `innermost` is the innermost open span.
+fn misnested(event: &str, named: Option<u64>, innermost: Option<u64>) -> TraceError {
+    let named = named.map_or("no span".to_string(), |id| format!("span {id}"));
+    let open = innermost.map_or("no span is open".to_string(), |id| {
+        format!("the innermost open span is {id}")
+    });
+    err(0, format!("{event} names {named}, but {open}"))
+}
+
 /// Parses one NDJSON line into a [`TraceEvent`].
 ///
 /// # Errors
@@ -603,15 +613,21 @@ impl TraceSummary {
     ///
     /// # Errors
     ///
-    /// Rejects duplicate ids, unknown parents or spans, comm events
-    /// attributed to spans that were never opened, and any sum — a span's
+    /// Rejects any event the sink could not have written, which keeps one
+    /// stack of open spans: an `open` whose id does not exceed the previous
+    /// span's or whose parent is not the innermost open span (none at top
+    /// level), a `close` of any span but the innermost open one, and a
+    /// `comm` or `fault` that names any span but the innermost open one
+    /// (none only when no span is open). Also rejects any sum — a span's
     /// own or subtree counters, or the scaled round total — that leaves
     /// `u64`.
     pub fn from_events(events: &[TraceEvent]) -> Result<Self, TraceError> {
         let mut summary = TraceSummary::default();
-        let mut index_of: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+        // Indices of the open spans, innermost last, as the sink keeps them.
+        let mut open: Vec<usize> = Vec::new();
         let overflow = |id: u64| err(0, format!("the totals of span {id} overflow u64"));
         for event in events {
+            let innermost = open.last().map(|&idx| summary.spans[idx].id);
             match event {
                 TraceEvent::Open {
                     id,
@@ -619,24 +635,21 @@ impl TraceSummary {
                     label,
                     factor,
                 } => {
-                    if index_of.contains_key(id) {
-                        return Err(err(0, format!("duplicate span id {id}")));
+                    if let Some(prev) = summary.spans.last().filter(|prev| prev.id >= *id) {
+                        return Err(err(
+                            0,
+                            format!("span id {id} is not above the previous span id {}", prev.id),
+                        ));
                     }
-                    let (depth, parent_idx) = match parent {
-                        None => (0, None),
-                        Some(p) => {
-                            let &idx = index_of.get(p).ok_or_else(|| {
-                                err(0, format!("span {id} has unknown parent {p}"))
-                            })?;
-                            (summary.spans[idx].depth + 1, Some(idx))
-                        }
-                    };
+                    if *parent != innermost {
+                        return Err(misnested(&format!("open of span {id}"), *parent, innermost));
+                    }
                     let idx = summary.spans.len();
                     summary.spans.push(SpanSummary {
                         id: *id,
                         label: label.clone(),
                         factor: *factor,
-                        depth,
+                        depth: open.len(),
                         own: CommTotals::default(),
                         faults: 0,
                         closed: false,
@@ -644,46 +657,42 @@ impl TraceSummary {
                         children: Vec::new(),
                         subtree: Subtree::default(),
                     });
-                    match parent_idx {
-                        Some(p) => summary.spans[p].children.push(idx),
+                    match open.last() {
+                        Some(&p) => summary.spans[p].children.push(idx),
                         None => summary.roots.push(idx),
                     }
-                    index_of.insert(*id, idx);
+                    open.push(idx);
                 }
                 TraceEvent::Close { id, rounds } => {
-                    let &idx = index_of
-                        .get(id)
-                        .ok_or_else(|| err(0, format!("close of unknown span {id}")))?;
-                    let span = &mut summary.spans[idx];
-                    if span.closed {
-                        return Err(err(0, format!("span {id} closed twice")));
-                    }
-                    span.closed = true;
-                    span.closed_rounds = *rounds;
+                    let Some(idx) = open.pop().filter(|_| innermost == Some(*id)) else {
+                        return Err(misnested("close", Some(*id), innermost));
+                    };
+                    summary.spans[idx].closed = true;
+                    summary.spans[idx].closed_rounds = *rounds;
                 }
-                TraceEvent::Comm(comm) => match comm.span {
-                    None => summary.unspanned.absorb(comm).ok_or_else(|| {
-                        err(0, "the totals of comm events outside any span overflow u64")
-                    })?,
-                    Some(id) => {
-                        let &idx = index_of
-                            .get(&id)
-                            .ok_or_else(|| err(0, format!("comm in unknown span {id}")))?;
-                        summary.spans[idx]
-                            .own
-                            .absorb(comm)
-                            .ok_or_else(|| overflow(id))?;
+                TraceEvent::Comm(comm) => {
+                    if comm.span != innermost {
+                        return Err(misnested("comm event", comm.span, innermost));
                     }
-                },
-                TraceEvent::Fault { span, .. } => match span {
-                    None => summary.unspanned_faults += 1,
-                    Some(id) => {
-                        let &idx = index_of
-                            .get(id)
-                            .ok_or_else(|| err(0, format!("fault in unknown span {id}")))?;
-                        summary.spans[idx].faults += 1;
+                    match open.last() {
+                        None => summary.unspanned.absorb(comm).ok_or_else(|| {
+                            err(0, "the totals of comm events outside any span overflow u64")
+                        })?,
+                        Some(&idx) => {
+                            let span = &mut summary.spans[idx];
+                            span.own.absorb(comm).ok_or_else(|| overflow(span.id))?
+                        }
                     }
-                },
+                }
+                TraceEvent::Fault { span, .. } => {
+                    if *span != innermost {
+                        return Err(misnested("fault event", *span, innermost));
+                    }
+                    match open.last() {
+                        None => summary.unspanned_faults += 1,
+                        Some(&idx) => summary.spans[idx].faults += 1,
+                    }
+                }
             }
         }
         // Preorder puts every child after its parent, so one backward pass
@@ -1101,6 +1110,94 @@ mod tests {
         );
         let summary = TraceSummary::from_events(&parse_trace(&text).unwrap()).unwrap();
         assert_eq!(summary.total_rounds(), u64::MAX - 7);
+    }
+
+    /// `{"ev":"open",…}` of span `id` under `parent`, newline-terminated.
+    fn open_line(id: u64, parent: Option<u64>) -> String {
+        let parent = parent.map_or(String::new(), |p| format!(",\"parent\":{p}"));
+        format!("{{\"ev\":\"open\",\"id\":{id}{parent},\"label\":\"s{id}\"}}\n")
+    }
+
+    fn close_line(id: u64) -> String {
+        format!("{{\"ev\":\"close\",\"id\":{id}}}\n")
+    }
+
+    #[test]
+    fn events_the_sink_cannot_write_are_trace_errors() {
+        let (o1, o2, c1, c2) = (
+            open_line(1, None),
+            open_line(2, Some(1)),
+            close_line(1),
+            close_line(2),
+        );
+        let bare_comm = comm_line(1, 1).replace(",\"span\":1", "");
+        let fault = |span: u64| format!("{{\"ev\":\"fault\",\"kind\":\"drop\",\"span\":{span}}}\n");
+        for (text, message) in [
+            // Span 1 closes while its child 2 is open, is then charged 5
+            // rounds and opens a child 3.
+            (
+                format!(
+                    "{o1}{o2}{c1}{}{}{}{c2}",
+                    comm_line(1, 5),
+                    open_line(3, Some(1)),
+                    close_line(3)
+                ),
+                "close names span 1, but the innermost open span is 2",
+            ),
+            (
+                format!("{o1}{o2}{c2}{}", open_line(3, Some(2))),
+                "open of span 3 names span 2, but the innermost open span is 1",
+            ),
+            (
+                format!("{o1}{}", open_line(2, None)),
+                "open of span 2 names no span, but the innermost open span is 1",
+            ),
+            (
+                o2.clone(),
+                "open of span 2 names span 1, but no span is open",
+            ),
+            (
+                format!("{o1}{c1}{c1}"),
+                "close names span 1, but no span is open",
+            ),
+            (
+                format!("{o1}{c1}{}", comm_line(1, 1)),
+                "comm event names span 1, but no span is open",
+            ),
+            (
+                format!("{o1}{bare_comm}"),
+                "comm event names no span, but the innermost open span is 1",
+            ),
+            (
+                format!("{o1}{o2}{}", comm_line(1, 1)),
+                "comm event names span 1, but the innermost open span is 2",
+            ),
+            (
+                format!("{o1}{}", fault(2)),
+                "fault event names span 2, but the innermost open span is 1",
+            ),
+            (
+                format!("{}{c2}{o1}", open_line(2, None)),
+                "span id 1 is not above the previous span id 2",
+            ),
+            (
+                format!("{o1}{c1}{o1}"),
+                "span id 1 is not above the previous span id 1",
+            ),
+        ] {
+            let e = TraceSummary::from_events(&parse_trace(&text).unwrap()).unwrap_err();
+            assert_eq!(e.to_string(), format!("trace error: {message}"), "{text}");
+        }
+        // The same events nested as the sink writes them are accepted.
+        let nested = format!(
+            "{o1}{o2}{}{c2}{}{}{c1}",
+            comm_line(2, 5),
+            comm_line(1, 1),
+            fault(1)
+        );
+        let summary = TraceSummary::from_events(&parse_trace(&nested).unwrap()).unwrap();
+        summary.verify().unwrap();
+        assert_eq!(summary.total_rounds(), 6);
     }
 
     #[test]

@@ -204,6 +204,28 @@ fn evaluate_with_cap(
     queries: &[EvalQuery],
     cap: f64,
 ) -> Result<Vec<bool>, EvalJointError> {
+    let triple_of = |q: &EvalQuery| {
+        let (_, bu, bv) = actx.search_route[q.search_label];
+        inst.triples.encode(bu as usize, bv as usize, q.target)
+    };
+    if let Some(mut session) = ChargeOnlyEval::with_cap(inst, net, actx, cap) {
+        // Fault-free, un-enveloped network: the session charges both legs
+        // from the per-list query counts, byte-identical to the
+        // materialized exchanges, and each query is answered from the
+        // census of its triple's gathered tables, as its copy node would.
+        for q in queries {
+            session.push(q.search_label, q.target);
+        }
+        session.finish(net)?;
+        return queries
+            .iter()
+            .map(|q| {
+                gathered
+                    .check_negative(inst, triple_of(q), q.pair.u, q.pair.v, q.pair.weight)
+                    .map_err(|e| EvalJointError::Internal(e.to_string()))
+            })
+            .collect();
+    }
     let n = inst.n();
 
     // Tally the lists L^k_w and enforce the promise (the Υ_β gate): a flat
@@ -225,23 +247,6 @@ fn evaluate_with_cap(
 
     let pb = pair_bits(n);
     let wb = weight_bits(inst.weight_magnitude());
-    if net.is_transparent() {
-        // Fault-free, un-enveloped network: every wire is fixed-width, so
-        // the two exchange legs can be charged analytically from per-link
-        // message tallies and answered locally — byte-identical rounds,
-        // metrics, and trace events, with no envelopes materialized.
-        return evaluate_bulk(
-            inst,
-            net,
-            gathered,
-            actx,
-            queries,
-            &mut counts,
-            fine,
-            pb,
-            wb,
-        );
-    }
     net.begin_phase(&format!("step3/alpha{}/eval-queries", actx.alpha));
     // Wire content: (query id, triple label, pair endpoints, f(u, v)).
     // The pair + weight are the `pb + wb` information bits; the ids mirror
@@ -259,9 +264,8 @@ fn evaluate_with_cap(
         let key = q.search_label * fine + q.target;
         let pos = counts[key] as usize;
         counts[key] += 1;
-        let (src_node, bu, bv) = route_of[q.search_label];
-        let src = NodeId::new(src_node as usize);
-        let triple_label = inst.triples.encode(bu as usize, bv as usize, q.target);
+        let src = NodeId::new(route_of[q.search_label].0 as usize);
+        let triple_label = triple_of(q);
         // Figure 5: split each list round-robin across the dup copies.
         let y = pos % actx.dup;
         let dst = actx.try_copy_node(triple_label, y).ok_or_else(|| {
@@ -319,63 +323,6 @@ fn evaluate_with_cap(
     Ok(answers)
 }
 
-/// The batched fast path of [`evaluate_with_cap`], taken on transparent
-/// networks ([`Clique::is_transparent`]).
-///
-/// One pass over the (cap-checked) queries resolves each to its copy node,
-/// tallies it on its link — every query wire is `pb + wb` bits, every reply
-/// `pb + 1` on the reverse link — and answers it locally from the
-/// gathered census; the legs are then charged via
-/// [`Clique::charge_exchange_tally`], which records rounds, totals, maxima,
-/// and trace events byte-identical to the materialized exchanges over the
-/// same traffic. Since the materialized path scatters replies back by query
-/// id anyway, the per-query results are identical. The cap tallies in
-/// `counts` are rewound first, so `pos` is the query's rank within its
-/// (search, target) list — the same round-robin copy split as the
-/// materialized path.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_bulk(
-    inst: &Instance<'_>,
-    net: &mut Clique,
-    gathered: &GatheredWeights,
-    actx: &AlphaContext,
-    queries: &[EvalQuery],
-    counts: &mut [u32],
-    fine: usize,
-    pb: u64,
-    wb: u64,
-) -> Result<Vec<bool>, EvalJointError> {
-    net.begin_phase(&format!("step3/alpha{}/eval-queries", actx.alpha));
-    counts.iter_mut().for_each(|c| *c = 0);
-    let route_of = &actx.search_route;
-    let mut links = LinkTally::new(inst.n());
-    let mut answers = Vec::with_capacity(queries.len());
-    for q in queries {
-        let key = q.search_label * fine + q.target;
-        let pos = counts[key] as usize;
-        counts[key] += 1;
-        let (src_node, bu, bv) = route_of[q.search_label];
-        let triple_label = inst.triples.encode(bu as usize, bv as usize, q.target);
-        let y = pos % actx.dup;
-        let dst = actx.try_copy_node(triple_label, y).ok_or_else(|| {
-            EvalJointError::Internal(format!(
-                "triple {triple_label} copy {y} not in the α = {} context",
-                actx.alpha
-            ))
-        })?;
-        links.add(src_node as usize, dst.index(), 1);
-        answers.push(
-            gathered
-                .check_negative(inst, triple_label, q.pair.u, q.pair.v, q.pair.weight)
-                .map_err(|e| EvalJointError::Internal(e.to_string()))?,
-        );
-    }
-    net.charge_exchange_tally(&links, pb + wb, Leg::Forward);
-    net.begin_phase(&format!("step3/alpha{}/eval-answers", actx.alpha));
-    net.charge_exchange_tally(&links, pb + 1, Leg::Reverse);
-    Ok(answers)
-}
-
 /// A charge-only joint-evaluation session for the lockstep Grover loop.
 ///
 /// In the quantum Step 3 the per-iteration evaluations exist to drive the
@@ -388,7 +335,8 @@ fn evaluate_bulk(
 /// [`ChargeOnlyEval::finish`] folds the grid into per-link message counts
 /// and charges both exchange legs from that one fold — the reply leg is the
 /// query leg transposed. Rounds, metrics, and trace events are
-/// byte-identical to [`evaluate_joint`] over the same query multiset:
+/// byte-identical to the materialized [`evaluate_joint`] over the same
+/// query multiset:
 ///
 /// * a `(search, target)` list of `c` queries sends its `r`-th query to
 ///   copy `r mod dup` of its triple (Figure 5's round-robin split), so
@@ -400,12 +348,15 @@ fn evaluate_bulk(
 ///
 /// [`ChargeOnlyEval::try_new`] requires a transparent network
 /// ([`Clique::is_transparent`]), where analytic exchange charging is exact;
-/// otherwise callers fall back to [`evaluate_joint`].
+/// otherwise callers fall back to [`evaluate_joint`]. On a transparent
+/// network [`evaluate_joint`] and [`evaluate_joint_unbounded`] are one such
+/// session each, whose queries are then answered from the census.
 pub struct ChargeOnlyEval<'a, 'd> {
     inst: &'a Instance<'d>,
     actx: &'a AlphaContext,
     fine: usize,
-    /// The `list_cap` bound [`evaluate_joint`] applies.
+    /// The list cap: `list_cap` for [`evaluate_joint`], ∞ for
+    /// [`evaluate_joint_unbounded`].
     cap: f64,
     query_bits: u64,
     reply_bits: u64,
@@ -429,6 +380,18 @@ impl<'a, 'd> ChargeOnlyEval<'a, 'd> {
     /// charge-only reduction is not provably identical to
     /// [`evaluate_joint`] (see the type docs).
     pub fn try_new(inst: &'a Instance<'d>, net: &Clique, actx: &'a AlphaContext) -> Option<Self> {
+        let cap = inst.params.list_cap(inst.n(), actx.alpha);
+        Self::with_cap(inst, net, actx, cap)
+    }
+
+    /// [`ChargeOnlyEval::try_new`] with list cap `cap` (∞ for
+    /// [`evaluate_joint_unbounded`]).
+    fn with_cap(
+        inst: &'a Instance<'d>,
+        net: &Clique,
+        actx: &'a AlphaContext,
+        cap: f64,
+    ) -> Option<Self> {
         if !net.is_transparent() {
             return None;
         }
@@ -450,7 +413,7 @@ impl<'a, 'd> ChargeOnlyEval<'a, 'd> {
             inst,
             actx,
             fine,
-            cap: inst.params.list_cap(n, actx.alpha),
+            cap,
             query_bits: pair_bits(n) + weight_bits(inst.weight_magnitude()),
             reply_bits: pair_bits(n) + 1,
             dst_of,

@@ -2,7 +2,7 @@
 
 use crate::params::Params;
 use crate::problem::PairSet;
-use qcc_graph::{PaperPartitions, SearchLabeling, TripleLabeling, UGraph};
+use qcc_graph::{PaperPartitions, TripleLabeling, UGraph};
 
 /// An instance of `FindEdgesWithPromise`: the graph, the pair set `S`, the
 /// constants, and the Section 5.1 partitions/labelings derived from `n`.
@@ -24,8 +24,9 @@ pub struct Instance<'a> {
     pub parts: PaperPartitions,
     /// The `T = V × V × V'` labeling (gathering nodes).
     pub triples: TripleLabeling,
-    /// The `V × V × [√n]` labeling (search nodes).
-    pub searches: SearchLabeling,
+    /// The `V × V × [√n]` labeling (search nodes): the same `q × q × s`
+    /// labeling as `triples`, read as `(u, v, x)`.
+    pub searches: TripleLabeling,
     /// Largest edge-weight magnitude (see [`Instance::weight_magnitude`]).
     weight_magnitude: u64,
     /// Dense `S`-membership mask at `u · n + v` (both orientations).
@@ -43,7 +44,7 @@ impl<'a> Instance<'a> {
         assert!(n > 0, "empty graph");
         let parts = PaperPartitions::new(n);
         let triples = TripleLabeling::new(&parts, n);
-        let searches = SearchLabeling::new(&parts, n);
+        let searches = triples.clone();
         let weight_magnitude = graph
             .edges()
             .map(|(_, _, w)| w.unsigned_abs())

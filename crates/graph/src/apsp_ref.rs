@@ -328,9 +328,19 @@ pub fn dijkstra(g: &DiGraph, src: usize) -> Vec<ExtWeight> {
 /// call across scoped workers (`QCC_THREADS`, see
 /// [`qcc_perf::resolve_threads`]); each writes only its own row of the
 /// distance matrix, so the result is identical for every worker count.
+///
+/// Reweighting runs on `i64`, which is exact inside the flat oracles'
+/// domain `(n − 1)·M ≤` [`TROPICAL_FINITE_MAX`] for the largest arc
+/// magnitude `M`: potentials lie in `[−(n − 1)·M, 0]`, so every reweighted
+/// arc and Dijkstra sum stays below `4·TROPICAL_FINITE_MAX`. Above that
+/// guard a potential or a reweighted arc can leave `i64`, so
+/// [`floyd_warshall`] answers there instead.
 pub fn johnson(g: &DiGraph) -> Result<WeightMatrix, NegativeCycleError> {
     let threads = qcc_perf::resolve_threads(None);
     let n = g.n();
+    if !within_flat_domain(n, g.weight_magnitude()) {
+        return floyd_warshall(&g.adjacency_matrix());
+    }
     // Virtual source n with zero-weight arcs to every vertex.
     let mut aug = DiGraph::new(n + 1);
     for (u, v, w) in g.arcs() {

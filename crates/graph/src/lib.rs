@@ -13,9 +13,9 @@
 //!   census (`Γ(u, v)` of Definition 1);
 //! * [`build_tripartite`] — the Vassilevska Williams–Williams reduction
 //!   graph (Proposition 2);
-//! * [`Partition`], [`PaperPartitions`], [`TripleLabeling`],
-//!   [`SearchLabeling`] — the vertex partitions and node labelings of
-//!   Section 5.1;
+//! * [`Partition`], [`PaperPartitions`], [`TripleLabeling`] — the vertex
+//!   partitions and the node labeling of Section 5.1 (triples and searches
+//!   share one `q × q × s` labeling);
 //! * [`floyd_warshall`], [`bellman_ford`], [`johnson`] — sequential oracles;
 //! * [`generators`] — reproducible workloads for the experiments.
 //!
@@ -63,8 +63,7 @@ pub use matrix::{
     tropical_decode, SquareMatrix, WeightMatrix, MIN_PLUS_TILE, TROPICAL_FINITE_MAX, TROPICAL_NONE,
 };
 pub use partition::{
-    ceil_fourth_root, ceil_sqrt, Labeling, PaperPartitions, Partition, SearchLabeling,
-    TripleLabeling,
+    ceil_fourth_root, ceil_sqrt, Labeling, PaperPartitions, Partition, TripleLabeling,
 };
 pub use paths::{
     cycle_weight, decode_witness, distance_product_with_witness, find_negative_cycle, path_weight,

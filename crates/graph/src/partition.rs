@@ -12,6 +12,9 @@
 //! * the **search labeling** `V × V × [√n]`: node `(u, v, x)` runs the
 //!   quantum searches for the pair block `Λ_x(u, v)`.
 //!
+//! Both are the same `q × q × s` product of the coarse and fine block
+//! counts, so one type, [`TripleLabeling`], encodes both.
+//!
 //! For `n = m⁴` all sizes are exact and both labelings are bijections onto
 //! the `n` network nodes. For other `n` the paper rounds the block counts
 //! up; the labelings then have slightly more labels than nodes and each
@@ -219,7 +222,8 @@ impl Labeling {
     }
 }
 
-/// The triple labeling `T = V × V × V'` of Section 5.1.
+/// The triple labeling `T = V × V × V'` of Section 5.1, which is also its
+/// search labeling `V × V × [√n]` (see the module docs).
 ///
 /// # Examples
 ///
@@ -270,50 +274,6 @@ impl TripleLabeling {
     }
 
     /// Iterates over all `(u, v, w)` triples with their label ids.
-    pub fn triples(&self) -> impl Iterator<Item = (usize, (usize, usize, usize))> + '_ {
-        (0..self.labeling.label_count()).map(move |t| (t, self.decode(t)))
-    }
-}
-
-/// The search labeling `V × V × [√n]` of Section 5.1 (third scheme).
-#[derive(Clone, Debug)]
-pub struct SearchLabeling {
-    q: usize,
-    s: usize,
-    labeling: Labeling,
-}
-
-impl SearchLabeling {
-    /// Builds the labeling `V × V × [⌈√n⌉]` over `n_nodes` network nodes.
-    pub fn new(parts: &PaperPartitions, n_nodes: usize) -> Self {
-        let q = parts.coarse.num_blocks();
-        let s = parts.fine.num_blocks();
-        SearchLabeling {
-            q,
-            s,
-            labeling: Labeling::new(q * q * s, n_nodes),
-        }
-    }
-
-    /// Encodes `(u, v, x)` as a label.
-    pub fn encode(&self, u: usize, v: usize, x: usize) -> usize {
-        debug_assert!(u < self.q && v < self.q && x < self.s);
-        (u * self.q + v) * self.s + x
-    }
-
-    /// Decodes a label into `(u, v, x)`.
-    pub fn decode(&self, t: usize) -> (usize, usize, usize) {
-        let x = t % self.s;
-        let uv = t / self.s;
-        (uv / self.q, uv % self.q, x)
-    }
-
-    /// The underlying node assignment.
-    pub fn labeling(&self) -> &Labeling {
-        &self.labeling
-    }
-
-    /// Iterates over all `(u, v, x)` triples with their label ids.
     pub fn triples(&self) -> impl Iterator<Item = (usize, (usize, usize, usize))> + '_ {
         (0..self.labeling.label_count()).map(move |t| (t, self.decode(t)))
     }
@@ -414,9 +374,9 @@ mod tests {
     }
 
     #[test]
-    fn search_labeling_round_trips() {
+    fn labeling_round_trips_at_n81() {
         let parts = PaperPartitions::new(81);
-        let s = SearchLabeling::new(&parts, 81);
+        let s = TripleLabeling::new(&parts, 81);
         for (label, (u, v, x)) in s.triples() {
             assert_eq!(s.encode(u, v, x), label);
         }

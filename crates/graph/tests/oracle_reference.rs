@@ -415,6 +415,25 @@ fn negative_cycles_above_the_guard_are_reported_by_every_oracle() {
     }
 }
 
+#[test]
+fn johnson_equals_floyd_warshall_above_the_guard() {
+    // Two arcs of magnitude 2^62 into vertex 1: no path has two arcs, but
+    // reweighting 2 → 1 on `i64` wraps. And a path of three −2^62 arcs,
+    // whose potentials leave `i64`.
+    let m = 1 << 62;
+    let mut opposed = DiGraph::new(3);
+    opposed.add_arc(0, 1, -m);
+    opposed.add_arc(2, 1, m);
+    let mut path = DiGraph::new(4);
+    for u in 0..3 {
+        path.add_arc(u, u + 1, -m);
+    }
+    for (label, g) in [("opposed arcs", opposed), ("path", path)] {
+        let fw = floyd_warshall(&g.adjacency_matrix()).unwrap();
+        assert_eq!(johnson(&g).unwrap(), fw, "{label}");
+    }
+}
+
 /// Lowers the arc `(u, v)` of `g` to `weight` and records the delta.
 fn lower(g: &mut DiGraph, deltas: &mut Vec<EdgeDelta>, u: usize, v: usize, weight: i64) {
     assert!(w(weight) <= g.weight(u, v), "updates only decrease");

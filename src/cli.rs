@@ -9,7 +9,8 @@
 //! `serve`) share one [`Solve`] for their common flags, which also builds
 //! their instance and their Las-Vegas driver. The binary in
 //! `src/bin/qcc.rs` is a thin wrapper so the parsing and dispatch logic
-//! stays unit-testable.
+//! stays unit-testable. The `qcc-bench` binaries read their flags through
+//! the same [`collect_flags`] and [`Flags`].
 
 use crate::algo::{
     apsp_driver, apsp_traced, apsp_with_paths_traced, compute_pairs, distance_params, gossip_apsp,
@@ -251,17 +252,24 @@ const DISTANCE_FLAGS: &str =
 
 /// Flags and positionals of one subcommand, validated against its
 /// declared flag set.
-struct Flags {
+pub struct Flags {
     values: Vec<(String, String)>,
     switches: Vec<String>,
-    positionals: Vec<String>,
+    /// The tokens that are neither a flag nor a flag's value, in order.
+    pub positionals: Vec<String>,
 }
 
 /// Walks `args`, pairing each `--flag` with its value. Flags listed in
 /// `switches` take no value and merely toggle; flags in neither list,
 /// value flags without a value, and repeated flags are errors; non-flag
-/// tokens are collected as positionals for the caller to vet.
-fn collect_flags(
+/// tokens are collected as positionals for the caller to vet. `command`
+/// names the reader in the unknown-flag error.
+///
+/// # Errors
+///
+/// Returns [`CliError`] naming the first unknown, repeated or value-less
+/// flag.
+pub fn collect_flags(
     command: &str,
     args: &[String],
     allowed: &str,
@@ -305,18 +313,29 @@ fn collect_flags(
 }
 
 impl Flags {
-    fn get(&self, name: &str) -> Option<&str> {
+    /// The value of flag `name`, if given.
+    pub fn get(&self, name: &str) -> Option<&str> {
         self.values
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
     }
 
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
+    /// The value of flag `name` parsed as a `T`, or `default` when absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError`] when the value does not parse.
+    pub fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
         Ok(self.opt_num(name)?.unwrap_or(default))
     }
 
-    fn opt_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+    /// The value of flag `name` parsed as a `T`, if given.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError`] when the value does not parse.
+    pub fn opt_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
         match self.get(name) {
             Some(v) => v
                 .parse()
@@ -328,18 +347,24 @@ impl Flags {
 
     /// `--n`, defaulting to `default`: every command needs at least one
     /// node.
-    fn n(&self, default: usize) -> Result<usize, CliError> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError`] when the value does not parse or is 0.
+    pub fn n(&self, default: usize) -> Result<usize, CliError> {
         match self.num("--n", default)? {
             0 => Err(CliError("--n must be at least 1".into())),
             n => Ok(n),
         }
     }
 
-    fn switch(&self, name: &str) -> bool {
+    /// Whether switch `name` was given.
+    pub fn switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
     }
 
-    fn trace(&self) -> Option<String> {
+    /// The file of `--trace FILE`, if given.
+    pub fn trace(&self) -> Option<String> {
         self.get("--trace").map(String::from)
     }
 }
@@ -602,7 +627,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
 }
 
 /// Creates the NDJSON sink for `--trace FILE`, if requested.
-fn open_sink(path: Option<&String>) -> Result<Option<TraceSink>, CliError> {
+///
+/// # Errors
+///
+/// Returns [`CliError`] when the file cannot be created.
+pub fn open_sink(path: Option<&String>) -> Result<Option<TraceSink>, CliError> {
     match path {
         None => Ok(None),
         Some(p) => TraceSink::to_file(p)
@@ -1630,6 +1659,42 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.to_string().contains("line 1"), "{e}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn trace_summary_rejects_misnested_spans() {
+        // Span 1 closes while its child 2 is open, is then charged 5
+        // rounds and opens a child 3: no sink writes this, so it must not
+        // pass `--expect-rounds 5`.
+        let comm = "{\"ev\":\"comm\",\"kind\":\"route\",\"span\":1,\"rounds\":5,\"messages\":1,\
+                    \"bits\":1,\"max_link_bits\":1,\"max_node_out_bits\":1,\"max_node_in_bits\":1}";
+        let probe = [
+            "{\"ev\":\"open\",\"id\":1,\"label\":\"a\"}",
+            "{\"ev\":\"open\",\"id\":2,\"parent\":1,\"label\":\"b\"}",
+            "{\"ev\":\"close\",\"id\":1}",
+            comm,
+            "{\"ev\":\"open\",\"id\":3,\"parent\":1,\"label\":\"c\"}",
+            "{\"ev\":\"close\",\"id\":3}",
+            "{\"ev\":\"close\",\"id\":2}",
+        ];
+        let path = temp_path("misnested");
+        std::fs::write(&path, probe.join("\n") + "\n").unwrap();
+        let mut out = Vec::new();
+        let e = run(
+            &Command::TraceSummary {
+                file: path.to_string_lossy().into_owned(),
+                expect_rounds: Some(5),
+                max_depth: usize::MAX,
+            },
+            &mut out,
+        )
+        .unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "trace error: close names span 1, but the innermost open span is 2"
+        );
+        assert!(out.is_empty(), "nothing is rendered");
         std::fs::remove_file(&path).ok();
     }
 
